@@ -96,7 +96,10 @@ scrub-smoke: build
 # Streaming-verification smoke: an open-loop soak PASSes under the
 # windowed Theorem-7 checker (exit 0), a run with a seeded stale-read
 # corruption past op 1500 must FAIL (exit 1 — the exit code is
-# asserted, a PASS here is a checker bug), and the NDJSON pipeline
+# asserted, a PASS here is a checker bug), 20k-op msc and mlin soaks
+# PASS with the full-trace chain check agreeing (--verify-full; exit 3
+# would mean the windowed and full checks disagree) and FAIL together
+# on the corrupted mlin run (exit 1 asserted), and the NDJSON pipeline
 # (generate --stream | check --stream) PASSes a
 # consistent-by-construction trace.
 soak-smoke: build
@@ -105,6 +108,13 @@ soak-smoke: build
 	$(DUNE) exec bin/mmc_cli.exe -- soak --store mlin --ops 4000 \
 	  --procs 4 --objects 12 --rate 3 --corrupt 1500 --seed 7; \
 	  test $$? -eq 1
+	$(DUNE) exec bin/mmc_cli.exe -- soak --store msc --ops 20000 \
+	  --procs 4 --objects 12 --rate 3 --seed 7 --verify-full
+	$(DUNE) exec bin/mmc_cli.exe -- soak --store mlin --ops 20000 \
+	  --procs 4 --objects 12 --rate 3 --seed 7 --verify-full
+	$(DUNE) exec bin/mmc_cli.exe -- soak --store mlin --ops 20000 \
+	  --procs 4 --objects 12 --rate 3 --corrupt 1500 --seed 7 \
+	  --verify-full; test $$? -eq 1
 	$(DUNE) exec bin/mmc_cli.exe -- generate --family legal --mops 800 \
 	  --procs 4 --seed 9 --stream --out /tmp/soak-smoke.ndjson
 	$(DUNE) exec bin/mmc_cli.exe -- check --stream --window 64 \

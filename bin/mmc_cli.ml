@@ -819,7 +819,7 @@ let soak kind shards procs objects rate ops duration window settle sample_every
         Fmt.pr "retired prefix   %d of %d fed (%d epoch checks)@."
           m.Mmc_stream.Window_check.retired m.Mmc_stream.Window_check.fed
           m.Mmc_stream.Window_check.checks;
-        Fmt.pr "relation words   %d resident (max %d), %d recycled@."
+        Fmt.pr "checker words    %d resident (max %d), %d recycled@."
           m.Mmc_stream.Window_check.resident_words
           m.Mmc_stream.Window_check.max_resident_words
           m.Mmc_stream.Window_check.recycled_words

@@ -1,7 +1,9 @@
 (** Polynomial-time admissibility checking under execution constraints
     (paper, Theorem 7): under OO or WW, admissibility is equivalent to
     legality, and a witness is any total extension of
-    [(~H ∪ ~rw)+]. *)
+    [(~H ∪ ~rw)+].  {!check_chain} decides it without a dense closure;
+    the dense {!check_relation} / {!check_closed} / {!Incremental}
+    stay as the reference oracle. *)
 
 type result =
   | Admissible of Sequential.witness
@@ -51,6 +53,28 @@ val check :
   ?arena:Relation.Arena.arena ->
   History.t ->
   History.flavour ->
+  Constraints.kind ->
+  result
+
+(** [check_chain h ~flavour ~extra kind] — the same verdict as
+    {!check_relation} over [flavour]'s base relation plus the [extra]
+    edges (e.g. the synchronization order), without a dense closure.
+    The initializer and each process form one chain of [~H]; the check
+    builds a sparse graph with the same transitive closure (the
+    flavour's real-time / object order reduced to the latest source
+    per chain), a per-node frontier vector over the C chains, and
+    decides constraint, legality (nearest interposing writer) and the
+    [~rw] witness in O((n + e) . C).  [Not_legal] names the writer
+    that follows the reads-from source in the object's writer chain.
+    With [~arena] the frontier and sort tables come from the arena's
+    scratch lists and go back before returning.  No state outlives
+    the call, so distinct histories may be checked on distinct
+    domains. *)
+val check_chain :
+  ?arena:Relation.Arena.arena ->
+  History.t ->
+  flavour:History.flavour ->
+  extra:(Types.mop_id * Types.mop_id) list ->
   Constraints.kind ->
   result
 

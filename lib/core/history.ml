@@ -22,6 +22,8 @@ type t = {
   n_objects : int;
   mops : Mop.t array;  (** index = id; slot 0 is the initializer *)
   rf : rf_edge list;
+  rf_by_reader : rf_edge list array;
+      (** index = reader id; each reader's edges in [rf] order *)
 }
 
 exception Ill_formed of string
@@ -51,7 +53,15 @@ let create ~n_objects mops ~rf =
             ill_formed "m-operation #%d touches object x%d outside range" i x)
         m.Mop.ops)
     arr;
-  let h = { n_objects; mops = arr; rf } in
+  (* Reads-from indexed by reader once, so the coverage check below is
+     linear in |rf| rather than one scan of [rf] per external read. *)
+  let rf_by_reader = Array.make (Array.length arr) [] in
+  List.iter
+    (fun e ->
+      if e.reader >= 0 && e.reader < Array.length arr then
+        rf_by_reader.(e.reader) <- e :: rf_by_reader.(e.reader))
+    (List.rev rf);
+  let h = { n_objects; mops = arr; rf; rf_by_reader } in
   (* Process subhistories must be sequential: same-process intervals
      may not overlap. *)
   let by_proc = Hashtbl.create 8 in
@@ -85,11 +95,7 @@ let create ~n_objects mops ~rf =
       if m.Mop.id <> Types.init_mop then
         List.iter
           (fun (x, v) ->
-            match
-              List.filter
-                (fun e -> e.reader = m.Mop.id && e.obj = x)
-                rf
-            with
+            match List.filter (fun e -> e.obj = x) rf_by_reader.(m.Mop.id) with
             | [] ->
               ill_formed "no reads-from edge for read of x%d by #%d" x m.Mop.id
             | [ e ] -> (
@@ -136,15 +142,18 @@ let real_mops t = Array.to_list t.mops |> List.tl
 
 let rf t = t.rf
 
-(** Reads-from triples of a given reader. *)
-let rf_of_reader t id = List.filter (fun e -> e.reader = id) t.rf
+(** Reads-from triples of a given reader, in [rf] order ([[]] for an
+    id outside the history). *)
+let rf_of_reader t id =
+  if id < 0 || id >= Array.length t.rf_by_reader then []
+  else t.rf_by_reader.(id)
 
 (** [rfobjects t a b] — objects that [a] reads from [b] (D 4.3's
     [rfobjects(H, a, b)]). *)
 let rfobjects t a b =
   List.filter_map
-    (fun e -> if e.reader = a && e.writer = b then Some e.obj else None)
-    t.rf
+    (fun e -> if e.writer = b then Some e.obj else None)
+    (rf_of_reader t a)
   |> List.sort_uniq compare
 
 let procs t =

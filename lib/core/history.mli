@@ -40,6 +40,9 @@ val mops : t -> Mop.t array
 val real_mops : t -> Mop.t list
 
 val rf : t -> rf_edge list
+
+(** A reader's reads-from triples in {!rf} order, from an index built
+    once by {!create}; [[]] for an id outside the history. *)
 val rf_of_reader : t -> Types.mop_id -> rf_edge list
 
 (** [rfobjects t a b] — objects that [a] reads from [b] (D 4.3). *)

@@ -31,13 +31,6 @@ let legal_and_equivalent h (order : witness) =
   if not (is_permutation h order) then false
   else begin
     let last_writer = Array.make (History.n_objects h) Types.init_mop in
-    (* Reads-from edges indexed by reader once, instead of one O(|rf|)
-       scan per m-operation. *)
-    let rf_by_reader = Array.make (History.n_mops h) [] in
-    List.iter
-      (fun (e : History.rf_edge) ->
-        rf_by_reader.(e.History.reader) <- e :: rf_by_reader.(e.History.reader))
-      (History.rf h);
     let ok = ref true in
     Array.iter
       (fun id ->
@@ -48,7 +41,7 @@ let legal_and_equivalent h (order : witness) =
               match
                 List.find_opt
                   (fun (e : History.rf_edge) -> e.History.obj = x)
-                  rf_by_reader.(id)
+                  (History.rf_of_reader h id)
               with
               | None -> ok := false
               | Some e -> if last_writer.(x) <> e.History.writer then ok := false)

@@ -32,8 +32,8 @@ let run_faulty ?(procs = 4) ?(ops = 12) ~seed ~kind ~plan () =
 
 (** Theorem-7 admissibility of a protocol trace: base relation of the
     store's condition plus the recorded atomic-broadcast order, checked
-    under the WW constraint (the broadcast totally orders updates);
-    the closure is maintained incrementally ({!Runner.check_trace}). *)
+    under the WW constraint (the broadcast totally orders updates), by
+    the chain-decomposed check ({!Runner.check_trace}). *)
 let admissible (res : Runner.result) flavour =
   match Runner.check_trace res ~flavour with
   | Check_constrained.Admissible _ -> true

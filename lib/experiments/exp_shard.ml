@@ -5,7 +5,7 @@
     price of partitioning (messages per m-operation, update latency
     p50/p95/p99, sub-invocation segments) and the verification story:
 
-    - [agree] — the decomposed incremental check pipeline must reach
+    - [agree] — the decomposed chain check pipeline must reach
       the batch {!Mmc_core.Check_constrained} verdict on the stitched
       history in every run (a disagreement is a checker bug);
     - [composes] — how often per-shard admissibility implied stitched
@@ -53,7 +53,7 @@ type cell = {
   u_p99 : int;
   cross_ops : int;
   segments : int;
-  agree : int;  (** runs where incremental == batch on the stitched history *)
+  agree : int;  (** runs where chain == batch on the stitched history *)
   composes : int;  (** runs where per-shard verdicts implied the stitched one *)
   of_ : int;
   shard_ms : float;  (** summed per-shard check time over the seeds *)
@@ -161,7 +161,7 @@ let s1 ?(shards = [ 1; 2; 4; 8 ]) ?(ratios = [ 0.0; 0.05; 0.2 ]) ?(seeds = 3)
     rows;
     notes =
       [
-        "agree must be full: the decomposed incremental pipeline and the \
+        "agree must be full: the decomposed chain pipeline and the \
          batch checker see the same stitched history and relation";
         "composes < full at S > 1 is the expected Msc composition anomaly \
          (per-shard admissible, globally not) — the stitched check is what \

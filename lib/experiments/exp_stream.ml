@@ -5,10 +5,10 @@
     offered load) against the windowed checker's epoch window, and
     reports the two claims the subsystem makes:
 
-    - {e flat memory}: max resident relation words must be a function
+    - {e flat memory}: max resident checker words must be a function
       of the window, not of the trace length — the resident-words
-      column must not grow with ops, and recycled words (the closure
-      storage the arena handed back) must dwarf it;
+      column must not grow with ops, and recycled words (the check
+      tables the arena handed back) must dwarf it;
     - {e open-loop latency}: p50/p99/p999 include queueing delay, so
       overload shows up as latency and queue growth while throughput
       saturates — the checker's verdict must stay PASS throughout
@@ -103,9 +103,9 @@ let m1 ?(rates = [ 12; 6; 2 ]) ?(windows = [ 128; 512; 2048 ]) ?(procs = 8)
     rows;
     notes =
       [
-        "res w (max resident relation words) must track the window column, \
+        "res w (max resident checker words) must track the window column, \
          not the ops column — that is the flat-memory claim; recycled kw \
-         is the closure storage the arena handed back across epochs";
+         is the check-table storage the arena handed back across epochs";
         "latency is arrival-to-response (open loop): as the inter-arrival \
          time shrinks toward service capacity, queueing appears — maxq and \
          the tail (p999) grow while p50 stays near service latency — and \

@@ -22,8 +22,8 @@ let is_admissible = function
   | Check_constrained.Admissible _ -> true
   | _ -> false
 
-(* Verdicts are compared by shape: the incremental and batch paths
-   share the closure contents but may differ in witness/counterexample
+(* Verdicts are compared by shape: the chain and batch paths decide
+   over the same closure but may differ in witness/counterexample
    details. *)
 let same_verdict a b =
   match (a, b) with
@@ -62,27 +62,23 @@ let stitched_relation (st : Shard_recorder.t) ~flavour =
     shard's own (local) history plus the shard's broadcast order. *)
 let check_shard recorder ~flavour ~kind shard =
   let history, _stamps, sync_order = Recorder.to_history_full recorder in
-  let inc = Check_constrained.Incremental.create (History.n_mops history) in
-  Check_constrained.Incremental.add_edges inc
-    (History.base_edges history flavour);
-  Check_constrained.Incremental.add_edges inc (link_edges sync_order);
-  let result = Check_constrained.Incremental.check inc history kind in
+  let result =
+    Check_constrained.check_chain history ~flavour
+      ~extra:(link_edges sync_order) kind
+  in
   { shard; mops = History.n_mops history - 1; result }
 
 let check_stitched ?(kind = Constraints.WW) (st : Shard_recorder.t) ~flavour =
-  let h = st.Shard_recorder.history in
-  let inc = Check_constrained.Incremental.create (History.n_mops h) in
-  Check_constrained.Incremental.add_edges inc (History.base_edges h flavour);
-  Check_constrained.Incremental.add_edges inc (constraint_edges st);
-  Check_constrained.Incremental.check inc h kind
+  Check_constrained.check_chain st.Shard_recorder.history ~flavour
+    ~extra:(constraint_edges st) kind
 
 let check_shards ?pool ?(kind = Constraints.WW) recorders ~flavour =
   match pool with
   | None ->
     Array.mapi (fun s recorder -> check_shard recorder ~flavour ~kind s) recorders
   | Some pool ->
-    (* One submission per shard; each closure builds that shard's
-       history and incremental closure from scratch, so the only data
+    (* One submission per shard; each job builds that shard's history
+       and chain check from scratch, so the only data
        shared between domains is the read-only recorder.  Verdicts are
        joined positionally — the result is independent of scheduling. *)
     Array.mapi

@@ -8,16 +8,18 @@
 
     - each shard's trace is checked on its own — base relation of the
       consistency condition plus that shard's broadcast order — over an
-      S-times smaller history (the per-shard closure costs ~(n/S)^3
-      against n^3 for the global one), and
+      S-times smaller history, and
     - the stitched global history is checked once, with the merged
       update order of {!Shard_recorder} installing the global
-      WW-constraint, the closure maintained incrementally
-      ({!Mmc_core.Check_constrained.Incremental}).
+      WW-constraint.
+
+    Both go through the chain-decomposed check
+    ({!Mmc_core.Check_constrained.check_chain}); only the batch oracle
+    builds the dense closure.
 
     Two distinct comparisons come out of this:
 
-    - [agree] — the decomposed incremental pipeline reaches the same
+    - [agree] — the decomposed chain pipeline reaches the same
       verdict as the plain batch {!Mmc_core.Check_constrained}
       ("unsharded") run on the very same stitched history and relation.
       This must always hold; a disagreement is a checker bug.
@@ -67,8 +69,8 @@ val stitched_relation :
   Shard_recorder.t -> flavour:History.flavour -> Relation.t
 
 (** [check_stitched st ~flavour ~kind] — Theorem-7 check of the
-    stitched global history over {!stitched_relation}, maintained
-    incrementally edge-by-edge. *)
+    stitched global history over the edges of {!stitched_relation},
+    by the chain-decomposed check. *)
 val check_stitched :
   ?kind:Constraints.kind ->
   Shard_recorder.t ->
@@ -89,7 +91,7 @@ val check_shards :
   shard_verdict array
 
 (** [check ?pool ?oracle ?kind placement recorders ~flavour] —
-    per-shard Theorem-7 checks, the stitched incremental check, the
+    per-shard Theorem-7 checks, the stitched chain check, the
     batch cross-check and the [agree] / [composes] bits.  [kind]
     defaults to WW (each shard's broadcast totally orders its updates,
     and the merged order extends them globally).  [~pool] fans the
