@@ -114,6 +114,15 @@ let prop_acyclic_iff_topo =
       let r = Relation.of_edges 8 edges in
       Relation.is_acyclic r = (Relation.topo_sort r <> None))
 
+(* The sparse Kahn sort (shard stitching, the chain check) keeps the
+   dense sort's smallest-ready-id tie-break: same order on the same
+   edges, and [None] on both for cyclic graphs. *)
+let prop_digraph_topo_matches =
+  QCheck.Test.make ~name:"Digraph.topo_sort = Relation.topo_sort" ~count:500
+    (arb_edges 8) (fun edges ->
+      Digraph.topo_sort (Digraph.of_edges 8 edges)
+      = Relation.topo_sort (Relation.of_edges 8 edges))
+
 let () =
   Alcotest.run "relation"
     [
@@ -136,5 +145,6 @@ let () =
             prop_closure_contains;
             prop_topo_respects;
             prop_acyclic_iff_topo;
+            prop_digraph_topo_matches;
           ] );
     ]

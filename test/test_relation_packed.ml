@@ -299,6 +299,26 @@ let test_arena_reuses_words () =
   Alcotest.(check bool) "at most one miss per length" true
     (Relation.Arena.misses arena <= 1)
 
+(* A call's resident footprint is the most it holds at once: scratch
+   handed back and taken again counts once there, twice in
+   [scratch_words]. *)
+let test_arena_peak_during () =
+  let arena = Relation.Arena.create () in
+  let taken0 = Relation.Arena.scratch_words arena in
+  let (), peak =
+    Relation.Arena.peak_during arena (fun () ->
+        for _ = 1 to 2 do
+          let a = Relation.Arena.scratch arena 100 in
+          let b = Relation.Arena.scratch arena 50 in
+          Relation.Arena.release arena a;
+          Relation.Arena.release arena b
+        done)
+  in
+  let taken = Relation.Arena.scratch_words arena - taken0 in
+  Alcotest.(check int) "peak = one round" (taken / 2) peak;
+  let (), again = Relation.Arena.peak_during arena (fun () -> ()) in
+  Alcotest.(check int) "nothing held after the call" 0 again
+
 (* --- unit: exact word-boundary bits --- *)
 
 let test_boundary_bits () =
@@ -335,6 +355,7 @@ let () =
           Alcotest.test_case "cycle via add_edge_closed" `Quick
             test_cycle_via_incremental;
           Alcotest.test_case "arena reuses words" `Quick test_arena_reuses_words;
+          Alcotest.test_case "arena peak_during" `Quick test_arena_peak_during;
         ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
