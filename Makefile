@@ -2,7 +2,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test check ci smoke shard-smoke par-smoke recover-smoke chaos-smoke scrub-smoke soak-smoke fastpath-smoke bench-smoke bench-diff experiments bench-json clean
+.PHONY: all build test check ci smoke shard-smoke par-smoke recover-smoke chaos-smoke scrub-smoke soak-smoke soak-snapshot fastpath-smoke bench-smoke bench-diff experiments bench-json clean
 
 all: build
 
@@ -99,9 +99,10 @@ scrub-smoke: build
 # asserted, a PASS here is a checker bug), 20k-op msc and mlin soaks
 # PASS with the full-trace chain check agreeing (--verify-full; exit 3
 # would mean the windowed and full checks disagree) and FAIL together
-# on the corrupted mlin run (exit 1 asserted), and the NDJSON pipeline
-# (generate --stream | check --stream) PASSes a
-# consistent-by-construction trace.
+# on the corrupted mlin run (exit 1 asserted), the flat-heap gate
+# holds (msc and mlin peak heap at 80k ops < 1.2x at 20k ops, one
+# process each), and the NDJSON pipeline (generate --stream | check
+# --stream) PASSes a consistent-by-construction trace.
 soak-smoke: build
 	$(DUNE) exec bin/mmc_cli.exe -- soak --store msc --ops 4000 \
 	  --procs 4 --objects 12 --rate 3 --seed 7
@@ -115,10 +116,24 @@ soak-smoke: build
 	$(DUNE) exec bin/mmc_cli.exe -- soak --store mlin --ops 20000 \
 	  --procs 4 --objects 12 --rate 3 --corrupt 1500 --seed 7 \
 	  --verify-full; test $$? -eq 1
+	sh test/heap_gate.sh _build/default/bin/mmc_cli.exe
 	$(DUNE) exec bin/mmc_cli.exe -- generate --family legal --mops 800 \
 	  --procs 4 --seed 9 --stream --out /tmp/soak-smoke.ndjson
 	$(DUNE) exec bin/mmc_cli.exe -- check --stream --window 64 \
 	  /tmp/soak-smoke.ndjson
+
+# README / EXPERIMENTS M1 snapshot: the streaming section's 1M-op and
+# 10M-op msc soaks, each in its own process, printing the run's output
+# (summary line with top_heap_w and verdict) and its wall time.  The
+# 10M run takes several minutes.  Exits non-zero unless both PASS.
+soak-snapshot: build
+	for ops in 1000000 10000000; do \
+	  start=$$(date +%s.%N); \
+	  ./_build/default/bin/mmc_cli.exe soak --store msc --ops $$ops \
+	    --procs 8 --objects 24 --rate 3 --seed 11 || exit 1; \
+	  awk -v s=$$start -v e=$$(date +%s.%N) -v n=$$ops \
+	    'BEGIN { printf "wall %.1f s for %d ops\n", e - s, n }'; \
+	done
 
 # Coordination-avoidance smoke: the seg store's commute-ratio sweep at
 # reduced size — every run exits non-zero unless the per-shard and

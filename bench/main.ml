@@ -1089,12 +1089,19 @@ let chaos_metrics () =
 
 (* One pool per requested --domains value, spawned once and reused by
    every -dD test variant (the whole point of the pool: submissions
-   never spawn).  Joined explicitly before exit. *)
+   never spawn).  Joined explicitly before exit.  Lazy, so that only a
+   run of the `parallel` group spawns domains: idle domains still join
+   every minor collection's stop-the-world, which slows the
+   allocation-heavy kernels of every other group. *)
 let par_pools =
-  let ds = List.sort_uniq compare cli_domains in
-  let pools = List.map (fun d -> (d, Mmc_parallel.Pool.create ~num_domains:d)) ds in
-  at_exit (fun () -> List.iter (fun (_, p) -> Mmc_parallel.Pool.shutdown p) pools);
-  pools
+  lazy
+    (let ds = List.sort_uniq compare cli_domains in
+     let pools =
+       List.map (fun d -> (d, Mmc_parallel.Pool.create ~num_domains:d)) ds
+     in
+     at_exit (fun () ->
+         List.iter (fun (_, p) -> Mmc_parallel.Pool.shutdown p) pools);
+     pools)
 
 (* The parallel group's closure / Theorem-7 input, one size up from
    the core group: at n = 600 the closure is ~3.4x the n = 400 one,
@@ -1113,7 +1120,7 @@ let shard8 = List.assoc 8 shard_inputs
    oracle skipped so only the decomposed pipeline is measured).
    -d1 uses a 1-worker pool and must stay within noise of the
    sequential `core`/`shard` numbers. *)
-let bench_parallel =
+let bench_parallel () =
   let h600, base600 = par600 in
   let top, h400, _, b400 = core_top in
   Test.make_grouped ~name:"parallel"
@@ -1154,13 +1161,14 @@ let bench_parallel =
                     (Mmc_shard.Shard_runner.check ~pool ~oracle:false shard8
                        ~flavour:History.Msc)));
          ])
-       par_pools)
+       (Lazy.force par_pools))
 
 (* Wall-clock speedup-vs-domains metrics (ratio of the sequential
    mean over the D-domain mean on the same input), recorded when the
    parallel group runs with --json.  Wall clock, not [Sys.time]: CPU
    time sums over domains and would hide any parallel win. *)
 let parallel_metrics () =
+  let par_pools = Lazy.force par_pools in
   let wall_ms repeats f =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to repeats do
@@ -1278,6 +1286,7 @@ let parallel_metrics () =
              par_pools)
       kernels
 
+(* Every group but `parallel`, which runs last (see [benchmark]). *)
 let groups =
   [
     ("T1", bench_t1);
@@ -1293,14 +1302,9 @@ let groups =
     ("stream", bench_stream);
     ("recovery", bench_recovery);
     ("chaos", bench_chaos);
-    ("parallel", bench_parallel);
   ]
 
-let all_tests =
-  Test.make_grouped ~name:"mmc"
-    (match only with
-    | [] -> List.map snd groups
-    | gs -> List.map (fun g -> List.assoc g groups) gs)
+let selected g = only = [] || List.mem g only
 
 let benchmark () =
   let ols =
@@ -1312,7 +1316,19 @@ let benchmark () =
       Benchmark.cfg ~limit:300 ~quota:(Time.second 0.05) ~kde:None ()
     else Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) ()
   in
-  let raw = Benchmark.all cfg instances all_tests in
+  let run tests =
+    Benchmark.all cfg instances (Test.make_grouped ~name:"mmc" tests)
+  in
+  let raw =
+    run
+      (List.filter_map
+         (fun (g, t) -> if selected g then Some t else None)
+         groups)
+  in
+  (* The `parallel` group spawns its pools' domains, so it runs after
+     every other group has been measured without them. *)
+  if selected "parallel" then
+    Hashtbl.iter (Hashtbl.replace raw) (run [ bench_parallel () ]);
   let results = List.map (fun i -> Analyze.all ols i raw) instances in
   Analyze.merge ols instances results
 
@@ -1334,14 +1350,20 @@ let baselines =
 (* the shard / core / parallel metrics ride along whenever their
    group ran; computed once, shared by --json and --compare *)
 let collect_metrics () =
-  let ran g = only = [] || List.mem g only in
-  (if ran "core" then core_metrics () else [])
-  @ (if ran "shard" then shard_metrics () else [])
-  @ (if ran "fastpath" then fastpath_metrics () else [])
-  @ (if ran "stream" then stream_metrics () else [])
-  @ (if ran "recovery" then recovery_metrics () else [])
-  @ (if ran "chaos" then chaos_metrics () else [])
-  @ if ran "parallel" then parallel_metrics () else []
+  let serial =
+    List.concat_map
+      (fun (g, metrics) -> if selected g then metrics () else [])
+      [
+        ("core", core_metrics);
+        ("shard", shard_metrics);
+        ("fastpath", fastpath_metrics);
+        ("stream", stream_metrics);
+        ("recovery", recovery_metrics);
+        ("chaos", chaos_metrics);
+      ]
+  in
+  (* last, for the same reason the `parallel` group runs last *)
+  serial @ if selected "parallel" then parallel_metrics () else []
 
 let write_json file entries =
   let oc = open_out file in

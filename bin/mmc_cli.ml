@@ -621,6 +621,10 @@ let soak_exit_code = function
   | Mmc_stream.Window_check.Fail _ -> 1
   | Mmc_stream.Window_check.Inconclusive _ -> 2
 
+(* Peak major-heap size of this process so far, in words: the
+   process-level flat-memory figure, next to the checker's own words. *)
+let top_heap_words () = (Gc.quick_stat ()).Gc.top_heap_words
+
 (* One greppable line with everything a dashboard scrape needs. *)
 let soak_summary_line ~store ~procs ~objects ~window ~completed ~duration
     ~(latency : Mmc_sim.Stats.quantiles) (wc : Mmc_stream.Window_check.metrics)
@@ -632,14 +636,15 @@ let soak_summary_line ~store ~procs ~objects ~window ~completed ~duration
   Fmt.pr
     "soak summary store=%s procs=%d objects=%d ops=%d duration=%d thr=%.1f \
      p50=%.1f p99=%.1f p999=%.1f window=%d max_live=%d retired=%d checks=%d \
-     resident_w=%d max_resident_w=%d recycled_w=%d verdict=%s@."
+     resident_w=%d max_resident_w=%d recycled_w=%d top_heap_w=%d \
+     verdict=%s@."
     store procs objects completed duration thr latency.Mmc_sim.Stats.q50
     latency.Mmc_sim.Stats.q99 latency.Mmc_sim.Stats.q999 window
     wc.Mmc_stream.Window_check.max_live wc.Mmc_stream.Window_check.retired
     wc.Mmc_stream.Window_check.checks
     wc.Mmc_stream.Window_check.resident_words
     wc.Mmc_stream.Window_check.max_resident_words
-    wc.Mmc_stream.Window_check.recycled_words
+    wc.Mmc_stream.Window_check.recycled_words (top_heap_words ())
     (soak_verdict_word verdict)
 
 let soak kind shards procs objects rate ops duration window settle sample_every
@@ -822,7 +827,9 @@ let soak kind shards procs objects rate ops duration window settle sample_every
         Fmt.pr "checker words    %d resident (max %d), %d recycled@."
           m.Mmc_stream.Window_check.resident_words
           m.Mmc_stream.Window_check.max_resident_words
-          m.Mmc_stream.Window_check.recycled_words
+          m.Mmc_stream.Window_check.recycled_words;
+        Fmt.pr "process heap     %d words peak (top_heap_w)@."
+          (top_heap_words ())
       end;
       (if json then
          (* Keep stdout pure NDJSON: the run ends with one summary
@@ -2030,7 +2037,11 @@ let shard n_shards kind procs objects ops cross read_ratio skew abcast latency
   | _ -> ());
   (match save with
   | Some path ->
-    Codec.to_file res.Shard_runner.stitched.Shard_recorder.history path;
+    let st =
+      Shard_recorder.stitch res.Shard_runner.placement
+        res.Shard_runner.recorders
+    in
+    Codec.to_file st.Shard_recorder.history path;
     Fmt.pr "stitched saved  %s@." path
   | None -> ());
   let flavour =

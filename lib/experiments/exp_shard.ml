@@ -84,7 +84,10 @@ let measure ?procs ?ops ~seeds ~n_shards ~cross () =
       Table.time_ms (fun () ->
           Check_sharded.check_shards res.Shard_runner.recorders ~flavour)
     in
-    let st = res.Shard_runner.stitched in
+    let st =
+      Shard_recorder.stitch res.Shard_runner.placement
+        res.Shard_runner.recorders
+    in
     let _, global_ms =
       Table.time_ms (fun () ->
           Check_constrained.check_relation st.Shard_recorder.history

@@ -153,6 +153,7 @@ type stats = {
   scrubbed : int;  (** record verifications done by scrub passes *)
   ckpt_fallbacks : int;  (** damaged checkpoints skipped at load *)
   reclaimed_sectors : int;  (** device space recovered by retirement *)
+  resident_bytes : int;  (** device bytes held (WAL + checkpoint) *)
 }
 
 let stats t =
@@ -172,11 +173,12 @@ let stats t =
     ckpt_fallbacks = Checkpoint.fallbacks t.checkpoint;
     reclaimed_sectors =
       d.Blockdev.reclaimed_sectors + dc.Blockdev.reclaimed_sectors;
+    resident_bytes = d.Blockdev.resident_bytes + dc.Blockdev.resident_bytes;
   }
 
 let pp_stats ppf s =
   Fmt.pf ppf
     "wal %d appends (%d truncated), %d checkpoints, %d replayed, %d torn, %d \
-     corrupt, %d repaired, %d scrubbed"
+     corrupt, %d repaired, %d scrubbed, %d bytes resident"
     s.appends s.truncated s.checkpoints s.replayed s.torn s.corrupt s.repaired
-    s.scrubbed
+    s.scrubbed s.resident_bytes

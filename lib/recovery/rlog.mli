@@ -121,6 +121,7 @@ type stats = {
   scrubbed : int;  (** record verifications done by scrub passes *)
   ckpt_fallbacks : int;  (** damaged checkpoints skipped at load *)
   reclaimed_sectors : int;  (** device space recovered by retirement *)
+  resident_bytes : int;  (** device bytes held (WAL + checkpoint) *)
 }
 
 val stats : ('s, 'p) t -> stats

@@ -6,7 +6,6 @@ open Mmc_sim
 open Mmc_store
 
 type result = {
-  stitched : Shard_recorder.t;
   placement : Placement.t;
   recorders : Recorder.t array;
   router : Router.stats;
@@ -71,17 +70,14 @@ let run ~seed ?placement (cfg : Runner.config) ~workload =
   done;
   Engine.run engine;
   (* Seg shards: tail entries join each shard's synchronization order
-     before the traces are stitched. *)
+     before anyone stitches the traces. *)
   let fastpath = Shard_store.fastpath sharded in
   Array.iter
     (Option.iter (fun (h : Seg_store.handle) -> h.Seg_store.finalize ()))
     fastpath;
-  let recorders = Shard_store.recorders sharded in
-  let stitched = Shard_recorder.stitch placement recorders in
   {
-    stitched;
     placement;
-    recorders;
+    recorders = Shard_store.recorders sharded;
     router = Router.stats (Shard_store.router sharded);
     duration = Engine.now engine;
     messages = Store.messages_sent store;

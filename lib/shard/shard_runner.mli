@@ -3,15 +3,17 @@
 
     Drives [cfg.n_procs] sequential clients against a {!Shard_store}
     (one per-shard store instance of [cfg.kind] each, fronted by the
-    {!Router}), runs to quiescence, stitches the per-shard traces and
-    returns everything needed to verify and measure the run. *)
+    {!Router}), runs to quiescence and returns everything needed to
+    verify and measure the run.  The per-shard traces are not stitched
+    here: {!Shard_recorder.stitch} [res.placement res.recorders] builds
+    the global history for callers that need it, and {!check} stitches
+    on its own. *)
 
 open Mmc_core
 open Mmc_sim
 open Mmc_store
 
 type result = {
-  stitched : Shard_recorder.t;  (** the stitched global trace *)
   placement : Placement.t;
   recorders : Recorder.t array;  (** per-shard raw traces (local ids) *)
   router : Router.stats;

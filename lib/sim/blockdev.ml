@@ -1,13 +1,25 @@
 (** Deterministic simulated block device (see the interface). *)
 
+let chunk_sectors = 32
+
 type t = {
   sector_size : int;
-  mutable data : Bytes.t;  (** capacity grows by doubling *)
+  chunk_bytes : int;  (** [chunk_sectors * sector_size] *)
+  mutable chunks : Bytes.t array;
+      (** chunk [c] holds sectors [[c * chunk_sectors, (c+1) *
+          chunk_sectors)]; [Bytes.empty] when dropped (all zeroes) *)
+  mutable masks : int array;
+      (** bit [i] of [masks.(c)] is set when sector [c * chunk_sectors
+          + i] may hold a non-zero byte; a clear bit means all zeroes,
+          so a chunk whose mask is 0 is dropped *)
+  mutable resident : int;  (** chunks currently allocated *)
   mutable high : int;  (** sectors ever written (append watermark) *)
   mutable last : (int * Bytes.t * int) option;
       (** last write still "in flight": (first sector, previous
-          contents of the span, sectors written).  A crash may tear it;
-          any subsequent write implicitly syncs it. *)
+          contents of the span, sectors written), with [Bytes.empty]
+          standing for an all-zero span (a write at or past the
+          watermark).  A crash may tear it; any subsequent write
+          implicitly syncs it. *)
   mutable writes : int;
   mutable reads : int;
   mutable torn : int;  (** sectors rolled back by {!tear} *)
@@ -20,7 +32,10 @@ let create ?(sector_size = 64) () =
     invalid_arg "Blockdev.create: sector_size must be >= 32";
   {
     sector_size;
-    data = Bytes.make (sector_size * 16) '\000';
+    chunk_bytes = chunk_sectors * sector_size;
+    chunks = [||];
+    masks = [||];
+    resident = 0;
     high = 0;
     last = None;
     writes = 0;
@@ -36,26 +51,79 @@ let high t = t.high
 let sectors_for t len =
   if len = 0 then 1 else (len + t.sector_size - 1) / t.sector_size
 
-let ensure t sectors =
-  let need = sectors * t.sector_size in
-  if need > Bytes.length t.data then begin
-    let cap = ref (Bytes.length t.data) in
-    while !cap < need do
+(* Chunk [c], allocated (zeroed) if dropped; the index doubles on
+   demand. *)
+let chunk t c =
+  if c >= Array.length t.chunks then begin
+    let cap = ref (max 16 (Array.length t.chunks)) in
+    while !cap <= c do
       cap := !cap * 2
     done;
-    let data = Bytes.make !cap '\000' in
-    Bytes.blit t.data 0 data 0 (Bytes.length t.data);
-    t.data <- data
+    let chunks = Array.make !cap Bytes.empty in
+    let masks = Array.make !cap 0 in
+    Array.blit t.chunks 0 chunks 0 (Array.length t.chunks);
+    Array.blit t.masks 0 masks 0 (Array.length t.masks);
+    t.chunks <- chunks;
+    t.masks <- masks
+  end;
+  let b = t.chunks.(c) in
+  if b != Bytes.empty then b
+  else begin
+    let b = Bytes.make t.chunk_bytes '\000' in
+    t.chunks.(c) <- b;
+    t.resident <- t.resident + 1;
+    b
   end
+
+(* Bits of the sectors [[s, s + n)] of one chunk, [s] chunk-relative. *)
+let bits s n = ((1 lsl n) - 1) lsl s
+
+(* Store [len] bytes of [src] from [pos] at byte [off], zero-padding
+   past the end of [src]; [off] and [len] are sector-aligned.  Marks
+   the covered sectors live. *)
+let put t ~off src ~pos ~len =
+  let ss = t.sector_size in
+  let rec go off pos len =
+    if len > 0 then begin
+      let c = off / t.chunk_bytes and o = off mod t.chunk_bytes in
+      let n = min len (t.chunk_bytes - o) in
+      let b = chunk t c in
+      let k = max 0 (min n (Bytes.length src - pos)) in
+      if k > 0 then Bytes.blit src pos b o k;
+      Bytes.fill b (o + k) (n - k) '\000';
+      t.masks.(c) <- t.masks.(c) lor bits (o / ss) (n / ss);
+      go (off + n) (pos + n) (len - n)
+    end
+  in
+  go off pos len
+
+(* Copy [len] device bytes from byte [off] into [dst] at [pos]. *)
+let get t ~off dst ~pos ~len =
+  let rec go off pos len =
+    if len > 0 then begin
+      let c = off / t.chunk_bytes and o = off mod t.chunk_bytes in
+      let n = min len (t.chunk_bytes - o) in
+      let b = if c < Array.length t.chunks then t.chunks.(c) else Bytes.empty in
+      if b == Bytes.empty then Bytes.fill dst pos n '\000'
+      else Bytes.blit b o dst pos n;
+      go (off + n) (pos + n) (len - n)
+    end
+  in
+  go off pos len
 
 let write t ~sector bytes =
   if sector < 0 then invalid_arg "Blockdev.write: negative sector";
-  let len = Bytes.length bytes in
-  let sectors = sectors_for t len in
-  ensure t (sector + sectors);
-  let old = Bytes.sub t.data (sector * t.sector_size) (sectors * t.sector_size) in
-  Bytes.fill t.data (sector * t.sector_size) (sectors * t.sector_size) '\000';
-  Bytes.blit bytes 0 t.data (sector * t.sector_size) len;
+  let sectors = sectors_for t (Bytes.length bytes) in
+  let off = sector * t.sector_size and len = sectors * t.sector_size in
+  let old =
+    if sector >= t.high then Bytes.empty
+    else begin
+      let old = Bytes.create len in
+      get t ~off old ~pos:0 ~len;
+      old
+    end
+  in
+  put t ~off bytes ~pos:0 ~len;
   t.high <- max t.high (sector + sectors);
   t.last <- Some (sector, old, sectors);
   t.writes <- t.writes + 1;
@@ -69,10 +137,8 @@ let append t bytes =
 let read t ~sector ~len =
   if sector < 0 || len < 0 then invalid_arg "Blockdev.read: negative argument";
   t.reads <- t.reads + 1;
-  let out = Bytes.make len '\000' in
-  let off = sector * t.sector_size in
-  let avail = max 0 (min len (Bytes.length t.data - off)) in
-  if avail > 0 then Bytes.blit t.data off out 0 avail;
+  let out = Bytes.create len in
+  get t ~off:(sector * t.sector_size) out ~pos:0 ~len;
   out
 
 let sync t = t.last <- None
@@ -85,9 +151,10 @@ let tear t ~rng =
        to their previous contents (fresh appends revert to zeroes). *)
     let keep = Rng.int rng ~bound:sectors in
     let dropped = sectors - keep in
-    Bytes.blit old (keep * t.sector_size) t.data
-      ((sector + keep) * t.sector_size)
-      (dropped * t.sector_size);
+    put t
+      ~off:((sector + keep) * t.sector_size)
+      old ~pos:(keep * t.sector_size)
+      ~len:(dropped * t.sector_size);
     t.torn <- t.torn + dropped;
     t.last <- None;
     dropped
@@ -96,9 +163,10 @@ let rot_at t ~sector ~off =
   let abs = (sector * t.sector_size) + off in
   if abs < 0 || abs >= t.high * t.sector_size then
     invalid_arg "Blockdev.rot_at: offset beyond the written extent";
-  let b = Char.code (Bytes.get t.data abs) in
-  let flipped = b lxor 0x40 in
-  Bytes.set t.data abs (Char.chr flipped);
+  let c = abs / t.chunk_bytes and o = abs mod t.chunk_bytes in
+  let b = chunk t c in
+  Bytes.set b o (Char.chr (Char.code (Bytes.get b o) lxor 0x40));
+  t.masks.(c) <- t.masks.(c) lor bits (o / t.sector_size) 1;
   t.rotted <- t.rotted + 1
 
 let rot t ~rng =
@@ -110,12 +178,30 @@ let rot t ~rng =
     Some (sector, off)
   end
 
+(* Zero sectors [[lo, hi)] chunk by chunk: clear their live bits and
+   drop a chunk whose mask empties instead of zeroing its bytes. *)
 let discard t ~sector ~sectors =
   if sector < 0 || sectors < 0 then invalid_arg "Blockdev.discard";
   let hi = min t.high (sector + sectors) in
   if hi > sector then begin
-    Bytes.fill t.data (sector * t.sector_size) ((hi - sector) * t.sector_size)
-      '\000';
+    let ss = t.sector_size in
+    let rec go s =
+      if s < hi then begin
+        let c = s / chunk_sectors and i = s mod chunk_sectors in
+        let n = min (hi - s) (chunk_sectors - i) in
+        (if c < Array.length t.chunks && t.chunks.(c) != Bytes.empty then begin
+           let mask = t.masks.(c) land lnot (bits i n) in
+           t.masks.(c) <- mask;
+           if mask = 0 then begin
+             t.chunks.(c) <- Bytes.empty;
+             t.resident <- t.resident - 1
+           end
+           else Bytes.fill t.chunks.(c) (i * ss) (n * ss) '\000'
+         end);
+        go (s + n)
+      end
+    in
+    go sector;
     t.reclaimed <- t.reclaimed + (hi - sector)
   end
 
@@ -126,6 +212,7 @@ type stats = {
   torn_sectors : int;
   rotted_bytes : int;
   reclaimed_sectors : int;
+  resident_bytes : int;
 }
 
 let stats (t : t) =
@@ -136,8 +223,12 @@ let stats (t : t) =
     torn_sectors = t.torn;
     rotted_bytes = t.rotted;
     reclaimed_sectors = t.reclaimed;
+    resident_bytes = t.resident * t.chunk_bytes;
   }
 
 let pp_stats ppf s =
-  Fmt.pf ppf "%d sectors (%d writes, %d reads, %d torn, %d rotted, %d reclaimed)"
-    s.sectors s.writes s.reads s.torn_sectors s.rotted_bytes s.reclaimed_sectors
+  Fmt.pf ppf
+    "%d sectors (%d writes, %d reads, %d torn, %d rotted, %d reclaimed, %d \
+     bytes resident)"
+    s.sectors s.writes s.reads s.torn_sectors s.rotted_bytes
+    s.reclaimed_sectors s.resident_bytes

@@ -1,8 +1,15 @@
 (** Deterministic simulated block device.
 
     A sector-addressed byte store for the durable-storage layer: writes
-    land on sector boundaries, capacity grows on demand, and the whole
-    device lives in one [Bytes.t] so runs stay deterministic and fast.
+    land on sector boundaries and the address space grows on demand.
+    The device is stored sparsely, as fixed-size chunks of
+    {!chunk_sectors} sectors, each with a live-sector bitmask: {!write},
+    {!tear} and {!rot_at} set the bits of the sectors they touch,
+    {!discard} zeroes its span and clears its bits, and a chunk whose
+    mask reaches 0 is all zeroes, so it is dropped.  A device whose
+    retired prefix is discarded therefore holds only the chunks of its
+    retained extent (plus an index of two words per chunk of address
+    space), while every read stays byte-identical to a flat array.
     Storage faults are injectable primitives driven by the fault plan:
 
     - {!tear} models a crash cutting a multi-sector write short: the
@@ -19,6 +26,9 @@
     frames records with CRC32 checksums on top ({!Mmc_recovery}). *)
 
 type t
+
+(** Sectors per storage chunk (the unit of {!stats}' [resident_bytes]). *)
+val chunk_sectors : int
 
 (** [create ?sector_size ()] — empty device; [sector_size] defaults to
     64 bytes and must be at least 32 (a frame header must fit). *)
@@ -60,7 +70,8 @@ val rot : t -> rng:Rng.t -> (int * int) option
     extent). *)
 val rot_at : t -> sector:int -> off:int -> unit
 
-(** Zero a retired sector span and count it reclaimed. *)
+(** Zero a retired sector span and count it reclaimed; chunks left
+    with no live sector are freed. *)
 val discard : t -> sector:int -> sectors:int -> unit
 
 type stats = {
@@ -70,6 +81,7 @@ type stats = {
   torn_sectors : int;
   rotted_bytes : int;
   reclaimed_sectors : int;
+  resident_bytes : int;  (** bytes of the chunks currently allocated *)
 }
 
 val stats : t -> stats

@@ -203,19 +203,22 @@ let run ?(on_sample = fun (_ : sample) -> ()) ~seed ~workload cfg =
         | None -> r)
       | _ -> r
     in
-    (let last = Hashtbl.create 4 in
-     List.iter
-       (fun op ->
-         match op with
-         | Op.Write (x, value) -> Hashtbl.replace last x value
-         | Op.Read _ -> ())
-       r.Recorder.ops;
-     List.iter
-       (fun (x, v, _) ->
-         match Hashtbl.find_opt last x with
-         | Some value -> Hashtbl.replace vals (x, v) value
-         | None -> ())
-       r.Recorder.writes);
+    (* Only [corrupt] reads the (object, version) -> value table. *)
+    if cfg.corrupt <> None then begin
+      let last = Hashtbl.create 4 in
+      List.iter
+        (fun op ->
+          match op with
+          | Op.Write (x, value) -> Hashtbl.replace last x value
+          | Op.Read _ -> ())
+        r.Recorder.ops;
+      List.iter
+        (fun (x, v, _) ->
+          match Hashtbl.find_opt last x with
+          | Some value -> Hashtbl.replace vals (x, v) value
+          | None -> ())
+        r.Recorder.writes
+    end;
     incr n_fed;
     if cfg.verify_full then kept := r :: !kept;
     Window_check.feed wc (Window_check.entry_of_record r)
@@ -253,7 +256,7 @@ let run ?(on_sample = fun (_ : sample) -> ()) ~seed ~workload cfg =
           let lat = Engine.now engine - t_arr in
           Stats.add lat_all lat;
           Stats.add (if is_query then lat_q else lat_u) lat;
-          Stats.add !interval lat;
+          if cfg.sample_every > 0 then Stats.add !interval lat;
           in_flight.(proc) <- max_int;
           pump ~final:false ();
           (* The one-tick gap keeps this client's subhistory

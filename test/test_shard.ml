@@ -223,7 +223,9 @@ let test_other_store_kinds () =
 
 let test_stitch_structure () =
   let res = run ~seed:11 ~n_shards:4 ~cross:0.2 ~ops:15 () in
-  let st = res.Shard_runner.stitched in
+  let st =
+    Shard_recorder.stitch res.Shard_runner.placement res.Shard_runner.recorders
+  in
   let h = st.Shard_recorder.history in
   (* every segment of every m-operation is present *)
   Alcotest.(check int) "mops = segments"
@@ -277,7 +279,11 @@ let test_stitched_codec_roundtrip () =
   List.iter
     (fun (n_shards, seed) ->
       let res = run ~seed ~n_shards ~cross:0.2 ~ops:10 () in
-      let h = res.Shard_runner.stitched.Shard_recorder.history in
+      let st =
+        Shard_recorder.stitch res.Shard_runner.placement
+          res.Shard_runner.recorders
+      in
+      let h = st.Shard_recorder.history in
       let h' = Codec.of_string (Codec.to_string h) in
       Alcotest.(check int) "n_objects" (History.n_objects h)
         (History.n_objects h');
@@ -305,7 +311,9 @@ let test_stitched_codec_roundtrip () =
    store lying about its commit order. *)
 let test_violation_fixture_flagged () =
   let res = run ~seed:2 ~n_shards:4 ~cross:0.2 ~ops:15 () in
-  let st = res.Shard_runner.stitched in
+  let st =
+    Shard_recorder.stitch res.Shard_runner.placement res.Shard_runner.recorders
+  in
   let verdict = Check_sharded.check_stitched st ~flavour:History.Msc in
   Alcotest.(check bool) "pristine trace admissible" true
     (match verdict with Check_constrained.Admissible _ -> true | _ -> false);

@@ -220,6 +220,106 @@ let test_stats_summary () =
   Alcotest.(check int) "p50" 5 sum.Stats.p50;
   Alcotest.(check bool) "mean" true (abs_float (sum.Stats.mean -. 5.5) < 0.001)
 
+let test_stats_rejects_negative () =
+  Alcotest.check_raises "negative sample"
+    (Invalid_argument "Stats.add: negative sample") (fun () ->
+      Stats.add (Stats.create ()) (-1))
+
+(* Sort-based reference for the histogram: nearest rank in
+   [summarize], linear interpolation at rank [p * (n - 1)] in
+   [percentiles]. *)
+let ref_summary xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n = 0 then Stats.empty_summary
+  else begin
+    let rank p =
+      a.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
+    in
+    {
+      Stats.count = n;
+      mean = float_of_int (List.fold_left ( + ) 0 xs) /. float_of_int n;
+      min = a.(0);
+      max = a.(n - 1);
+      p50 = rank 0.50;
+      p95 = rank 0.95;
+      p99 = rank 0.99;
+    }
+  end
+
+let ref_quantiles xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  let interpolate p =
+    if n = 0 then 0.0
+    else if n = 1 then float_of_int a.(0)
+    else begin
+      let rank = p *. float_of_int (n - 1) in
+      let lo = max 0 (min (n - 2) (int_of_float (Float.floor rank))) in
+      let frac = rank -. float_of_int lo in
+      ((1.0 -. frac) *. float_of_int a.(lo))
+      +. (frac *. float_of_int a.(lo + 1))
+    end
+  in
+  {
+    Stats.q_count = n;
+    q50 = interpolate 0.50;
+    q99 = interpolate 0.99;
+    q999 = interpolate 0.999;
+  }
+
+(* Samples on both sides of the exact range [0, 2^16): empty,
+   singleton, spread-out and heavily duplicated lists. *)
+let stats_samples_gen =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [
+          (4, int_bound 200);
+          (3, int_bound 70_000);
+          (2, int_range 60_000 (1 lsl 22));
+          (1, int_range 0 (1 lsl 45));
+        ]
+    in
+    let run = map2 (fun v k -> List.init k (fun _ -> v)) value (int_bound 40) in
+    frequency
+      [
+        (1, return []);
+        (1, map (fun v -> [ v ]) value);
+        (4, list_size (int_bound 400) value);
+        (2, map List.concat (list_size (int_bound 6) run));
+      ])
+
+let prop_stats_reference =
+  QCheck.Test.make ~name:"histogram = sorted reference" ~count:500
+    (QCheck.make ~print:QCheck.Print.(list int) stats_samples_gen)
+    (fun xs ->
+      let s = Stats.create () in
+      List.iter (Stats.add s) xs;
+      let got = Stats.summarize s and want = ref_summary xs in
+      let q = Stats.percentiles s and wq = ref_quantiles xs in
+      if List.for_all (fun x -> x < 1 lsl 16) xs then got = want && q = wq
+      else begin
+        (* Above 2^16 a quantile is a bucket midpoint: within 2^-9
+           relative of the true sample. *)
+        let close g w = Float.abs (g -. w) <= w *. (1. /. 512.) in
+        let closei g w = close (float_of_int g) (float_of_int w) in
+        got.Stats.count = want.Stats.count
+        && got.Stats.mean = want.Stats.mean
+        && got.Stats.min = want.Stats.min
+        && got.Stats.max = want.Stats.max
+        && closei got.Stats.p50 want.Stats.p50
+        && closei got.Stats.p95 want.Stats.p95
+        && closei got.Stats.p99 want.Stats.p99
+        && q.Stats.q_count = wq.Stats.q_count
+        && close q.Stats.q50 wq.Stats.q50
+        && close q.Stats.q99 wq.Stats.q99
+        && close q.Stats.q999 wq.Stats.q999
+        && Stats.count s = List.length xs
+      end)
+
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
     QCheck.(list int)
@@ -264,5 +364,8 @@ let () =
             test_fifo_channel_suppresses_duplicates;
           Alcotest.test_case "duplication knob" `Quick test_network_duplicates_occur;
           Alcotest.test_case "stats" `Quick test_stats_summary;
+          Alcotest.test_case "stats rejects negative" `Quick
+            test_stats_rejects_negative;
+          QCheck_alcotest.to_alcotest prop_stats_reference;
         ] );
     ]

@@ -99,6 +99,238 @@ let test_blockdev_tear () =
   Alcotest.(check int) "second tear is a no-op" 0
     (Blockdev.tear d ~rng:(Rng.create 4))
 
+(* Discarding a retired prefix frees its chunks: what stays resident
+   is the retained extent, rounded out to whole chunks. *)
+let test_blockdev_resident_prefix () =
+  let d = Blockdev.create () in
+  let chunk = Blockdev.chunk_sectors * Blockdev.sector_size d in
+  let resident () = (Blockdev.stats d).Blockdev.resident_bytes in
+  for _ = 1 to 10 do
+    ignore (Blockdev.append d (Bytes.make 1000 'r'))
+  done;
+  let high = Blockdev.high d in
+  Alcotest.(check int) "sixteen sectors a record" 160 high;
+  Alcotest.(check int) "whole extent resident" (5 * chunk) (resident ());
+  Blockdev.discard d ~sector:0 ~sectors:100;
+  let retained_chunks =
+    ((high + Blockdev.chunk_sectors - 1) / Blockdev.chunk_sectors)
+    - (100 / Blockdev.chunk_sectors)
+  in
+  Alcotest.(check int) "retained extent resident" (retained_chunks * chunk)
+    (resident ());
+  Alcotest.(check string) "retained bytes intact" "rrrr"
+    (Bytes.to_string (Blockdev.read d ~sector:100 ~len:4));
+  Blockdev.discard d ~sector:100 ~sectors:(high - 100);
+  Alcotest.(check int) "nothing resident" 0 (resident ());
+  Alcotest.(check int) "watermark kept" high (Blockdev.high d)
+
+(* Reference model: the device as one flat [Bytes.t] that grows and
+   never shrinks, plus the live-sector rule (write, tear and rot set a
+   sector live, discard clears it; a chunk is resident while any of
+   its sectors is live). *)
+module Flat = struct
+  type t = {
+    ss : int;
+    mutable data : Bytes.t;
+    mutable high : int;
+    mutable last : (int * Bytes.t * int) option;
+    live : (int, unit) Hashtbl.t;
+    mutable writes : int;
+    mutable reads : int;
+    mutable torn : int;
+    mutable rotted : int;
+    mutable reclaimed : int;
+  }
+
+  let create () =
+    {
+      ss = 64;
+      data = Bytes.empty;
+      high = 0;
+      last = None;
+      live = Hashtbl.create 64;
+      writes = 0;
+      reads = 0;
+      torn = 0;
+      rotted = 0;
+      reclaimed = 0;
+    }
+
+  let ensure t bytes =
+    if bytes > Bytes.length t.data then begin
+      let data = Bytes.make bytes '\000' in
+      Bytes.blit t.data 0 data 0 (Bytes.length t.data);
+      t.data <- data
+    end
+
+  let mark t sector sectors =
+    for s = sector to sector + sectors - 1 do
+      Hashtbl.replace t.live s ()
+    done
+
+  let write t ~sector bytes =
+    let len = Bytes.length bytes in
+    let sectors = if len = 0 then 1 else (len + t.ss - 1) / t.ss in
+    ensure t ((sector + sectors) * t.ss);
+    let old = Bytes.sub t.data (sector * t.ss) (sectors * t.ss) in
+    Bytes.fill t.data (sector * t.ss) (sectors * t.ss) '\000';
+    Bytes.blit bytes 0 t.data (sector * t.ss) len;
+    mark t sector sectors;
+    t.high <- max t.high (sector + sectors);
+    t.last <- Some (sector, old, sectors);
+    t.writes <- t.writes + 1;
+    sectors
+
+  let read t ~sector ~len =
+    t.reads <- t.reads + 1;
+    let out = Bytes.make len '\000' in
+    let off = sector * t.ss in
+    let avail = max 0 (min len (Bytes.length t.data - off)) in
+    if avail > 0 then Bytes.blit t.data off out 0 avail;
+    out
+
+  let tear t ~rng =
+    match t.last with
+    | None -> 0
+    | Some (sector, old, sectors) ->
+      let keep = Rng.int rng ~bound:sectors in
+      let dropped = sectors - keep in
+      Bytes.blit old (keep * t.ss) t.data ((sector + keep) * t.ss)
+        (dropped * t.ss);
+      mark t (sector + keep) dropped;
+      t.torn <- t.torn + dropped;
+      t.last <- None;
+      dropped
+
+  let rot_at t ~sector ~off =
+    let abs = (sector * t.ss) + off in
+    Bytes.set t.data abs (Char.chr (Char.code (Bytes.get t.data abs) lxor 0x40));
+    mark t (abs / t.ss) 1;
+    t.rotted <- t.rotted + 1
+
+  let discard t ~sector ~sectors =
+    let hi = min t.high (sector + sectors) in
+    if hi > sector then begin
+      Bytes.fill t.data (sector * t.ss) ((hi - sector) * t.ss) '\000';
+      for s = sector to hi - 1 do
+        Hashtbl.remove t.live s
+      done;
+      t.reclaimed <- t.reclaimed + (hi - sector)
+    end
+
+  let stats t =
+    let chunks = Hashtbl.create 16 in
+    Hashtbl.iter
+      (fun s () -> Hashtbl.replace chunks (s / Blockdev.chunk_sectors) ())
+      t.live;
+    {
+      Blockdev.writes = t.writes;
+      reads = t.reads;
+      sectors = t.high;
+      torn_sectors = t.torn;
+      rotted_bytes = t.rotted;
+      reclaimed_sectors = t.reclaimed;
+      resident_bytes = Hashtbl.length chunks * Blockdev.chunk_sectors * t.ss;
+    }
+end
+
+type dev_op =
+  | Append of int  (** payload bytes *)
+  | Write of int * int  (** sector, payload bytes *)
+  | Read of int * int  (** sector, bytes *)
+  | Sync
+  | Tear of int  (** rng seed *)
+  | Rot of int  (** offset, reduced modulo the written extent *)
+  | Discard of int * int  (** sector, sectors *)
+
+let pp_dev_op ppf = function
+  | Append n -> Fmt.pf ppf "append %d" n
+  | Write (s, n) -> Fmt.pf ppf "write %d %d" s n
+  | Read (s, n) -> Fmt.pf ppf "read %d %d" s n
+  | Sync -> Fmt.string ppf "sync"
+  | Tear seed -> Fmt.pf ppf "tear %d" seed
+  | Rot off -> Fmt.pf ppf "rot %d" off
+  | Discard (s, n) -> Fmt.pf ppf "discard %d %d" s n
+
+let dev_op_gen =
+  QCheck.Gen.(
+    let sector = int_bound 160 and bytes = int_bound 2600 in
+    frequency
+      [
+        (5, map (fun n -> Append n) bytes);
+        (2, map2 (fun s n -> Write (s, n)) sector bytes);
+        (3, map2 (fun s n -> Read (s, n)) sector (int_bound 4000));
+        (1, return Sync);
+        (2, map (fun seed -> Tear seed) nat);
+        (2, map (fun off -> Rot off) nat);
+        (3, map2 (fun s n -> Discard (s, n)) sector (int_bound 80));
+      ])
+
+let prop_blockdev_model =
+  QCheck.Test.make ~name:"blockdev = flat model" ~count:300
+    (QCheck.make
+       ~print:(Fmt.str "%a" Fmt.(Dump.list pp_dev_op))
+       QCheck.Gen.(list_size (int_bound 60) dev_op_gen))
+    (fun ops ->
+      let d = Blockdev.create () and m = Flat.create () in
+      let payload step n =
+        Bytes.init n (fun i -> Char.chr ((i + (step * 7)) mod 256))
+      in
+      let agree what =
+        if Blockdev.high d <> m.Flat.high then
+          QCheck.Test.fail_reportf "%s: high %d, model %d" what
+            (Blockdev.high d) m.Flat.high;
+        if Blockdev.stats d <> Flat.stats m then
+          QCheck.Test.fail_reportf "%s: stats %a, model %a" what
+            Blockdev.pp_stats (Blockdev.stats d) Blockdev.pp_stats
+            (Flat.stats m)
+      in
+      List.iteri
+        (fun step op ->
+          let what = Fmt.str "op %d (%a)" step pp_dev_op op in
+          (match op with
+          | Append n ->
+            let s, k = Blockdev.append d (payload step n) in
+            let s' = m.Flat.high in
+            let k' = Flat.write m ~sector:s' (payload step n) in
+            if (s, k) <> (s', k') then
+              QCheck.Test.fail_reportf "%s: placed at %d+%d, model %d+%d" what
+                s k s' k'
+          | Write (s, n) ->
+            let k = Blockdev.write d ~sector:s (payload step n) in
+            let k' = Flat.write m ~sector:s (payload step n) in
+            if k <> k' then
+              QCheck.Test.fail_reportf "%s: %d sectors, model %d" what k k'
+          | Read (s, n) ->
+            if Blockdev.read d ~sector:s ~len:n <> Flat.read m ~sector:s ~len:n
+            then QCheck.Test.fail_reportf "%s: bytes differ" what
+          | Sync ->
+            Blockdev.sync d;
+            m.Flat.last <- None
+          | Tear seed ->
+            let k = Blockdev.tear d ~rng:(Rng.create seed) in
+            let k' = Flat.tear m ~rng:(Rng.create seed) in
+            if k <> k' then
+              QCheck.Test.fail_reportf "%s: %d torn, model %d" what k k'
+          | Rot off ->
+            let extent = m.Flat.high * m.Flat.ss in
+            if extent > 0 then begin
+              let abs = off mod extent in
+              let sector = abs / m.Flat.ss and off = abs mod m.Flat.ss in
+              Blockdev.rot_at d ~sector ~off;
+              Flat.rot_at m ~sector ~off
+            end
+          | Discard (s, n) ->
+            Blockdev.discard d ~sector:s ~sectors:n;
+            Flat.discard m ~sector:s ~sectors:n);
+          agree what)
+        ops;
+      let len = (m.Flat.high + 2) * m.Flat.ss in
+      if Blockdev.read d ~sector:0 ~len <> Flat.read m ~sector:0 ~len then
+        QCheck.Test.fail_reportf "final image differs";
+      agree "final read";
+      true)
+
 (* --- Frame --- *)
 
 let test_frame_codec () =
@@ -390,6 +622,9 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_blockdev_roundtrip;
           Alcotest.test_case "tear" `Quick test_blockdev_tear;
+          Alcotest.test_case "resident after prefix discard" `Quick
+            test_blockdev_resident_prefix;
+          QCheck_alcotest.to_alcotest prop_blockdev_model;
         ] );
       ( "frame",
         [ Alcotest.test_case "codec + damage" `Quick test_frame_codec ] );
