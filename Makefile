@@ -72,11 +72,13 @@ recover-smoke: build
 	  --checkpoint-every 4 --seed 2
 
 # Chaos smoke: 25 random fault plans (fixed seed base) against the
-# recoverable store under quorum-stable delivery; exits non-zero
-# unless every plan converges, passes the stitched Theorem-7 check
-# and accounts for all of its wipe-crash restarts.
+# recoverable store under quorum-stable delivery, then 20 plans at 400
+# operations per process; exits non-zero unless every plan converges,
+# passes the stitched Theorem-7 check and accounts for all of its
+# wipe-crash restarts.
 chaos-smoke: build
 	$(DUNE) exec bin/mmc_cli.exe -- chaos --plans 25 --seed 1
+	$(DUNE) exec bin/mmc_cli.exe -- chaos --plans 20 --ops 400 --seed 21
 
 # Storage-fault smoke: fuzzed plans also draw torn writes, bit-rot
 # and stale-checkpoint loss — 25 of them must still satisfy every
@@ -100,8 +102,8 @@ scrub-smoke: build
 # PASS with the full-trace chain check agreeing (--verify-full; exit 3
 # would mean the windowed and full checks disagree) and FAIL together
 # on the corrupted mlin run (exit 1 asserted), the flat-heap gate
-# holds (msc and mlin peak heap at 80k ops < 1.2x at 20k ops, one
-# process each), and the NDJSON pipeline (generate --stream | check
+# holds (msc, mlin and rmsc peak heap at 80k ops < 1.2x at 20k ops,
+# one process each), and the NDJSON pipeline (generate --stream | check
 # --stream) PASSes a consistent-by-construction trace.
 soak-smoke: build
 	$(DUNE) exec bin/mmc_cli.exe -- soak --store msc --ops 4000 \

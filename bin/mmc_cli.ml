@@ -2166,31 +2166,53 @@ let shard_cmd =
 (* --- experiments --- *)
 
 let experiments ids quick =
-  let entries =
-    match ids with
-    | [] -> Mmc_experiments.Registry.all
-    | ids ->
-      List.filter_map
-        (fun id ->
-          match Mmc_experiments.Registry.find id with
-          | Some e -> Some e
-          | None ->
-            Fmt.epr "unknown experiment %S@." id;
-            None)
-        ids
+  let known = Mmc_experiments.Registry.all in
+  let unknown =
+    List.filter
+      (fun id ->
+        String.lowercase_ascii id <> "all"
+        && Mmc_experiments.Registry.find id = None)
+      ids
   in
-  List.iter
-    (fun (e : Mmc_experiments.Registry.entry) ->
-      Mmc_experiments.Table.print (if quick then e.quick () else e.run ());
-      print_newline ())
-    entries;
-  0
+  if unknown <> [] then begin
+    List.iter
+      (fun id ->
+        Fmt.epr "mmc: experiments: unknown experiment %S (known: all, %s)@." id
+          (String.concat ", "
+             (List.map (fun (e : Mmc_experiments.Registry.entry) -> e.id) known)))
+      unknown;
+    124
+  end
+  else begin
+    let entries =
+      if ids = [] || List.exists (fun id -> String.lowercase_ascii id = "all") ids
+      then known
+      else List.filter_map Mmc_experiments.Registry.find ids
+    in
+    List.iter
+      (fun (e : Mmc_experiments.Registry.entry) ->
+        Mmc_experiments.Table.print (if quick then e.quick () else e.run ());
+        print_newline ())
+      entries;
+    0
+  end
 
 let experiments_cmd =
-  let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID") in
+  let ids =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"ID"
+          ~doc:"Experiment ids to print; $(b,all) (or none) prints every table.")
+  in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sizes.") in
   Cmd.v
-    (Cmd.info "experiments" ~doc:"Print experiment tables")
+    (Cmd.info "experiments" ~doc:"Print experiment tables"
+       ~man:
+         [
+           `S Manpage.s_description;
+           `P "Exit status: 0 after printing the tables, 124 on an unknown id \
+               (nothing is printed then).";
+         ])
     Term.(const experiments $ ids $ quick)
 
 (* --- stats --- *)

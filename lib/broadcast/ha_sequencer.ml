@@ -47,11 +47,37 @@
     inside [merged], below [base], and never fenced or renumbered.
 
     Durability: the ordering metadata — seen positions with their
-    (epoch, origin, oseq) stamp, learned closes — survives
-    wipe-crashes (the sequenced log is the upstream of the store's
-    WAL).  Client pending tables and sequencer request buffers are
-    volatile but self-healing: origins resubmit unacked requests and
-    the takeover sync rebuilds the per-origin stamped sets. *)
+    (epoch, origin, oseq) stamp, learned closes, the decided horizon
+    and decided-oseq sets — survives wipe-crashes (the sequenced log
+    is the upstream of the store's WAL).  Client pending tables and
+    sequencer request buffers are volatile but self-healing: origins
+    resubmit unacked requests and the takeover sync rebuilds the
+    per-origin stamped sets.
+
+    Release: a quorum-stable store calls {!Rbcast.release} for every
+    position it applies, in order.  A released position is decided
+    (a majority acknowledged its stamping, so no close can fence or
+    renumber it), and the node folds it into its decided [horizon]
+    (every position below was released here) and the origin's
+    [decided] oseq set, then drops the position's [seen] entry and,
+    for its own oseq, the [restamp] payload.  Ordering state is
+    therefore O(in-flight): [seen] holds the unreleased tail, plus
+    stale stamps the applied one contradicts — those stay until the
+    close that supersedes them withdraws them, because a withdrawal
+    is what hands an own oseq back for resubmission.  A release above
+    the horizon (the store installed a peer snapshot and skipped
+    positions) is ignored: the node keeps its state unpruned from
+    there, as it would without releases.
+
+    A takeover sync answer carries the horizon, the decided sets and
+    the [seen] tail at or above the horizon.  The candidate takes
+    [base] at least the highest horizon [H] of its quorum, fences
+    holes only in [[H, base)], and rebuilds [stamped] from the union
+    of the decided sets plus the merged tail at or above [H].  Below
+    [H] the tails are not trusted: the member with horizon [H]
+    released every position below it, so the sets hold each decided
+    oseq there, while a tail entry below [H] may be a stale stamp
+    whose authoritative counterpart was pruned. *)
 
 open Mmc_sim
 
@@ -64,8 +90,13 @@ type 'p msg =
   | Sync_ack of {
       epoch : int;
       node : int;
+      horizon : int;  (** every position below is decided *)
+      decided : (int * int list) array;
+          (** per origin: the decided oseqs as (low watermark, sparse
+              members above it) *)
       held : (int * int * int * int) list;
-          (** (pos, stamp epoch, origin, oseq); holes [(e, -1, -1)] *)
+          (** the [seen] tail at or above [horizon]: (pos, stamp
+              epoch, origin, oseq); holes [(e, -1, -1)] *)
       high : int;
     }
   | New_epoch of { epoch : int; prev : int; base : int; holes : int list }
@@ -78,7 +109,17 @@ type close = { base : int; holes : int list; prev : int }
 type 'p node_state = {
   (* --- durable ordering metadata --- *)
   seen : (int, int * int * int) Hashtbl.t;
-      (** pos -> (stamp epoch, origin, oseq); holes [(e, -1, -1)] *)
+      (** pos -> (stamp epoch, origin, oseq); holes [(e, -1, -1)].
+          Positions at or above the horizon, plus stale stamps below it
+          awaiting withdrawal; every other position below the horizon
+          counts as seen with its decided stamp, unless [unseen] *)
+  mutable horizon : int;  (** every position below was released here *)
+  unseen : (int, unit) Hashtbl.t;
+      (** released positions no stamp was seen for here (catch-up
+          applied them first) *)
+  decided : Watermark.t array;  (** per origin: oseqs released here *)
+  mutable released_epoch : int;
+      (** highest stamp epoch among the [seen] entries releases dropped *)
   closes : (int, close) Hashtbl.t;
   mutable epoch : int;
   mutable limbo : (int * int * int * int * 'p) list;
@@ -87,14 +128,16 @@ type 'p node_state = {
   mutable next_oseq : int;
   pending : (int, 'p) Hashtbl.t;  (** oseq -> payload, not yet ordered *)
   restamp : (int, 'p) Hashtbl.t;
-      (** every own oseq ever stamped, kept so a later retraction of
-          that stamp can put the payload back into [pending] *)
+      (** own oseqs stamped and not yet released, kept so a later
+          retraction of that stamp can put the payload back into
+          [pending] *)
   mutable resubmit_scheduled : bool;
   mutable resubmit_attempts : int;
   (* --- sequencer side (volatile) --- *)
   requests : (int, 'p) Hashtbl.t array;  (** per-origin oseq -> payload *)
-  stamped : (int, unit) Hashtbl.t array;  (** per-origin stamped oseqs *)
-  cursors : int array;
+  mutable stamped : Watermark.t array;
+      (** per-origin stamped oseqs; the low watermark is the origin's
+          stamping cursor *)
   mutable serving : bool;
   mutable next_pos : int;
   (* --- outgoing stamp batch (sequencer side, volatile) --- *)
@@ -109,6 +152,9 @@ type 'p node_state = {
   acked : (int, unit) Hashtbl.t;  (** peers whose ack was merged *)
   merged : (int, int * int * int) Hashtbl.t;
   mutable sync_high : int;
+  mutable sync_horizon : int;  (** highest horizon among the merged *)
+  mutable sync_decided : Watermark.t array;
+      (** per origin: union of the merged decided sets *)
   mutable sync_attempts : int;
   mutable retry_scheduled : bool;
 }
@@ -145,11 +191,16 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
   and holes_total = ref 0
   and fenced_total = ref 0
   and resubmits = ref 0
-  and retracted_total = ref 0 in
+  and retracted_total = ref 0
+  and sync_entries = ref 0 in
   let states =
     Array.init n (fun node ->
         {
           seen = Hashtbl.create 64;
+          horizon = 0;
+          unseen = Hashtbl.create 8;
+          decided = Array.init n (fun _ -> Watermark.create ());
+          released_epoch = 0;
           closes = Hashtbl.create 4;
           epoch = 0;
           limbo = [];
@@ -159,8 +210,7 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
           resubmit_scheduled = false;
           resubmit_attempts = 0;
           requests = Array.init n (fun _ -> Hashtbl.create 8);
-          stamped = Array.init n (fun _ -> Hashtbl.create 8);
-          cursors = Array.make n 0;
+          stamped = Array.init n (fun _ -> Watermark.create ());
           serving = node = 0;
           next_pos = 0;
           obatch = [];
@@ -173,6 +223,8 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
           acked = Hashtbl.create 8;
           merged = Hashtbl.create 64;
           sync_high = 0;
+          sync_horizon = 0;
+          sync_decided = [||];
           sync_attempts = 0;
           retry_scheduled = false;
         })
@@ -203,6 +255,12 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
           end)
     end
   in
+  (* Has [pos] been seen here?  Below the horizon a position counts as
+     seen, with its decided stamp, unless it is listed [unseen]. *)
+  let has_seen st pos =
+    Hashtbl.mem st.seen pos
+    || (pos < st.horizon && not (Hashtbl.mem st.unseen pos))
+  in
   (* Withdraw [pos]'s stamp at [node].  When the stamp carried one of
      this node's own invocations and no other position still does, the
      payload goes back into [pending] for resubmission — a fenced
@@ -212,6 +270,7 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
     let st = states.(node) in
     dbg "node %d withdraws pos %d (%d,%d)" node pos origin oseq;
     Hashtbl.remove st.seen pos;
+    if pos < st.horizon then Hashtbl.replace st.unseen pos ();
     (* A withdrawal landing while this node's own takeover sync is
        open must also fence the [merged] snapshot (taken from [seen]
        at election start): otherwise [finish_sync] rebuilds [stamped]
@@ -227,9 +286,10 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
     deliver ~node ~origin:(-1) ~pos Rbcast.Retract;
     if origin = node && not (Hashtbl.mem st.pending oseq) then begin
       let live =
-        Hashtbl.fold
-          (fun _ (_, o, q) acc -> acc || (o = origin && q = oseq))
-          st.seen false
+        Watermark.mem st.decided.(node) oseq
+        || Hashtbl.fold
+             (fun _ (_, o, q) acc -> acc || (o = origin && q = oseq))
+             st.seen false
       in
       if not live then
         match Hashtbl.find_opt st.restamp oseq with
@@ -243,21 +303,49 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
   (* Record [pos]'s stamping and deliver it.  A newer-epoch stamp
      supersedes an older payload stamp in place: its [New_epoch] (which
      would have retracted the old stamp first) can be overtaken on the
-     reordering wire by the restamped [Ordered]. *)
+     reordering wire by the restamped [Ordered].  A stamp that arrives
+     after the store already applied the position (catch-up overtook
+     it) and names a decided oseq is delivered but not kept: there is
+     nothing left to fence or withdraw. *)
   let accept node ~epoch ~pos ~origin ~oseq payload =
     let st = states.(node) in
     (match Hashtbl.find_opt st.seen pos with
     | Some (e0, o0, q0) when e0 < epoch && o0 >= 0 ->
       withdraw node ~pos ~origin:o0 ~oseq:q0
     | _ -> ());
-    if not (Hashtbl.mem st.seen pos) then begin
-      Hashtbl.replace st.seen pos (epoch, origin, oseq);
+    if not (has_seen st pos) then begin
+      let settled = pos < st.horizon && Watermark.mem st.decided.(origin) oseq in
+      if settled then begin
+        Hashtbl.remove st.unseen pos;
+        st.released_epoch <- max st.released_epoch epoch
+      end
+      else Hashtbl.replace st.seen pos (epoch, origin, oseq);
       if origin = node then begin
-        Hashtbl.replace st.restamp oseq payload;
+        if not settled then Hashtbl.replace st.restamp oseq payload;
         Hashtbl.remove st.pending oseq;
         st.resubmit_attempts <- 0
       end;
       deliver ~node ~origin ~pos (Rbcast.Payload payload)
+    end
+  in
+  (* The store applied [pos] with stamping [(origin, oseq)] (see the
+     header).  Only the position at the horizon folds in; a [seen]
+     entry that disagrees with the applied stamping stays for the close
+     that supersedes it to withdraw. *)
+  let release ~node ~pos ~origin ~oseq =
+    let st = states.(node) in
+    if pos = st.horizon then begin
+      (match Hashtbl.find_opt st.seen pos with
+      | Some (e, o, q) when o = origin && q = oseq ->
+        Hashtbl.remove st.seen pos;
+        st.released_epoch <- max st.released_epoch e
+      | Some _ -> ()
+      | None -> Hashtbl.replace st.unseen pos ());
+      st.horizon <- pos + 1;
+      if origin >= 0 then begin
+        Watermark.add st.decided.(origin) oseq;
+        if origin = node then Hashtbl.remove st.restamp oseq
+      end
     end
   in
   (* The close governing stale epoch [e]: the earliest learned close
@@ -278,7 +366,7 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
     match covering_close st epoch with
     | None -> st.limbo <- (epoch, pos, origin, oseq, payload) :: st.limbo
     | Some (_, c) ->
-      if pos < c.base && not (Hashtbl.mem states.(node).seen pos) then
+      if pos < c.base && not (has_seen st pos) then
         accept node ~epoch ~pos ~origin ~oseq payload
       else incr fenced_total
   in
@@ -286,6 +374,13 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
     let st = states.(node) in
     if not (Hashtbl.mem st.closes epoch) then begin
       Hashtbl.replace st.closes epoch { base; holes; prev };
+      (* Below the horizon a fenced hole needs no entry: it counts as
+         seen once it is no longer [unseen]. *)
+      let fence h =
+        if h < st.horizon then Hashtbl.remove st.unseen h
+        else Hashtbl.replace st.seen h (epoch, -1, -1);
+        deliver ~node ~origin:(-1) ~pos:h Rbcast.Hole
+      in
       List.iter
         (fun h ->
           match Hashtbl.find_opt st.seen h with
@@ -293,12 +388,9 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
             (* an orphaned stamp the quorum never saw: withdraw it,
                then fence the position *)
             withdraw node ~pos:h ~origin:o0 ~oseq:q0;
-            Hashtbl.replace st.seen h (epoch, -1, -1);
-            deliver ~node ~origin:(-1) ~pos:h Rbcast.Hole
+            fence h
           | Some _ -> ()
-          | None ->
-            Hashtbl.replace st.seen h (epoch, -1, -1);
-            deliver ~node ~origin:(-1) ~pos:h Rbcast.Hole)
+          | None -> if not (has_seen st h) then fence h)
         holes;
       (* The new epoch renumbers from [base]: older-epoch stamps at or
          above it are dead — withdraw them; their payloads come back
@@ -384,51 +476,50 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
     if st.obatch_len >= batch.Batch.size then flush_batch node
     else schedule_oflush node
   in
-  (* Sequencer: stamp origin's requests in oseq order, skipping oseqs
-     already stamped (learned from the takeover sync). *)
+  (* Sequencer: stamp origin's requests in oseq order from the stamping
+     cursor (the low watermark of [stamped]), which skips oseqs already
+     stamped (learned from the takeover sync). *)
   let rec stamp_loop node origin =
     let st = states.(node) in
     if st.serving then
-      let c = st.cursors.(origin) in
-      if Hashtbl.mem st.stamped.(origin) c then begin
+      let stamped = st.stamped.(origin) in
+      let c = Watermark.low stamped in
+      match Hashtbl.find_opt st.requests.(origin) c with
+      | None -> ()
+      | Some payload ->
         Hashtbl.remove st.requests.(origin) c;
-        st.cursors.(origin) <- c + 1;
+        Watermark.add stamped c;
+        for q = c + 1 to Watermark.low stamped - 1 do
+          Hashtbl.remove st.requests.(origin) q
+        done;
+        let pos = st.next_pos in
+        st.next_pos <- pos + 1;
+        enqueue_stamp node ~pos ~origin ~oseq:c payload;
         stamp_loop node origin
-      end
-      else
-        match Hashtbl.find_opt st.requests.(origin) c with
-        | None -> ()
-        | Some payload ->
-          Hashtbl.remove st.requests.(origin) c;
-          Hashtbl.replace st.stamped.(origin) c ();
-          st.cursors.(origin) <- c + 1;
-          let pos = st.next_pos in
-          st.next_pos <- pos + 1;
-          enqueue_stamp node ~pos ~origin ~oseq:c payload;
-          stamp_loop node origin
   in
+  (* Form the epoch from the quorum's answers.  Positions below the
+     highest horizon [h] are decided: never fenced, never renumbered,
+     and their oseqs come from the decided sets, not from tail entries
+     that may be stale there. *)
   let finish_sync node =
     let st = states.(node) in
     st.syncing <- false;
-    let base = st.sync_high in
+    let h = st.sync_horizon in
+    let base = max st.sync_high h in
     let holes = ref [] in
-    for pos = base - 1 downto 0 do
+    for pos = base - 1 downto h do
       if not (Hashtbl.mem st.merged pos) then holes := pos :: !holes
     done;
     let holes = !holes in
     holes_total := !holes_total + List.length holes;
-    Array.iter Hashtbl.reset st.stamped;
+    let stamped = st.sync_decided in
     Hashtbl.iter
-      (fun _pos (_e, origin, oseq) ->
-        if origin >= 0 then Hashtbl.replace st.stamped.(origin) oseq ())
+      (fun pos (_e, origin, oseq) ->
+        if pos >= h && origin >= 0 then Watermark.add stamped.(origin) oseq)
       st.merged;
-    for o = 0 to n - 1 do
-      let c = ref 0 in
-      while Hashtbl.mem st.stamped.(o) !c do
-        incr c
-      done;
-      st.cursors.(o) <- !c
-    done;
+    st.stamped <- stamped;
+    st.sync_decided <- [||];
+    Hashtbl.reset st.merged;
     st.next_pos <- base;
     dbg "node %d forms epoch %d base %d holes %d" node st.epoch base
       (List.length holes);
@@ -486,8 +577,14 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
     Hashtbl.reset st.awaiting;
     Hashtbl.reset st.acked;
     Hashtbl.reset st.merged;
-    Hashtbl.iter (fun pos stamp -> Hashtbl.replace st.merged pos stamp) st.seen;
-    st.sync_high <- Hashtbl.fold (fun pos _ hi -> max hi (pos + 1)) st.seen 0;
+    Hashtbl.iter
+      (fun pos stamp ->
+        if pos >= st.horizon then Hashtbl.replace st.merged pos stamp)
+      st.seen;
+    st.sync_high <-
+      Hashtbl.fold (fun pos _ hi -> max hi (pos + 1)) st.seen st.horizon;
+    st.sync_horizon <- st.horizon;
+    st.sync_decided <- Array.map Watermark.copy st.decided;
     for peer = 0 to n - 1 do
       if peer <> node && not (Detector.suspects det ~observer:node ~subject:peer)
       then Hashtbl.replace st.awaiting peer ()
@@ -504,7 +601,7 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
      anchor its coverage at a formed epoch or stale messages from the
      last formed one are left uncovered forever. *)
   let last_formed st =
-    let f = Hashtbl.fold (fun e _ acc -> max acc e) st.closes 0 in
+    let f = Hashtbl.fold (fun e _ acc -> max acc e) st.closes st.released_epoch in
     Hashtbl.fold (fun _ (e, _, _) acc -> max acc e) st.seen f
   in
   (* A candidate vetoed by [fit] (the store holds off replicas with
@@ -654,12 +751,8 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
              dropped; the origin resubmits against the new epoch.  A
              syncing candidate buffers and stamps after takeover. *)
           if sigma st.epoch = node then
-            if not (Hashtbl.mem st.stamped.(origin) oseq) then begin
-              if oseq >= st.cursors.(origin) then
-                Hashtbl.replace st.requests.(origin) oseq payload
-              else
-                dbg "node %d IGNORES request (%d,%d): cursor %d" node origin
-                  oseq st.cursors.(origin);
+            if not (Watermark.mem st.stamped.(origin) oseq) then begin
+              Hashtbl.replace st.requests.(origin) oseq payload;
               if st.serving then stamp_loop node origin
             end
             else dbg "node %d skips stamped request (%d,%d)" node origin oseq
@@ -676,16 +769,22 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
           if epoch = st.epoch then begin
             let held =
               Hashtbl.fold
-                (fun pos (e, origin, oseq) acc -> (pos, e, origin, oseq) :: acc)
+                (fun pos (e, origin, oseq) acc ->
+                  if pos >= st.horizon then (pos, e, origin, oseq) :: acc
+                  else acc)
                 st.seen []
             in
             let high =
-              Hashtbl.fold (fun pos _ hi -> max hi (pos + 1)) st.seen 0
+              Hashtbl.fold (fun pos _ hi -> max hi (pos + 1)) st.seen st.horizon
             in
+            let decided =
+              Array.map (fun w -> (Watermark.low w, Watermark.above w)) st.decided
+            in
+            sync_entries := !sync_entries + List.length held;
             Transport.send net ~src:node ~dst:src
-              (Sync_ack { epoch; node; held; high })
+              (Sync_ack { epoch; node; horizon = st.horizon; decided; held; high })
           end
-        | Sync_ack { epoch; node = peer; held; high } ->
+        | Sync_ack { epoch; node = peer; horizon; decided; held; high } ->
           if epoch = st.epoch && st.syncing && Hashtbl.mem st.awaiting peer
           then begin
             Hashtbl.remove st.awaiting peer;
@@ -697,6 +796,13 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
                 | _ -> Hashtbl.replace st.merged pos (e, origin, oseq))
               held;
             st.sync_high <- max st.sync_high high;
+            st.sync_horizon <- max st.sync_horizon horizon;
+            Array.iteri
+              (fun o (low, above) ->
+                let w = st.sync_decided.(o) in
+                Watermark.add_below w low;
+                List.iter (Watermark.add w) above)
+              decided;
             maybe_finish node
           end
         | New_epoch { epoch; prev; base; holes } ->
@@ -716,6 +822,7 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
         Transport.send net ~src ~dst:(sigma st.epoch)
           (Request { origin = src; oseq; payload });
         schedule_resubmit src ~delay:(resubmit_after + resubmit_every));
+    release;
     messages_sent = (fun () -> Transport.messages_sent net);
     stats =
       (fun () ->
@@ -726,6 +833,7 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
           fenced = !fenced_total;
           resubmits = !resubmits;
           retracted = !retracted_total;
+          sync_entries = !sync_entries;
         });
     detector_stats = (fun () -> Some (Detector.stats det));
   }

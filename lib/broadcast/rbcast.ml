@@ -8,26 +8,39 @@ type stats = {
   fenced : int;
   resubmits : int;
   retracted : int;
+  sync_entries : int;
 }
 
 let zero_stats =
-  { epochs = 0; syncs = 0; holes = 0; fenced = 0; resubmits = 0; retracted = 0 }
+  {
+    epochs = 0;
+    syncs = 0;
+    holes = 0;
+    fenced = 0;
+    resubmits = 0;
+    retracted = 0;
+    sync_entries = 0;
+  }
 
 let pp_stats ppf s =
-  Fmt.pf ppf "epochs %d, syncs %d, holes %d, fenced %d, resubmits %d, retracted %d"
-    s.epochs s.syncs s.holes s.fenced s.resubmits s.retracted
+  Fmt.pf ppf
+    "epochs %d, syncs %d, holes %d, fenced %d, resubmits %d, retracted %d, \
+     sync entries %d"
+    s.epochs s.syncs s.holes s.fenced s.resubmits s.retracted s.sync_entries
 
 type 'p delivery = Payload of 'p | Hole | Retract
 
 type 'p t = {
   name : string;
   broadcast : src:int -> 'p -> unit;
+  release : node:int -> pos:int -> origin:int -> oseq:int -> unit;
   messages_sent : unit -> int;
   stats : unit -> stats;
   detector_stats : unit -> Mmc_sim.Detector.stats option;
 }
 
 let broadcast t ~src payload = t.broadcast ~src payload
+let release t ~node ~pos ~origin ~oseq = t.release ~node ~pos ~origin ~oseq
 let messages_sent t = t.messages_sent ()
 let name t = t.name
 let stats t = t.stats ()
@@ -53,7 +66,7 @@ type 'p factory =
    underlying implementation's ordering state (a persistent-logical-
    clock discipline); only the store's object state is volatile.
    Positions are final on delivery — no holes, no retractions, no
-   failure detector. *)
+   failure detector, and nothing kept to release. *)
 let of_abcast (f : 'p Abcast.factory) : 'p factory =
  fun ?duplicate ?fault ?reliable ?batch ?detector:_ ?fit:_ engine ~n ~latency
      ~rng ~deliver ->
@@ -68,6 +81,7 @@ let of_abcast (f : 'p Abcast.factory) : 'p factory =
   {
     name = Abcast.name ab ^ "+pos";
     broadcast = (fun ~src payload -> Abcast.broadcast ab ~src payload);
+    release = (fun ~node:_ ~pos:_ ~origin:_ ~oseq:_ -> ());
     messages_sent = (fun () -> Abcast.messages_sent ab);
     stats = (fun () -> zero_stats);
     detector_stats = (fun () -> None);

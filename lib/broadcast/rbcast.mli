@@ -35,6 +35,9 @@ type stats = {
   fenced : int;  (** stale sequencer messages discarded *)
   resubmits : int;  (** client requests re-sent to a new epoch *)
   retracted : int;  (** orphaned stamps withdrawn at epoch changes *)
+  sync_entries : int;
+      (** ordering entries shipped in takeover sync answers: the
+          unreleased tails, O(in-flight) when the store releases *)
 }
 
 val zero_stats : stats
@@ -48,6 +51,7 @@ type 'p delivery =
 type 'p t = {
   name : string;
   broadcast : src:int -> 'p -> unit;
+  release : node:int -> pos:int -> origin:int -> oseq:int -> unit;
   messages_sent : unit -> int;
   stats : unit -> stats;
   detector_stats : unit -> Mmc_sim.Detector.stats option;
@@ -55,6 +59,16 @@ type 'p t = {
 }
 
 val broadcast : 'p t -> src:int -> 'p -> unit
+
+(** [release t ~node ~pos ~origin ~oseq]: [node]'s store has applied
+    position [pos] with the stamping [(origin, oseq)] ([(-1, -1)] for
+    a hole), so the position is decided and the implementation may
+    drop the ordering state it kept to fence or renumber it.  Only a
+    store that applies quorum-stable positions may call it, once per
+    applied position (repeats are ignored).  The applied stamping is
+    the authority: state that disagrees with it is kept until the
+    epoch close that supersedes it withdraws it. *)
+val release : 'p t -> node:int -> pos:int -> origin:int -> oseq:int -> unit
 val messages_sent : 'p t -> int
 val name : 'p t -> string
 val stats : 'p t -> stats

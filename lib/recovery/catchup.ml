@@ -6,6 +6,7 @@ open Mmc_sim
 type ('s, 'p) msg =
   | Pull of { from_ : int }
   | Push of {
+      from_ : int;
       cursor : int;
       snap : (int * 's) option;
       entries : 'p Wal.entry list;
@@ -45,9 +46,10 @@ let create ?fault ?config ?serve_one ?patch engine ~n ~latency ~rng ~serve
           t.pushes <- t.pushes + 1;
           t.entries_pushed <- t.entries_pushed + List.length entries;
           if snap <> None then t.snapshots_pushed <- t.snapshots_pushed + 1;
-          Transport.send net ~src:node ~dst:src (Push { cursor; snap; entries })
-        | Push { cursor; snap; entries } ->
-          learn ~node ~peer_cursor:cursor ~snap entries
+          Transport.send net ~src:node ~dst:src
+            (Push { from_; cursor; snap; entries })
+        | Push { from_; cursor; snap; entries } ->
+          learn ~node ~from:from_ ~peer_cursor:cursor ~snap entries
         | Repair { positions } -> (
           match serve_one with
           | None -> ()

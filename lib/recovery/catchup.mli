@@ -28,6 +28,7 @@ open Mmc_sim
 type ('s, 'p) msg =
   | Pull of { from_ : int }
   | Push of {
+      from_ : int;  (** the position the [Pull] asked from *)
       cursor : int;  (** the responder's applied position *)
       snap : (int * 's) option;  (** checkpoint, when [from_] was truncated *)
       entries : 'p Wal.entry list;
@@ -39,10 +40,10 @@ type ('s, 'p) t
 
 (** [serve ~node ~from] is called on a peer receiving a [Pull]: return
     [(cursor, checkpoint option, entries)].  [learn] is called on the
-    puller for every [Push].  [serve_one ~node ~pos] answers a
-    [Repair] request with the peer's CRC-verified copy of one
-    position, if retained; [patch ~node entries] installs the
-    known-good entries of an incoming [Patch].  Omitting [serve_one]
+    puller for every [Push], with the [from] its [Pull] asked for.
+    [serve_one ~node ~pos] answers a [Repair] request with the peer's
+    CRC-verified copy of one position, if retained; [patch ~node
+    entries] installs the known-good entries of an incoming [Patch].  Omitting [serve_one]
     (resp. [patch]) makes the node ignore [Repair] (resp. [Patch])
     messages. *)
 val create :
@@ -57,6 +58,7 @@ val create :
   serve:(node:int -> from:int -> int * (int * 's) option * 'p Wal.entry list) ->
   learn:
     (node:int ->
+    from:int ->
     peer_cursor:int ->
     snap:(int * 's) option ->
     'p Wal.entry list ->

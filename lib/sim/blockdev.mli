@@ -8,8 +8,10 @@
     {!discard} zeroes its span and clears its bits, and a chunk whose
     mask reaches 0 is all zeroes, so it is dropped.  A device whose
     retired prefix is discarded therefore holds only the chunks of its
-    retained extent (plus an index of two words per chunk of address
-    space), while every read stays byte-identical to a flat array.
+    retained extent, and its chunk index (two words per chunk) spans
+    chunk 0 — the WAL superblock's — plus about that extent: discards
+    rebase it past the discarded prefix.
+    Every read stays byte-identical to a flat array.
     Storage faults are injectable primitives driven by the fault plan:
 
     - {!tear} models a crash cutting a multi-sector write short: the
@@ -73,6 +75,14 @@ val rot_at : t -> sector:int -> off:int -> unit
 (** Zero a retired sector span and count it reclaimed; chunks left
     with no live sector are freed. *)
 val discard : t -> sector:int -> sectors:int -> unit
+
+(** Slots in the chunk index (two words a slot): chunk 0 plus a span
+    covering every allocated chunk.  The index is rebuilt at twice the
+    extent from the lowest allocated chunk above 0 to the watermark
+    when it must grow, and by a {!discard} once it exceeds twice that
+    size, so it stays within about four times that extent however far
+    the watermark has moved. *)
+val index_slots : t -> int
 
 type stats = {
   writes : int;

@@ -20,10 +20,7 @@ type 'msg t = {
   next_seq : int array array;  (** next seq to assign, [src].(dst) *)
   unacked : (int, 'msg outstanding) Hashtbl.t array array;
       (** in-flight messages, [src].(dst) : seq -> entry *)
-  low : int array array;
-      (** watermark, [dst].(src): every seq below is delivered *)
-  above : (int, unit) Hashtbl.t array array;
-      (** delivered seqs >= watermark, [dst].(src) *)
+  delivered_seqs : Watermark.t array array;  (** [dst].(src) *)
   handlers : (int -> 'msg -> unit) array;
   mutable accepted : int;
   mutable delivered : int;
@@ -32,16 +29,6 @@ type 'msg t = {
 let n_nodes t = Array.length t.handlers
 
 let set_handler t node handler = t.handlers.(node) <- handler
-
-let already_delivered t ~dst ~src seq =
-  seq < t.low.(dst).(src) || Hashtbl.mem t.above.(dst).(src) seq
-
-let mark_delivered t ~dst ~src seq =
-  Hashtbl.replace t.above.(dst).(src) seq ();
-  while Hashtbl.mem t.above.(dst).(src) t.low.(dst).(src) do
-    Hashtbl.remove t.above.(dst).(src) t.low.(dst).(src);
-    t.low.(dst).(src) <- t.low.(dst).(src) + 1
-  done
 
 (* Transmit (or retransmit) [seq] and arm the timeout: if the entry is
    still unacked when the timer fires, retransmit with doubled timeout
@@ -81,8 +68,8 @@ let create ?duplicate ?(config = default_config) ~fault engine ~n ~latency ~rng
       config;
       next_seq = Array.init n (fun _ -> Array.make n 0);
       unacked = Array.init n (fun _ -> Array.init n (fun _ -> Hashtbl.create 8));
-      low = Array.init n (fun _ -> Array.make n 0);
-      above = Array.init n (fun _ -> Array.init n (fun _ -> Hashtbl.create 8));
+      delivered_seqs =
+        Array.init n (fun _ -> Array.init n (fun _ -> Watermark.create ()));
       handlers = Array.make n (fun _ _ -> failwith "Reliable: no handler");
       accepted = 0;
       delivered = 0;
@@ -96,10 +83,10 @@ let create ?duplicate ?(config = default_config) ~fault engine ~n ~latency ~rng
              itself have been lost. *)
           Network.send t.net ~src:node ~dst:src (Ack { seq });
           Fault.note_ack t.fault;
-          if already_delivered t ~dst:node ~src seq then
-            Fault.note_duplicate t.fault
+          let seqs = t.delivered_seqs.(node).(src) in
+          if Watermark.mem seqs seq then Fault.note_duplicate t.fault
           else begin
-            mark_delivered t ~dst:node ~src seq;
+            Watermark.add seqs seq;
             t.delivered <- t.delivered + 1;
             Fault.note_delivery t.fault ~sent:sent_at
               ~delivered:(Engine.now t.engine);

@@ -106,13 +106,15 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
   let rlogs : (snap, payload) Rlog.t array =
     Array.init n (fun _ -> Rlog.create policy)
   in
-  let responded : (int, unit) Hashtbl.t array =
-    Array.init n (fun _ -> Hashtbl.create 16)
-  in
+  let responded = Array.init n (fun _ -> Watermark.create ()) in
   (* Client-library state (outside the replica, survives wipes). *)
   let ks : (int * int, Value.t -> unit) Hashtbl.t = Hashtbl.create 16 in
   let oseqs = Array.make n 0 in
   let recoveries = ref 0 in
+  (* Stable mode tells the broadcast about every position it applies
+     ([Rbcast.release]) so it can drop that position's ordering state;
+     wired up once the broadcast exists. *)
+  let release = ref (fun ~node:_ ~pos:_ ~origin:_ ~oseq:_ -> ()) in
   let snapshot_of node =
     { sxs = Array.copy xs.(node); stss = Array.copy tss.(node) }
   in
@@ -131,8 +133,8 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
     | Some lp ->
       let start_ts = Array.copy tss.(node) in
       let applied = Apply.update xs.(node) tss.(node) ~ns:0 lp.mprog.Prog.prog in
-      if origin = node && not (Hashtbl.mem responded.(node) lp.oseq) then begin
-        Hashtbl.replace responded.(node) lp.oseq ();
+      if origin = node && not (Watermark.mem responded.(node) lp.oseq) then begin
+        Watermark.add responded.(node) lp.oseq;
         Recorder.add recorder
           {
             Recorder.proc = node;
@@ -152,6 +154,8 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
         | None -> ()
       end);
     cursors.(node) <- pos + 1;
+    !release ~node ~pos ~origin
+      ~oseq:(match p with Some lp -> lp.oseq | None -> -1);
     purge_stability node pos;
     if not replay then
       Rlog.log rlogs.(node)
@@ -241,13 +245,17 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
       let from' = match snap with Some (p, _) -> p | None -> 0 in
       (cursors.(node), snap, Rlog.serve rl ~from:from')
   in
-  let learn ~node ~peer_cursor ~snap entries =
+  let learn ~node ~from ~peer_cursor ~snap entries =
     targets.(node) <- max targets.(node) peer_cursor;
     (match snap with
-    | Some (cpos, s) when cpos > cursors.(node) ->
+    | Some (cpos, s) when cpos > cursors.(node) && cursors.(node) <= from ->
       (* Full state transfer: our retained log no longer reaches back
          to our cursor at any peer.  Install the snapshot and make it
-         our own recovery point. *)
+         our own recovery point — unless the cursor moved past the
+         position we asked from while the answer was in flight: the
+         snapshot would then skip positions this replica may have to
+         answer for (its own unresponded updates), so ingest the
+         entries and let the next poll ask again. *)
       xs.(node) <- Array.copy s.sxs;
       tss.(node) <- Array.copy s.stss;
       cursors.(node) <- cpos;
@@ -338,6 +346,7 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
         | Rbcast.Hole -> ingest node ~pos ~origin None
         | Rbcast.Retract -> retract node ~pos)
   in
+  if mode = Stable then release := Rbcast.release rbcast;
   catchup :=
     Some
       (Catchup.create ?fault ?config:reliable engine ~n ~latency
@@ -351,8 +360,8 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
                  ingest ~proven:true node ~pos:e.Wal.pos ~origin:e.Wal.origin
                    e.Wal.payload)
              entries)
-         ~learn:(fun ~node ~peer_cursor ~snap es ->
-           learn ~node ~peer_cursor ~snap es;
+         ~learn:(fun ~node ~from ~peer_cursor ~snap es ->
+           learn ~node ~from ~peer_cursor ~snap es;
            if Hashtbl.length pending.(node) > 0 || cursors.(node) < targets.(node)
            then arm_poll node));
   (* Storage faults, straight from the plan.  The rng split is taken

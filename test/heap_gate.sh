@@ -1,6 +1,8 @@
 #!/bin/sh
 # Flat-heap gate: an open-loop soak's peak process heap must not grow
-# with the number of m-operations.  For msc and mlin, run `mmc soak` at
+# with the number of m-operations.  For msc, mlin and rmsc (whose WAL,
+# checkpoints and sequencer ordering state must be pruned as they go),
+# run `mmc soak` at
 # 20k and at 80k operations, each in its own process (top_heap_words is
 # per process and never falls), and fail unless the 80k run's
 # top_heap_w is below 1.2x the 20k run's.  The configuration is not
@@ -17,7 +19,7 @@ heap() {
     sed -n 's/^soak summary .* top_heap_w=\([0-9]*\) verdict=PASS$/\1/p'
 }
 
-for store in msc mlin; do
+for store in msc mlin rmsc; do
   small=$(heap "$store" 20000)
   large=$(heap "$store" 80000)
   if [ -z "$small" ] || [ -z "$large" ]; then

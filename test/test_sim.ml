@@ -331,6 +331,102 @@ let prop_heap_sorts =
       in
       drain [] = List.sort compare xs)
 
+(* --- Watermark sets against a Hashtbl model --- *)
+
+type wm_op = Add of int | Add_below of int
+
+let pp_wm_op ppf = function
+  | Add n -> Fmt.pf ppf "add %d" n
+  | Add_below k -> Fmt.pf ppf "add_below %d" k
+
+let wm_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun n -> Add n) (int_bound 80));
+        (1, map (fun k -> Add_below k) (int_bound 60));
+      ])
+
+let prop_watermark_model =
+  QCheck.Test.make ~name:"watermark = Hashtbl model" ~count:500
+    (QCheck.make
+       ~print:(Fmt.str "%a" Fmt.(Dump.list pp_wm_op))
+       QCheck.Gen.(list_size (int_bound 120) wm_op_gen))
+    (fun ops ->
+      let w = Watermark.create () and model = Hashtbl.create 64 in
+      let add n = Hashtbl.replace model n () in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Add n ->
+            Watermark.add w n;
+            add n
+          | Add_below k ->
+            Watermark.add_below w k;
+            for n = 0 to k - 1 do
+              add n
+            done);
+          let low = ref 0 in
+          while Hashtbl.mem model !low do
+            incr low
+          done;
+          let above =
+            Hashtbl.fold (fun n () acc -> if n > !low then n :: acc else acc) model []
+            |> List.sort compare
+          in
+          let what = Fmt.str "op %d (%a)" step pp_wm_op op in
+          if Watermark.low w <> !low then
+            QCheck.Test.fail_reportf "%s: low %d, model %d" what (Watermark.low w) !low;
+          if Watermark.above w <> above then
+            QCheck.Test.fail_reportf "%s: above differs" what;
+          if Watermark.sparse w <> List.length above then
+            QCheck.Test.fail_reportf "%s: sparse %d, model %d" what
+              (Watermark.sparse w) (List.length above);
+          for n = 0 to 130 do
+            if Watermark.mem w n <> Hashtbl.mem model n then
+              QCheck.Test.fail_reportf "%s: mem %d" what n
+          done;
+          let c = Watermark.copy w in
+          Watermark.add c 1000;
+          if Watermark.mem w 1000 then
+            QCheck.Test.fail_reportf "%s: copy shares state" what)
+        ops;
+      true)
+
+(* Long runs of sequence numbers retired out of order within a bounded
+   window (a reordering channel's deliveries): the set holds at most
+   the window explicitly, and once the stragglers are in, its memory is
+   back to that of an empty set however long the run was. *)
+let prop_watermark_long_runs =
+  QCheck.Test.make ~name:"watermark memory O(gaps) on long runs" ~count:40
+    QCheck.(
+      make
+        ~print:Print.(triple int int int)
+        Gen.(triple (int_range 1_000 30_000) (int_range 1 64) nat))
+    (fun (len, window, seed) ->
+      let w = Watermark.create () in
+      let empty_words = Obj.reachable_words (Obj.repr w) in
+      let rng = Rng.create seed in
+      let order = Array.init len Fun.id in
+      let b = ref 0 in
+      while !b < len do
+        let k = min window (len - !b) in
+        let block = Array.sub order !b k in
+        Rng.shuffle rng block;
+        Array.blit block 0 order !b k;
+        b := !b + k
+      done;
+      Array.iter
+        (fun n ->
+          Watermark.add w n;
+          if Watermark.sparse w >= window then
+            QCheck.Test.fail_reportf "%d members held explicitly, window %d"
+              (Watermark.sparse w) window)
+        order;
+      Watermark.low w = len
+      && Watermark.sparse w = 0
+      && Obj.reachable_words (Obj.repr w) = empty_words)
+
 let () =
   Alcotest.run "sim"
     [
@@ -367,5 +463,10 @@ let () =
           Alcotest.test_case "stats rejects negative" `Quick
             test_stats_rejects_negative;
           QCheck_alcotest.to_alcotest prop_stats_reference;
+        ] );
+      ( "watermark",
+        [
+          QCheck_alcotest.to_alcotest prop_watermark_model;
+          QCheck_alcotest.to_alcotest prop_watermark_long_runs;
         ] );
     ]

@@ -156,9 +156,11 @@ module Flat = struct
       reclaimed = 0;
     }
 
+  (* Grows geometrically: bytes past the written extent are zeroes,
+     exactly what a read past the end returns. *)
   let ensure t bytes =
     if bytes > Bytes.length t.data then begin
-      let data = Bytes.make bytes '\000' in
+      let data = Bytes.make (max bytes (2 * Bytes.length t.data)) '\000' in
       Bytes.blit t.data 0 data 0 (Bytes.length t.data);
       t.data <- data
     end
@@ -242,6 +244,10 @@ type dev_op =
   | Tear of int  (** rng seed *)
   | Rot of int  (** offset, reduced modulo the written extent *)
   | Discard of int * int  (** sector, sectors *)
+  | Churn of int * int * int
+      (** records appended, payload bytes each, sectors retained: a
+          WAL's append/discard cycle, discarding below [high - retain]
+          after every append *)
 
 let pp_dev_op ppf = function
   | Append n -> Fmt.pf ppf "append %d" n
@@ -251,6 +257,7 @@ let pp_dev_op ppf = function
   | Tear seed -> Fmt.pf ppf "tear %d" seed
   | Rot off -> Fmt.pf ppf "rot %d" off
   | Discard (s, n) -> Fmt.pf ppf "discard %d %d" s n
+  | Churn (k, n, r) -> Fmt.pf ppf "churn %d x %d retain %d" k n r
 
 let dev_op_gen =
   QCheck.Gen.(
@@ -264,6 +271,10 @@ let dev_op_gen =
         (2, map (fun seed -> Tear seed) nat);
         (2, map (fun off -> Rot off) nat);
         (3, map2 (fun s n -> Discard (s, n)) sector (int_bound 80));
+        ( 1,
+          map3
+            (fun k n r -> Churn (k, n, r))
+            (int_range 50 400) (int_bound 700) (int_bound 200) );
       ])
 
 let prop_blockdev_model =
@@ -276,6 +287,24 @@ let prop_blockdev_model =
       let payload step n =
         Bytes.init n (fun i -> Char.chr ((i + (step * 7)) mod 256))
       in
+      (* The chunk index spans chunk 0 plus at most about four times
+         the extent from the lowest live chunk above 0 to the
+         watermark (rebuilt at twice it, trimmed on discard past twice
+         that) — never the whole address space. *)
+      let index_bounded what =
+        let cs = Blockdev.chunk_sectors in
+        let lowest =
+          Hashtbl.fold
+            (fun s () lo -> if s >= cs then min lo (s / cs) else lo)
+            m.Flat.live max_int
+        in
+        let extent =
+          if lowest = max_int then 0 else ((m.Flat.high - 1) / cs) - lowest + 1
+        in
+        if Blockdev.index_slots d > 38 + (4 * extent) then
+          QCheck.Test.fail_reportf "%s: %d index slots for a %d-chunk extent"
+            what (Blockdev.index_slots d) extent
+      in
       let agree what =
         if Blockdev.high d <> m.Flat.high then
           QCheck.Test.fail_reportf "%s: high %d, model %d" what
@@ -283,7 +312,8 @@ let prop_blockdev_model =
         if Blockdev.stats d <> Flat.stats m then
           QCheck.Test.fail_reportf "%s: stats %a, model %a" what
             Blockdev.pp_stats (Blockdev.stats d) Blockdev.pp_stats
-            (Flat.stats m)
+            (Flat.stats m);
+        index_bounded what
       in
       List.iteri
         (fun step op ->
@@ -322,7 +352,19 @@ let prop_blockdev_model =
             end
           | Discard (s, n) ->
             Blockdev.discard d ~sector:s ~sectors:n;
-            Flat.discard m ~sector:s ~sectors:n);
+            Flat.discard m ~sector:s ~sectors:n
+          | Churn (k, n, retain) ->
+            for r = 1 to k do
+              let _, span = Blockdev.append d (payload (step + r) n) in
+              ignore (Flat.write m ~sector:m.Flat.high (payload (step + r) n));
+              let cut = m.Flat.high - retain in
+              let from = max 0 (cut - span) in
+              if cut > from then begin
+                Blockdev.discard d ~sector:from ~sectors:(cut - from);
+                Flat.discard m ~sector:from ~sectors:(cut - from)
+              end;
+              index_bounded (Fmt.str "%s, record %d" what r)
+            done);
           agree what)
         ops;
       let len = (m.Flat.high + 2) * m.Flat.ss in
