@@ -23,13 +23,14 @@ check: build test
 # metric assertion still fails the job via the bench exit code).
 ci: build test par-smoke recover-smoke chaos-smoke scrub-smoke soak-smoke fastpath-smoke bench-smoke
 
-# Reduced-size bench pass over the core and parallel groups with
-# metric assertions active, written to a scratch JSON and diffed
-# against the committed BENCH_core.json in warn-only mode.
+# Reduced-size bench pass over the core, parallel, fastpath and sim
+# groups with metric assertions active, written to a scratch JSON and
+# diffed against the committed BENCH_core.json in warn-only mode.
 bench-smoke: build
 	$(DUNE) build bench/main.exe
 	$(DUNE) exec bench/main.exe -- --quick --only core --only parallel \
-	  --only fastpath --domains 1 --domains 2 --json /tmp/bench-smoke.json \
+	  --only fastpath --only sim --domains 1 --domains 2 \
+	  --json /tmp/bench-smoke.json \
 	  --compare BENCH_core.json --compare-warn
 
 # Hard perf gate for local use: re-run the core group at full size

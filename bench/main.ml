@@ -31,6 +31,10 @@
                    and asserts the flat-memory ceiling, the PASS
                    verdict and the seeded-corruption FAIL
 
+     sim/*         simulator kernels: engine schedule+run with 8, 256
+                   and 4096 events queued, and a WAL scrub pass over
+                   80 frames, every frame read vs an unchanged repeat
+
      parallel/*    multicore verification: row-blocked parallel
                    closure / Theorem-7 at n in {400,600} and the
                    per-shard fan-out at S = 8, one -dD variant per
@@ -69,7 +73,7 @@ open Mmc_core
 
 let group_names =
   [ "T1"; "T2"; "T7"; "core"; "protocol"; "P4"; "P5"; "figures"; "shard";
-    "fastpath"; "stream"; "recovery"; "chaos"; "parallel" ]
+    "fastpath"; "stream"; "recovery"; "chaos"; "sim"; "parallel" ]
 
 let only, json_file, cli_seed, cli_domains, compare_file, compare_warn, cli_quick
     =
@@ -1085,6 +1089,70 @@ let chaos_metrics () =
         ])
     chaos_variants
 
+(* --- simulator kernels: the `sim` group --- *)
+
+(* Engine schedule+run with [depth] events queued throughout: each of
+   [depth] chains reschedules itself until [sim_events] have run, its
+   delays cycling through a fixed table of 1..700 ticks (the span of
+   message latencies and retransmit backoffs).  [rmsc-lossy] keeps
+   about 230 events queued, [msc-mixed] about 6. *)
+let sim_events = if cli_quick then 2_000 else 20_000
+
+let sim_delays =
+  let rng = Mmc_sim.Rng.create (29 + soff) in
+  Array.init 1024 (fun _ -> Mmc_sim.Rng.int_range rng ~lo:1 ~hi:700)
+
+let run_engine ~depth () =
+  let e = Mmc_sim.Engine.create () in
+  let left = ref sim_events in
+  let rec chain () =
+    if !left > 0 then begin
+      decr left;
+      Mmc_sim.Engine.schedule e ~delay:sim_delays.(!left land 1023) chain
+    end
+  in
+  for _ = 1 to depth do
+    Mmc_sim.Engine.schedule e ~delay:0 chain
+  done;
+  Mmc_sim.Engine.run e
+
+(* A WAL of 80 records of about three sectors each.  [first] reads
+   every frame, as the first pass over fresh appends does: flipping a
+   byte of each chunk twice leaves the bytes alone but moves every
+   chunk's mutation stamp.  [repeat] is the pass over an unchanged
+   log. *)
+let sim_wal =
+  let w = Mmc_recovery.Wal.create () in
+  for pos = 0 to 79 do
+    Mmc_recovery.Wal.append w
+      { Mmc_recovery.Wal.pos; origin = pos mod 4; payload = Some (String.make 90 'x') }
+  done;
+  ignore (Mmc_recovery.Wal.scrub w);
+  w
+
+let scrub_first () =
+  let dev = Mmc_recovery.Wal.dev sim_wal in
+  let cs = Mmc_sim.Blockdev.chunk_sectors in
+  for c = 0 to (Mmc_sim.Blockdev.high dev - 1) / cs do
+    Mmc_sim.Blockdev.rot_at dev ~sector:(c * cs) ~off:31;
+    Mmc_sim.Blockdev.rot_at dev ~sector:(c * cs) ~off:31
+  done;
+  Mmc_recovery.Wal.scrub sim_wal
+
+let bench_sim =
+  Test.make_grouped ~name:"sim"
+    (List.map
+       (fun depth ->
+         Test.make ~name:(Fmt.str "engine-depth-%d" depth)
+           (Staged.stage (run_engine ~depth)))
+       [ 8; 256; 4096 ]
+    @ [
+        Test.make ~name:"wal-scrub-80-first"
+          (Staged.stage (fun () -> ignore (scrub_first ())));
+        Test.make ~name:"wal-scrub-80-repeat"
+          (Staged.stage (fun () -> ignore (Mmc_recovery.Wal.scrub sim_wal)));
+      ])
+
 (* --- multicore verification: the `parallel` group --- *)
 
 (* One pool per requested --domains value, spawned once and reused by
@@ -1302,6 +1370,7 @@ let groups =
     ("stream", bench_stream);
     ("recovery", bench_recovery);
     ("chaos", bench_chaos);
+    ("sim", bench_sim);
   ]
 
 let selected g = only = [] || List.mem g only

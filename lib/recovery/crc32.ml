@@ -17,10 +17,16 @@ let table =
 (** Feed [len] bytes of [b] at [off] into a running checksum state
     (start from {!init}); finish with {!finalize}. *)
 let update state b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Crc32.update";
   let table = Lazy.force table in
   let c = ref state in
+  (* In bounds: checked once above; the table index is a byte. *)
   for i = off to off + len - 1 do
-    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
+    c :=
+      Array.unsafe_get table
+        ((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xff)
+      lxor (!c lsr 8)
   done;
   !c
 

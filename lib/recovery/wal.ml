@@ -7,13 +7,16 @@ type 'p entry = { pos : int; origin : int; payload : 'p option }
 
 (* In-memory index entry: where a record's frame lives on the device.
    [lsilent] marks a damaged record admitted as a hole under
-   [crc = false], so the silent-loss counter counts it once. *)
+   [crc = false], so the silent-loss counter counts it once.
+   [lclean] is the device stamp of the frame's last clean scrub, or
+   [-1] when it has none at its current place. *)
 type loc = {
   lpos : int;
   lorigin : int;
   mutable lsector : int;
   mutable lspan : int;
   mutable lsilent : bool;
+  mutable lclean : int;
 }
 
 (* Physical segment extent, for checkpoint-horizon retirement. *)
@@ -138,7 +141,7 @@ let push_frame t e =
   t.seg_fill <- t.seg_fill + 1;
   t.appended <- t.appended + 1;
   { lpos = e.pos; lorigin = e.origin; lsector = sector; lspan = span;
-    lsilent = false }
+    lsilent = false; lclean = -1 }
 
 let unquarantine t pos =
   t.quarantine <-
@@ -258,6 +261,10 @@ let suffix t ~from =
     !bad;
   List.rev !out
 
+(* A frame read clean stays clean until a mutation stamps one of its
+   chunks ({!Blockdev.changed_since}), so a pass reads only the frames
+   whose sectors changed since their last clean read; it still counts
+   every frame it covers. *)
 let scrub t =
   if not t.crc then []
   else begin
@@ -265,9 +272,15 @@ let scrub t =
     Deque.iter
       (fun loc ->
         t.scrubbed <- t.scrubbed + 1;
-        match Frame.read t.dev ~sector:loc.lsector with
-        | Frame.Ok (f, _) when f.kind = Frame.Record && f.a = loc.lpos -> ()
-        | _ -> bad := loc.lpos :: !bad)
+        if
+          loc.lclean < 0
+          || Blockdev.changed_since t.dev ~stamp:loc.lclean
+               ~sector:loc.lsector ~sectors:loc.lspan
+        then
+          match Frame.read t.dev ~sector:loc.lsector with
+          | Frame.Ok (f, _) when f.kind = Frame.Record && f.a = loc.lpos ->
+            loc.lclean <- Blockdev.stamp t.dev
+          | _ -> bad := loc.lpos :: !bad)
       t.index;
     let bad = List.rev !bad in
     List.iter
@@ -302,7 +315,8 @@ let patch t e =
       else begin
         let sector, sp = Frame.append t.dev f in
         loc.lsector <- sector;
-        loc.lspan <- sp
+        loc.lspan <- sp;
+        loc.lclean <- -1
       end;
       loc.lsilent <- false;
       t.repaired <- t.repaired + 1
@@ -393,7 +407,7 @@ let reload t =
             ( f.Frame.a,
               (!nrec,
                { lpos = f.Frame.a; lorigin = f.Frame.b; lsector = !s;
-                 lspan = span; lsilent = false }) )
+                 lspan = span; lsilent = false; lclean = -1 }) )
             :: !recs;
           match t.segs with
           | seg :: _ ->
@@ -419,7 +433,7 @@ let reload t =
           ( f.Frame.a,
             (!nrec,
              { lpos = f.Frame.a; lorigin = f.Frame.b; lsector = !s;
-               lspan = span; lsilent = true }) )
+               lspan = span; lsilent = true; lclean = -1 }) )
           :: !recs;
         (match t.segs with
         | seg :: _ when sane_span span !s ->

@@ -84,8 +84,13 @@ val suffix : 'p t -> from:int -> 'p entry list
     damaged. *)
 val entry_at : 'p t -> pos:int -> 'p entry option
 
-(** Re-verify every retained frame; returns the positions found
-    damaged (queued for {!patch}).  No-op with [crc = false]. *)
+(** Verify every retained frame; returns the positions found damaged
+    (queued for {!patch}).  A frame read clean by an earlier pass is
+    read again only when the device has stamped one of its chunks
+    since ({!Blockdev.changed_since}), so an unchanged log costs no
+    reads; the result is the damaged set a full re-read would find,
+    and the [scrubbed] counter still counts every frame a pass covers.
+    No-op with [crc = false]. *)
 val scrub : 'p t -> int list
 
 (** Repair a damaged or quarantined position with a known-good entry

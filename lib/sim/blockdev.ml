@@ -15,6 +15,10 @@ type t = {
       (** per slot: bit [i] is set when sector [i] of the chunk may hold
           a non-zero byte; a clear bit means all zeroes, so a chunk
           whose mask is 0 is dropped *)
+  mutable stamps : int array;
+      (** per slot: the {!clock} value of the chunk's last mutation
+          other than an append at the watermark *)
+  mutable clock : int;  (** mutations stamped so far *)
   mutable base : int;  (** chunk held in slot 1 *)
   mutable resident : int;  (** chunks currently allocated *)
   mutable high : int;  (** sectors ever written (append watermark) *)
@@ -39,6 +43,8 @@ let create ?(sector_size = 64) () =
     chunk_bytes = chunk_sectors * sector_size;
     chunks = [| Bytes.empty |];
     masks = [| 0 |];
+    stamps = [| 0 |];
+    clock = 0;
     base = 1;
     resident = 0;
     high = 0;
@@ -79,22 +85,32 @@ let lowest t =
 let rebase t ~lo ~hi =
   let cap = 1 + max 16 (2 * (hi - lo + 1)) in
   let chunks = Array.make cap Bytes.empty and masks = Array.make cap 0 in
+  let stamps = Array.make cap 0 in
   chunks.(0) <- t.chunks.(0);
   masks.(0) <- t.masks.(0);
+  stamps.(0) <- t.stamps.(0);
   for i = 1 to Array.length t.chunks - 1 do
     if t.chunks.(i) != Bytes.empty then begin
       let j = t.base + i - lo in
       chunks.(j) <- t.chunks.(i);
-      masks.(j) <- t.masks.(i)
+      masks.(j) <- t.masks.(i);
+      stamps.(j) <- t.stamps.(i)
     end
   done;
   t.chunks <- chunks;
   t.masks <- masks;
+  t.stamps <- stamps;
   t.base <- lo
+
+(* Record a mutation of the chunk in slot [i]. *)
+let touch t i =
+  t.clock <- t.clock + 1;
+  t.stamps.(i) <- t.clock
 
 (* Slot of chunk [c], allocated (zeroed) if dropped.  An index that
    does not reach [c] is rebuilt to span [c], the allocated chunks and
-   the watermark. *)
+   the watermark.  Allocation stamps the slot: a rebuilt index forgets
+   the stamps of dropped chunks. *)
 let chunk t c =
   let i =
     match slot t c with
@@ -106,7 +122,8 @@ let chunk t c =
   in
   if t.chunks.(i) == Bytes.empty then begin
     t.chunks.(i) <- Bytes.make t.chunk_bytes '\000';
-    t.resident <- t.resident + 1
+    t.resident <- t.resident + 1;
+    touch t i
   end;
   i
 
@@ -124,13 +141,27 @@ let trim t =
 
 let index_slots t = Array.length t.chunks
 
+let stamp t = t.clock
+
+(* A dropped chunk reads as zeroes and its stamp may be gone with a
+   rebuilt index, so it always counts as changed. *)
+let changed_since t ~stamp ~sector ~sectors =
+  let rec go c last =
+    c <= last
+    &&
+    let i = slot t c in
+    i < 0 || t.chunks.(i) == Bytes.empty || t.stamps.(i) > stamp
+    || go (c + 1) last
+  in
+  go (sector / chunk_sectors) ((sector + sectors - 1) / chunk_sectors)
+
 (* Bits of the sectors [[s, s + n)] of one chunk, [s] chunk-relative. *)
 let bits s n = ((1 lsl n) - 1) lsl s
 
 (* Store [len] bytes of [src] from [pos] at byte [off], zero-padding
    past the end of [src]; [off] and [len] are sector-aligned.  Marks
-   the covered sectors live. *)
-let put t ~off src ~pos ~len =
+   the covered sectors live, and stamps their chunks when [stamp]. *)
+let put t ~stamp ~off src ~pos ~len =
   let ss = t.sector_size in
   let rec go off pos len =
     if len > 0 then begin
@@ -142,6 +173,7 @@ let put t ~off src ~pos ~len =
       if k > 0 then Bytes.blit src pos b o k;
       Bytes.fill b (o + k) (n - k) '\000';
       t.masks.(i) <- t.masks.(i) lor bits (o / ss) (n / ss);
+      if stamp then touch t i;
       go (off + n) (pos + n) (len - n)
     end
   in
@@ -174,7 +206,9 @@ let write t ~sector bytes =
       old
     end
   in
-  put t ~off bytes ~pos:0 ~len;
+  (* Only bytes below the watermark can have been read before; an
+     append fills sectors past every earlier write. *)
+  put t ~stamp:(sector < t.high) ~off bytes ~pos:0 ~len;
   t.high <- max t.high (sector + sectors);
   t.last <- Some (sector, old, sectors);
   t.writes <- t.writes + 1;
@@ -202,7 +236,7 @@ let tear t ~rng =
        to their previous contents (fresh appends revert to zeroes). *)
     let keep = Rng.int rng ~bound:sectors in
     let dropped = sectors - keep in
-    put t
+    put t ~stamp:true
       ~off:((sector + keep) * t.sector_size)
       old ~pos:(keep * t.sector_size)
       ~len:(dropped * t.sector_size);
@@ -219,6 +253,7 @@ let rot_at t ~sector ~off =
   let b = t.chunks.(i) in
   Bytes.set b o (Char.chr (Char.code (Bytes.get b o) lxor 0x40));
   t.masks.(i) <- t.masks.(i) lor bits (o / t.sector_size) 1;
+  touch t i;
   t.rotted <- t.rotted + 1
 
 let rot t ~rng =
@@ -244,6 +279,7 @@ let discard t ~sector ~sectors =
         let n = min (hi - s) (chunk_sectors - i) in
         let j = slot t c in
         (if j >= 0 && t.chunks.(j) != Bytes.empty then begin
+           touch t j;
            let mask = t.masks.(j) land lnot (bits i n) in
            t.masks.(j) <- mask;
            if mask = 0 then begin

@@ -12,6 +12,14 @@
     chunk 0 — the WAL superblock's — plus about that extent: discards
     rebase it past the discarded prefix.
     Every read stays byte-identical to a flat array.
+
+    Each chunk also carries a mutation stamp, so a reader that
+    verified some sectors can tell whether they may have changed since
+    ({!changed_since}): overwrites below the watermark, {!tear},
+    {!rot_at}, {!discard} and chunk allocation move the stamp of every
+    chunk they touch.  Appends at the watermark do not — they only
+    fill sectors past every earlier write, which never move back below
+    a watermark that only grows.
     Storage faults are injectable primitives driven by the fault plan:
 
     - {!tear} models a crash cutting a multi-sector write short: the
@@ -83,6 +91,16 @@ val discard : t -> sector:int -> sectors:int -> unit
     size, so it stays within about four times that extent however far
     the watermark has moved. *)
 val index_slots : t -> int
+
+(** The device's mutation clock: the stamp {!changed_since} compares
+    against.  Take it right after a verification. *)
+val stamp : t -> int
+
+(** [changed_since t ~stamp ~sector ~sectors] is [false] only when no
+    chunk covering sectors [[sector, sector + sectors)] was mutated
+    after [stamp] (and none is dropped): bytes read there at [stamp]
+    still read the same. *)
+val changed_since : t -> stamp:int -> sector:int -> sectors:int -> bool
 
 type stats = {
   writes : int;

@@ -62,4 +62,6 @@ let pop t =
     Some top
   end
 
-let peek t = if t.size = 0 then None else Some t.data.(0)
+let top t =
+  if t.size = 0 then invalid_arg "Heap.top: empty heap";
+  t.data.(0)

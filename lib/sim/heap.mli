@@ -8,4 +8,7 @@ val length : 'a t -> int
 val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a option
-val peek : 'a t -> 'a option
+
+(** The minimum, without allocating; raises [Invalid_argument] on an
+    empty heap. *)
+val top : 'a t -> 'a

@@ -125,6 +125,39 @@ let test_fuzz_stable () =
    cursor still stands where the pull asked from. *)
 let test_stale_snapshot_seeds () = List.iter (check_fuzzed ~ops:400) [ 24; 78 ]
 
+(* A chaos FAIL prints its plan as [mmc recover --plan '…']: the
+   printed plan must rerun the very same run. *)
+let test_replayed_plans () =
+  let spec = { Mmc_workload.Spec.default with n_objects = 8 } in
+  let run ~seed plan =
+    let cfg =
+      {
+        Mmc_store.Runner.default_config with
+        n_procs = 4;
+        n_objects = 8;
+        ops_per_proc = 10;
+        kind = Mmc_store.Store.Rmsc;
+        fault = plan;
+      }
+    in
+    let r =
+      Mmc_store.Runner.run ~seed cfg
+        ~workload:(Mmc_workload.Generator.mixed spec)
+    in
+    Mmc_store.Runner.(r.completed, r.duration, r.messages)
+  in
+  for seed = 1 to 20 do
+    let plan = Fault.fuzz ~rng:(Rng.create seed) ~n:4 in
+    let replayed =
+      match Fault.of_spec (Fault.to_spec plan) with
+      | Ok p -> p
+      | Error msg -> Alcotest.failf "seed %d: %s" seed msg
+    in
+    Alcotest.(check (triple int int int))
+      (Fmt.str "seed %d: completed, duration, messages" seed)
+      (run ~seed plan) (run ~seed replayed)
+  done
+
 (* A takeover after most of a long run has been released: the epoch-0
    sequencer is wiped late in a 5-replica run of 5000 updates.  The
    survivors' sync answers carry only their unreleased tails, yet the
@@ -302,6 +335,8 @@ let () =
             test_fuzz_stable;
           Alcotest.test_case "stale snapshot seeds 24 and 78" `Quick
             test_stale_snapshot_seeds;
+          Alcotest.test_case "printed plans replay the same runs" `Quick
+            test_replayed_plans;
         ] );
       ( "release",
         [

@@ -331,6 +331,176 @@ let prop_heap_sorts =
       in
       drain [] = List.sort compare xs)
 
+(* --- Engine against a sorted (time, seq) reference model --- *)
+
+(* A random program: each node, when it runs, logs its id and the
+   clock, schedules its children ([Rel] delays through [schedule],
+   [Abs] instants through [at], daemon or not) and may raise [Stop].
+   A run is a list of segments, each scheduling some roots from
+   outside and then running with an optional [until] (relative to the
+   clock) and [max_events] (relative to the executed count), so runs
+   stop and resume with scheduling in between. *)
+type when_ = Rel of int | Abs of int
+
+type prog = { id : int; kids : (when_ * bool * prog) list; stop : bool }
+
+type segment = {
+  roots : (when_ * bool * prog) list;
+  until : int option;
+  max_events : int option;
+}
+
+let rec pp_prog ppf p =
+  Fmt.pf ppf "#%d%s[%a]" p.id
+    (if p.stop then "!" else "")
+    Fmt.(list ~sep:semi pp_kid)
+    p.kids
+
+and pp_kid ppf (w, daemon, p) =
+  Fmt.pf ppf "%s%s%a"
+    (match w with Rel d -> Fmt.str "+%d" d | Abs t -> Fmt.str "@%d" t)
+    (if daemon then "d" else "")
+    pp_prog p
+
+let pp_segment ppf s =
+  Fmt.pf ppf "{%a until=%a max=%a}"
+    Fmt.(list ~sep:semi pp_kid)
+    s.roots
+    Fmt.(option ~none:(any "-") int)
+    s.until
+    Fmt.(option ~none:(any "-") int)
+    s.max_events
+
+(* Delays of 0, short ones, ones around the 1024-tick ring and past
+   it; instants in the past (clamped) and far ahead. *)
+let when_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, return (Rel 0));
+        (5, map (fun d -> Rel d) (int_range 1 12));
+        (3, map (fun d -> Rel d) (int_range 1018 1030));
+        (2, map (fun d -> Rel d) (int_range 1031 5000));
+        (2, map (fun t -> Abs t) (int_bound 30_000));
+      ])
+
+let kid_gen prog =
+  QCheck.Gen.(
+    triple when_gen (frequency [ (3, return false); (1, return true) ]) prog)
+
+let kids_gen size =
+  QCheck.Gen.(
+    let prog =
+      fix
+        (fun self n ->
+          map2
+            (fun kids stop -> { id = 0; kids; stop })
+            (if n <= 1 then return []
+             else list_size (int_bound 3) (kid_gen (self (n / 3))))
+            (frequency [ (24, return false); (1, return true) ]))
+        size
+    in
+    list_size (int_range 1 3) (kid_gen prog))
+
+let segments_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 5)
+      (map3
+         (fun roots until max_events -> { roots; until; max_events })
+         (sized_size (int_bound 40) kids_gen)
+         (opt (int_bound 3000))
+         (opt (int_bound 60))))
+
+(* Number the nodes in preorder so the logs name them. *)
+let number segments =
+  let next = ref 0 in
+  let rec prog p =
+    incr next;
+    let id = !next in
+    { p with id; kids = List.map kid p.kids }
+  and kid (w, d, p) = (w, d, prog p) in
+  List.map (fun s -> { s with roots = List.map kid s.roots }) segments
+
+let run_engine segments =
+  let e = Engine.create () in
+  let log = ref [] in
+  let rec sched (w, daemon, p) =
+    let action () =
+      log := (p.id, Engine.now e) :: !log;
+      List.iter sched p.kids;
+      if p.stop then raise Engine.Stop
+    in
+    match w with
+    | Rel delay -> Engine.schedule ~daemon e ~delay action
+    | Abs time -> Engine.at ~daemon e ~time action
+  in
+  List.map
+    (fun s ->
+      List.iter sched s.roots;
+      let until = Option.map (fun u -> Engine.now e + u) s.until in
+      let max_events = Option.map (fun m -> Engine.executed e + m) s.max_events in
+      Engine.run ?until ?max_events e;
+      (Engine.now e, Engine.executed e, Engine.pending e))
+    segments
+  |> fun ends -> (List.rev !log, ends)
+
+(* The reference: a list kept sorted by (time, seq), run by the
+   engine's stated rules. *)
+let run_model segments =
+  let q = ref [] and now = ref 0 and seq = ref 0 in
+  let executed = ref 0 and live = ref 0 and log = ref [] in
+  let sched (w, daemon, p) =
+    let time = match w with Rel d -> !now + d | Abs t -> max !now t in
+    q := List.merge compare !q [ (time, !seq, daemon, p) ];
+    incr seq;
+    if not daemon then incr live
+  in
+  List.map
+    (fun s ->
+      List.iter sched s.roots;
+      let until = match s.until with Some u -> !now + u | None -> max_int in
+      let max_events =
+        match s.max_events with Some m -> !executed + m | None -> max_int
+      in
+      let rec loop () =
+        match !q with
+        | (time, _, daemon, p) :: rest
+          when !live > 0 && time <= until && !executed < max_events ->
+          q := rest;
+          now := time;
+          if not daemon then decr live;
+          incr executed;
+          log := (p.id, time) :: !log;
+          List.iter sched p.kids;
+          if not p.stop then loop ()
+        | _ -> ()
+      in
+      loop ();
+      (!now, !executed, List.length !q))
+    segments
+  |> fun ends -> (List.rev !log, ends)
+
+let prop_engine_model =
+  QCheck.Test.make ~name:"engine runs in (time, seq) order of the model"
+    ~count:500
+    (QCheck.make
+       ~print:(Fmt.str "%a" Fmt.(Dump.list pp_segment))
+       QCheck.Gen.(map number segments_gen))
+    (fun segments ->
+      let log, ends = run_engine segments in
+      let log', ends' = run_model segments in
+      let pp_log = Fmt.(Dump.list (Dump.pair int int)) in
+      let pp_end ppf (now, executed, pending) =
+        Fmt.pf ppf "(%d, %d, %d)" now executed pending
+      in
+      let pp_ends = Fmt.Dump.list pp_end in
+      if log <> log' then
+        QCheck.Test.fail_reportf "log %a@ model %a" pp_log log pp_log log';
+      if ends <> ends' then
+        QCheck.Test.fail_reportf "(now, executed, pending) %a@ model %a"
+          pp_ends ends pp_ends ends';
+      true)
+
 (* --- Watermark sets against a Hashtbl model --- *)
 
 type wm_op = Add of int | Add_below of int
@@ -449,6 +619,7 @@ let () =
           Alcotest.test_case "tie FIFO" `Quick test_engine_fifo_same_time;
           Alcotest.test_case "nested" `Quick test_engine_nested_scheduling;
           Alcotest.test_case "until" `Quick test_engine_until;
+          QCheck_alcotest.to_alcotest prop_engine_model;
         ] );
       ( "network",
         [

@@ -588,6 +588,119 @@ let test_wal_scrub_patch () =
   Alcotest.(check int) "corrupt counted once" 1 c.Wal.corrupt;
   Alcotest.(check int) "repaired counted once" 1 c.Wal.repaired
 
+(* --- Wal: change-aware scrub against a full re-read --- *)
+
+type wal_op =
+  | W_append of int * int  (** positions skipped, payload bytes *)
+  | W_overwrite of int * int  (** sector (mod watermark), bytes *)
+  | W_patch of int * int  (** position (mod the retained range), bytes *)
+  | W_rot of int  (** rng seed: flip a byte of a retained record *)
+  | W_rot_dev of int  (** rng seed: flip a byte anywhere *)
+  | W_tear of int  (** rng seed *)
+  | W_discard of int * int  (** sector (mod watermark), sectors *)
+  | W_truncate of int  (** new low (mod the retained range) *)
+  | W_reload
+  | W_scrub
+
+let pp_wal_op ppf = function
+  | W_append (g, n) -> Fmt.pf ppf "append +%d %dB" g n
+  | W_overwrite (s, n) -> Fmt.pf ppf "overwrite %d %dB" s n
+  | W_patch (p, n) -> Fmt.pf ppf "patch %d %dB" p n
+  | W_rot seed -> Fmt.pf ppf "rot %d" seed
+  | W_rot_dev seed -> Fmt.pf ppf "rot-dev %d" seed
+  | W_tear seed -> Fmt.pf ppf "tear %d" seed
+  | W_discard (s, n) -> Fmt.pf ppf "discard %d %d" s n
+  | W_truncate p -> Fmt.pf ppf "truncate %d" p
+  | W_reload -> Fmt.string ppf "reload"
+  | W_scrub -> Fmt.string ppf "scrub"
+
+(* Discards reach from a few sectors to past the watermark: emptying
+   every chunk above 0 and then growing again rebuilds the chunk index
+   (see [prop_blockdev_model]), which forgets dropped chunks' stamps. *)
+let wal_op_gen =
+  QCheck.Gen.(
+    let bytes = int_bound 400 in
+    let gap = frequency [ (5, return 0); (1, int_bound 3) ] in
+    frequency
+      [
+        (10, map2 (fun g n -> W_append (g, n)) gap bytes);
+        (1, map2 (fun s n -> W_overwrite (s, n)) nat (int_bound 100));
+        (2, map2 (fun p n -> W_patch (p, n)) nat bytes);
+        (3, map (fun seed -> W_rot seed) nat);
+        (1, map (fun seed -> W_rot_dev seed) nat);
+        (1, map (fun seed -> W_tear seed) nat);
+        ( 2,
+          map2
+            (fun s n -> W_discard (s, n))
+            (frequency [ (1, return 1); (2, nat) ])
+            (frequency [ (2, int_bound 20); (1, int_bound 2000) ]) );
+        (1, map (fun p -> W_truncate p) nat);
+        (1, return W_reload);
+        (6, return W_scrub);
+      ])
+
+(* After any mix of appends, overwrites below the watermark, patches,
+   bit-rot (of frames earlier passes read clean, too), tears,
+   discards, truncations and reloads, a scrub reports exactly the
+   retained positions whose frame no longer reads back clean — what a
+   pass re-reading every frame reports — and counts every frame. *)
+let prop_scrub_full_pass =
+  QCheck.Test.make ~name:"change-aware scrub = full re-read" ~count:600
+    (QCheck.make
+       ~print:(Fmt.str "%a" Fmt.(Dump.list pp_wal_op))
+       QCheck.Gen.(list_size (int_bound 200) wal_op_gen))
+    (fun ops ->
+      let dev = Blockdev.create ~sector_size:32 () in
+      let w : string Wal.t = Wal.create ~dev ~seg_records:3 () in
+      let text n c = String.make n c in
+      let retained k =
+        let lo = Wal.low w and hi = Wal.high w in
+        if hi > lo then Some (lo + (k mod (hi - lo))) else None
+      in
+      let sector k = k mod max 1 (Blockdev.high dev) in
+      let check what =
+        let full =
+          List.filter
+            (fun p -> Wal.mem w p && Wal.entry_at w ~pos:p = None)
+            (List.init (Wal.high w - Wal.low w) (fun i -> Wal.low w + i))
+        in
+        let before = (Wal.counters w).Wal.scrubbed and len = Wal.length w in
+        let got = Wal.scrub w in
+        if got <> full then
+          QCheck.Test.fail_reportf "%s: scrub %a, full pass %a" what
+            Fmt.(Dump.list int) got Fmt.(Dump.list int) full;
+        let counted = (Wal.counters w).Wal.scrubbed - before in
+        if counted <> len then
+          QCheck.Test.fail_reportf "%s: %d frames counted, %d retained" what
+            counted len
+      in
+      List.iteri
+        (fun step op ->
+          match op with
+          | W_append (gap, n) ->
+            let pos = Wal.high w + gap in
+            Wal.append w (entry ~origin:step ~payload:(text n 'a') pos)
+          | W_overwrite (s, n) ->
+            if Blockdev.high dev > 0 then
+              ignore (Blockdev.write dev ~sector:(sector s) (Bytes.make n 'z'))
+          | W_patch (k, n) ->
+            Option.iter
+              (fun p -> ignore (Wal.patch w (entry ~payload:(text n 'p') p)))
+              (retained k)
+          | W_rot seed ->
+            ignore (Wal.rot_record w ~rng:(Rng.create seed) ~above:0)
+          | W_rot_dev seed -> ignore (Blockdev.rot dev ~rng:(Rng.create seed))
+          | W_tear seed -> ignore (Blockdev.tear dev ~rng:(Rng.create seed))
+          | W_discard (s, n) ->
+            Blockdev.discard dev ~sector:(sector s) ~sectors:n
+          | W_truncate k ->
+            Option.iter (fun pos -> Wal.truncate_below w ~pos) (retained k)
+          | W_reload -> ignore (Wal.reload w)
+          | W_scrub -> check (Fmt.str "op %d" step))
+        ops;
+      check "final";
+      true)
+
 (* --- Wal: crc = off --- *)
 
 let test_wal_crc_off_silent_hole () =
@@ -681,6 +794,7 @@ let () =
           Alcotest.test_case "header corrupt quarantines" `Quick
             test_wal_header_corrupt_quarantines;
           Alcotest.test_case "scrub + patch" `Quick test_wal_scrub_patch;
+          QCheck_alcotest.to_alcotest prop_scrub_full_pass;
           Alcotest.test_case "crc off: silent hole" `Quick
             test_wal_crc_off_silent_hole;
         ] );
