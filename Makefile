@@ -2,7 +2,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test check ci smoke shard-smoke par-smoke recover-smoke chaos-smoke scrub-smoke soak-smoke soak-snapshot fastpath-smoke bench-smoke bench-diff experiments bench-json clean
+.PHONY: all build test check ci smoke shard-smoke recover-smoke chaos-smoke scrub-smoke soak-smoke soak-snapshot fastpath-smoke bench-smoke bench-diff experiments bench-json clean
 
 all: build
 
@@ -21,16 +21,15 @@ check: build test
 # the committed trajectory in warn mode — CI runners are too noisy
 # for a hard perf gate, but a broken bench or a failed built-in
 # metric assertion still fails the job via the bench exit code).
-ci: build test par-smoke recover-smoke chaos-smoke scrub-smoke soak-smoke fastpath-smoke bench-smoke
+ci: build test recover-smoke chaos-smoke scrub-smoke soak-smoke fastpath-smoke bench-smoke
 
-# Reduced-size bench pass over the core, parallel, fastpath and sim
-# groups with metric assertions active, written to a scratch JSON and
-# diffed against the committed BENCH_core.json in warn-only mode.
+# Reduced-size bench pass over the core, fastpath and sim groups with
+# metric assertions active, written to a scratch JSON and diffed
+# against the committed BENCH_core.json in warn-only mode.
 bench-smoke: build
 	$(DUNE) build bench/main.exe
-	$(DUNE) exec bench/main.exe -- --quick --only core --only parallel \
-	  --only fastpath --only sim --domains 1 --domains 2 \
-	  --json /tmp/bench-smoke.json \
+	$(DUNE) exec bench/main.exe -- --quick --only core --only fastpath \
+	  --only sim --json /tmp/bench-smoke.json \
 	  --compare BENCH_core.json --compare-warn
 
 # Hard perf gate for local use: re-run the core group at full size
@@ -53,15 +52,6 @@ smoke: build
 shard-smoke: build
 	$(DUNE) exec bin/mmc_cli.exe -- shard --shards 4 --ops 10 \
 	  --cross 0.2 --seed 3
-
-# Multicore smoke: the sharded run again with the verification phase
-# fanned out over a 2-domain pool — parallel verification may change
-# latency, never a verdict, so the exit code contract is identical.
-par-smoke: build
-	$(DUNE) exec bin/mmc_cli.exe -- shard --shards 4 --ops 10 \
-	  --cross 0.2 --domains 2 --seed 3
-	$(DUNE) exec bin/mmc_cli.exe -- faults --store msc \
-	  --plan 'drop=0.2,part=100:300:0' --ops 8 --domains 2 --seed 2
 
 # Crash-recovery smoke: wipe-crash the initial sequencer and a
 # follower (the default `mmc recover` plan), under both broadcasts;
@@ -166,19 +156,15 @@ experiments: build
 	$(DUNE) exec bin/mmc_cli.exe -- experiments all --quick
 
 # Perf-trajectory snapshot: the large-history checker kernels, the
-# sharded-store group and the parallel-verification group (closure +
-# per-shard checks at 1/2/4 worker domains), written as
-# machine-readable JSON (name -> ns/run, plus shard metrics and
-# wall-clock parallel speedups), plus the recovery group's wall-ms
-# run/verify costs and replay volumes.  The file also carries the
-# pre-packed-relation baseline numbers for comparison.  Parallel
-# speedups depend on physical cores; re-run on the host you care
-# about.
+# sharded-store, fastpath, stream and chaos groups, written as
+# machine-readable JSON (name -> ns/run, plus each group's metrics),
+# plus the recovery group's wall-ms run/verify costs and replay
+# volumes.  The file also carries the pre-packed-relation baseline
+# numbers for comparison.
 bench-json: build
 	$(DUNE) exec bench/main.exe -- --only core --only shard \
 	  --only fastpath --only stream --only recovery --only chaos \
-	  --only parallel \
-	  --domains 1 --domains 2 --domains 4 --json BENCH_core.json
+	  --json BENCH_core.json
 
 clean:
 	$(DUNE) clean

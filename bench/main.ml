@@ -35,13 +35,8 @@
                    and 4096 events queued, and a WAL scrub pass over
                    80 frames, every frame read vs an unchanged repeat
 
-     parallel/*    multicore verification: row-blocked parallel
-                   closure / Theorem-7 at n in {400,600} and the
-                   per-shard fan-out at S = 8, one -dD variant per
-                   --domains value; with --json also records
-                   wall-clock speedup-vs-domains metrics
 
-   Usage: main.exe [--only GROUP]... [--json FILE] [--seed S] [--domains D]...
+   Usage: main.exe [--only GROUP]... [--json FILE] [--seed S]
                    [--compare OLD.json] [--compare-warn] [--quick]
      --only GROUP   run the named group(s) only (repeatable, e.g.
                     `--only core --only shard`), skip the experiment
@@ -51,8 +46,6 @@
                     PRs (BENCH_core.json at the repo root)
      --seed S       base PRNG seed for every generated input (default 1,
                     which reproduces the recorded BENCH_core.json runs)
-     --domains D    domain count for the `parallel` group (repeatable;
-                    default 1 2 4), each D becomes a -dD test variant
      --compare OLD  diff this run against a previously recorded JSON
                     trajectory: print old/new/ratio for every key in
                     both, and exit 3 if any `mmc/core/*` estimate
@@ -68,22 +61,21 @@ open Bechamel
 open Toolkit
 open Mmc_core
 
-(* --- command line (parsed before the inputs: the generator seeds and
-   the parallel group's domain counts depend on it) --- *)
+(* --- command line (parsed before the inputs: the generator seeds
+   depend on it) --- *)
 
 let group_names =
   [ "T1"; "T2"; "T7"; "core"; "protocol"; "P4"; "P5"; "figures"; "shard";
-    "fastpath"; "stream"; "recovery"; "chaos"; "sim"; "parallel" ]
+    "fastpath"; "stream"; "recovery"; "chaos"; "sim" ]
 
-let only, json_file, cli_seed, cli_domains, compare_file, compare_warn, cli_quick
-    =
+let only, json_file, cli_seed, compare_file, compare_warn, cli_quick =
   let only = ref [] and json = ref None in
-  let seed = ref 1 and domains = ref [] in
+  let seed = ref 1 in
   let compare_file = ref None and compare_warn = ref false in
   let quick = ref false in
   let usage code =
     Fmt.epr
-      "usage: %s [--only GROUP]... [--json FILE] [--seed S] [--domains D]... \
+      "usage: %s [--only GROUP]... [--json FILE] [--seed S] \
        [--compare OLD.json] [--compare-warn] [--quick]@.  \
        groups: %s@."
       Sys.argv.(0)
@@ -112,14 +104,6 @@ let only, json_file, cli_seed, cli_domains, compare_file, compare_warn, cli_quic
     | "--seed" :: s :: rest ->
       seed := int_arg "--seed" s;
       parse rest
-    | "--domains" :: d :: rest ->
-      let d = int_arg "--domains" d in
-      if d < 0 then begin
-        Fmt.epr "--domains must be >= 0@.";
-        usage 2
-      end;
-      domains := !domains @ [ d ];
-      parse rest
     | "--compare" :: f :: rest ->
       compare_file := Some f;
       parse rest
@@ -138,14 +122,13 @@ let only, json_file, cli_seed, cli_domains, compare_file, compare_warn, cli_quic
   ( !only,
     !json,
     !seed,
-    (match !domains with [] -> [ 1; 2; 4 ] | ds -> ds),
     !compare_file,
     !compare_warn,
     !quick )
 
-(* Assertions the metric passes make about this run (the parallel-
-   overhead guard, batched-vs-unbatched verdict equality, the arena
-   allocation win): collected here, reported and turned into a
+(* Assertions the metric passes make about this run (chain-vs-dense
+   verdict equality, batched-vs-unbatched verdict equality, the
+   flat-memory ceiling): collected here, reported and turned into a
    non-zero exit at the end so one failure doesn't hide the rest. *)
 let hard_failures : string list ref = ref []
 
@@ -285,37 +268,9 @@ let bench_core =
          ])
        core_inputs)
 
-(* Allocation bill of the top closure kernel, with and without the
-   relation arena, recorded with --json when the core group runs.  The
-   arena replaces the per-call copy (n*ws words, the dominant
-   allocation) with a free-list hit, so steady-state bytes/call must
-   drop by at least 2x — asserted on the full-size run, where the
-   closure copy dwarfs the constant-size result record. *)
+(* Chain-vs-dense metrics of the core group, recorded with --json. *)
 let core_metrics () =
   let n, h, links, base = core_top in
-  let reps = if cli_quick then 10 else 40 in
-  let bytes_per_call f =
-    f ();
-    (* warm-up: fills the arena free list / triggers any lazy init *)
-    let a0 = Gc.allocated_bytes () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Gc.allocated_bytes () -. a0) /. float_of_int reps
-  in
-  let plain = bytes_per_call (fun () -> ignore (Relation.transitive_closure base)) in
-  let arena = Relation.Arena.create () in
-  let arenaed =
-    bytes_per_call (fun () ->
-        let c = Relation.transitive_closure ~arena base in
-        Relation.recycle arena c)
-  in
-  let ratio = plain /. Float.max 1. arenaed in
-  if (not cli_quick) && ratio < 2. then
-    fail_check
-      "closure-%d: arena reduces allocation only %.2fx (plain %.0f B/call, \
-       arena %.0f B/call); the >= 2x claim does not hold"
-      n ratio plain arenaed;
   (* The chain check must reach the dense verdict on every core input,
      and beat it >= 10x at n = 400 (the full-size run only: the quick
      sizes are too small for the asymptotics to show). *)
@@ -357,12 +312,7 @@ let core_metrics () =
       "theorem7-chain-%d: %.2fx faster than theorem7-ww-%d (%.3f vs %.3f ms); \
        the >= 10x target does not hold"
       n speedup n chain_ms dense_ms;
-  [
-    (Fmt.str "metrics/core/closure-%d/alloc-bytes-plain" n, plain);
-    (Fmt.str "metrics/core/closure-%d/alloc-bytes-arena" n, arenaed);
-    (Fmt.str "metrics/core/closure-%d/alloc-reduction" n, ratio);
-    (Fmt.str "metrics/core/theorem7-chain-%d/speedup" n, speedup);
-  ]
+  [ (Fmt.str "metrics/core/theorem7-chain-%d/speedup" n, speedup) ]
 
 let bench_t7 =
   Test.make ~name:"T7-corpus"
@@ -1153,208 +1103,6 @@ let bench_sim =
           (Staged.stage (fun () -> ignore (Mmc_recovery.Wal.scrub sim_wal)));
       ])
 
-(* --- multicore verification: the `parallel` group --- *)
-
-(* One pool per requested --domains value, spawned once and reused by
-   every -dD test variant (the whole point of the pool: submissions
-   never spawn).  Joined explicitly before exit.  Lazy, so that only a
-   run of the `parallel` group spawns domains: idle domains still join
-   every minor collection's stop-the-world, which slows the
-   allocation-heavy kernels of every other group. *)
-let par_pools =
-  lazy
-    (let ds = List.sort_uniq compare cli_domains in
-     let pools =
-       List.map (fun d -> (d, Mmc_parallel.Pool.create ~num_domains:d)) ds
-     in
-     at_exit (fun () ->
-         List.iter (fun (_, p) -> Mmc_parallel.Pool.shutdown p) pools);
-     pools)
-
-(* The parallel group's closure / Theorem-7 input, one size up from
-   the core group: at n = 600 the closure is ~3.4x the n = 400 one,
-   enough work for the per-pivot barrier to amortize. *)
-let par600 =
-  let h = consistent 600 ((600 * 7) + soff) in
-  let base = ww_base h in
-  (h, base)
-
-let shard8 = List.assoc 8 shard_inputs
-
-(* Speedup-vs-domains variants of the three kernels the tentpole
-   targets: the row-blocked Warshall closure (with the Theorem-7
-   check on top of it) and the per-shard fan-out of the sharded
-   verifier (S = 8 sub-histories of the n = 600 trace, the batch
-   oracle skipped so only the decomposed pipeline is measured).
-   -d1 uses a 1-worker pool and must stay within noise of the
-   sequential `core`/`shard` numbers. *)
-let bench_parallel () =
-  let h600, base600 = par600 in
-  let top, h400, _, b400 = core_top in
-  Test.make_grouped ~name:"parallel"
-    (List.concat_map
-       (fun (d, pool) ->
-         [
-           Test.make
-             ~name:(Fmt.str "closure-%d-d%d" top d)
-             (Staged.stage (fun () ->
-                  ignore (Relation.transitive_closure ~pool b400)));
-           Test.make
-             ~name:(Fmt.str "closure-600-d%d" d)
-             (Staged.stage (fun () ->
-                  ignore (Relation.transitive_closure ~pool base600)));
-           Test.make
-             ~name:(Fmt.str "theorem7-ww-%d-d%d" top d)
-             (Staged.stage (fun () ->
-                  ignore
-                    (Check_constrained.check_relation ~pool h400 b400
-                       Constraints.WW)));
-           Test.make
-             ~name:(Fmt.str "theorem7-ww-600-d%d" d)
-             (Staged.stage (fun () ->
-                  ignore
-                    (Check_constrained.check_relation ~pool h600 base600
-                       Constraints.WW)));
-           Test.make
-             ~name:(Fmt.str "verify-S8-d%d" d)
-             (Staged.stage (fun () ->
-                  ignore
-                    (Mmc_shard.Check_sharded.check_shards ~pool
-                       shard8.Mmc_shard.Shard_runner.recorders
-                       ~flavour:History.Msc)));
-           Test.make
-             ~name:(Fmt.str "check-S8-d%d" d)
-             (Staged.stage (fun () ->
-                  ignore
-                    (Mmc_shard.Shard_runner.check ~pool ~oracle:false shard8
-                       ~flavour:History.Msc)));
-         ])
-       (Lazy.force par_pools))
-
-(* Wall-clock speedup-vs-domains metrics (ratio of the sequential
-   mean over the D-domain mean on the same input), recorded when the
-   parallel group runs with --json.  Wall clock, not [Sys.time]: CPU
-   time sums over domains and would hide any parallel win. *)
-let parallel_metrics () =
-  let par_pools = Lazy.force par_pools in
-  let wall_ms repeats f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to repeats do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1_000. /. float_of_int repeats
-  in
-  let reps = if cli_quick then 5 else 20 in
-  (* Calibrate the parallel cutover on the largest pool before timing
-     anything: the speedup kernels below then run under the installed
-     threshold, exactly as a calibrated production run would.  -1 in
-     the JSON means max_int — the parallel path never wins here. *)
-  let big_pool = List.fold_left (fun _acc (_, p) -> Some p) None par_pools in
-  let cutover =
-    match big_pool with
-    | None -> max_int
-    | Some pool ->
-      if cli_quick then begin
-        let c =
-          Mmc_parallel.Par_closure.calibrate ~sizes:[ 64; 96; 128 ] ~pool ()
-        in
-        Relation.set_par_cutover c;
-        c
-      end
-      else Relation.calibrate ~pool ()
-  in
-  Fmt.pr "parallel: calibrated cutover = %s@."
-    (if cutover = max_int then "max_int (parallel never wins)"
-     else string_of_int cutover);
-  let _, base600 = par600 in
-  (* Wave count of one forced parallel closure: the chunked scheme
-     synchronizes twice per 32-pivot chunk, so the counter delta pins
-     the O(n / chunk) claim (2 * ceil(n/32) waves; 0 when the pool has
-     a single worker and the run degrades to sequential). *)
-  let waves_metric =
-    match big_pool with
-    | None -> []
-    | Some pool ->
-      Mmc_parallel.Par_closure.reset_waves ();
-      ignore (Relation.transitive_closure ~pool ~cutover:1 base600);
-      [
-        ( "metrics/parallel/closure-600/waves",
-          float_of_int (Mmc_parallel.Par_closure.waves ()) );
-      ]
-  in
-  (* Parallel-overhead guard on the top core closure: with the pivot
-     chunking, a multi-worker closure of a matrix this size must stay
-     within 1.5x of the 1-worker wall time even where parallelism does
-     not pay.  The cutover is forced to 1 so the parallel path really
-     runs.  On boxes without enough cores the guard only logs. *)
-  let n_top, _, _, b_top = core_top in
-  let seq_ms_top =
-    wall_ms reps (fun () -> ignore (Relation.transitive_closure b_top))
-  in
-  let guard_metrics =
-    List.concat_map
-      (fun (d, pool) ->
-        if d < 2 then []
-        else begin
-          let ms =
-            wall_ms reps (fun () ->
-                ignore (Relation.transitive_closure ~pool ~cutover:1 b_top))
-          in
-          let ratio = ms /. Float.max 1e-9 seq_ms_top in
-          if ratio > 1.5 then begin
-            if Domain.recommended_domain_count () >= 4 then
-              fail_check
-                "closure-%d: %d-domain parallel closure is %.2fx the \
-                 sequential wall time (limit 1.5x)"
-                n_top d ratio
-            else
-              Fmt.pr
-                "closure-%d: d%d/seq ratio %.2f exceeds 1.5 (log only: %d \
-                 recommended domains)@."
-                n_top d ratio
-                (Domain.recommended_domain_count ())
-          end;
-          [
-            (Fmt.str "metrics/parallel/closure-%d/ms-d%d-forced" n_top d, ms);
-            (Fmt.str "metrics/parallel/closure-%d/overhead-d%d" n_top d, ratio);
-          ]
-        end)
-      par_pools
-  in
-  let kernels =
-    [
-      ( "closure-600",
-        reps,
-        fun pool ->
-          ignore (Relation.transitive_closure ?pool base600) );
-      ( "verify-S8",
-        reps,
-        fun pool ->
-          ignore
-            (Mmc_shard.Check_sharded.check_shards ?pool
-               shard8.Mmc_shard.Shard_runner.recorders ~flavour:History.Msc) );
-    ]
-  in
-  ( "metrics/parallel/calibrated-cutover",
-    if cutover = max_int then -1. else float_of_int cutover )
-  :: waves_metric
-  @ (Fmt.str "metrics/parallel/closure-%d/ms-seq-top" n_top, seq_ms_top)
-     :: guard_metrics
-  @ List.concat_map
-      (fun (name, repeats, kernel) ->
-        let seq_ms = wall_ms repeats (fun () -> kernel None) in
-        (Fmt.str "metrics/parallel/%s/ms-seq" name, seq_ms)
-        :: List.concat_map
-             (fun (d, pool) ->
-               let ms = wall_ms repeats (fun () -> kernel (Some pool)) in
-               [
-                 (Fmt.str "metrics/parallel/%s/ms-d%d" name d, ms);
-                 (Fmt.str "metrics/parallel/%s/speedup-d%d" name d, seq_ms /. ms);
-               ])
-             par_pools)
-      kernels
-
-(* Every group but `parallel`, which runs last (see [benchmark]). *)
 let groups =
   [
     ("T1", bench_t1);
@@ -1394,10 +1142,6 @@ let benchmark () =
          (fun (g, t) -> if selected g then Some t else None)
          groups)
   in
-  (* The `parallel` group spawns its pools' domains, so it runs after
-     every other group has been measured without them. *)
-  if selected "parallel" then
-    Hashtbl.iter (Hashtbl.replace raw) (run [ bench_parallel () ]);
   let results = List.map (fun i -> Analyze.all ols i raw) instances in
   Analyze.merge ols instances results
 
@@ -1416,23 +1160,19 @@ let baselines =
     ("baseline/byte-matrix/closure-400", 46_486_143.);
   ]
 
-(* the shard / core / parallel metrics ride along whenever their
-   group ran; computed once, shared by --json and --compare *)
+(* each group's metrics ride along whenever the group ran; computed
+   once, shared by --json and --compare *)
 let collect_metrics () =
-  let serial =
-    List.concat_map
-      (fun (g, metrics) -> if selected g then metrics () else [])
-      [
-        ("core", core_metrics);
-        ("shard", shard_metrics);
-        ("fastpath", fastpath_metrics);
-        ("stream", stream_metrics);
-        ("recovery", recovery_metrics);
-        ("chaos", chaos_metrics);
-      ]
-  in
-  (* last, for the same reason the `parallel` group runs last *)
-  serial @ if selected "parallel" then parallel_metrics () else []
+  List.concat_map
+    (fun (g, metrics) -> if selected g then metrics () else [])
+    [
+      ("core", core_metrics);
+      ("shard", shard_metrics);
+      ("fastpath", fastpath_metrics);
+      ("stream", stream_metrics);
+      ("recovery", recovery_metrics);
+      ("chaos", chaos_metrics);
+    ]
 
 let write_json file entries =
   let oc = open_out file in

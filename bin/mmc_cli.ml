@@ -93,31 +93,6 @@ let latency_conv =
 let seed =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
-let domains =
-  let nonneg =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok d when d >= 0 -> Ok d
-      | Ok d -> Error (`Msg (Fmt.str "--domains must be >= 0, got %d" d))
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Fmt.int)
-  in
-  Arg.(
-    value & opt nonneg 0
-    & info [ "j"; "domains" ] ~docv:"D"
-        ~doc:
-          "Worker domains for the verification phase: per-shard checks fan \
-           out over $(docv) domains and large closures are row-blocked \
-           across them.  0 (the default) keeps verification sequential.")
-
-(* Build a pool for [--domains D], run the verification continuation,
-   and always join the worker domains before exiting. *)
-let with_domains domains f =
-  if domains = 0 then f None
-  else
-    Mmc_parallel.Pool.with_pool ~num_domains:domains (fun pool -> f (Some pool))
-
 (* --batch / --flush-every / --fanout: broadcast-layer batching and
    tree dissemination, shared by every command that runs a store. *)
 let batch_term =
@@ -1183,7 +1158,7 @@ let pp_detector_stats ppf (s : Mmc_sim.Detector.stats) =
     s.Mmc_sim.Detector.refutations s.Mmc_sim.Detector.doubts
 
 let faults kind procs objects ops abcast latency seed batch fastpath plan rto
-    max_rto max_retries save domains =
+    max_rto max_retries save =
   (* the converter validates the plan in isolation; node ids can only
      be range-checked against --procs here *)
   (try Mmc_sim.Fault.validate ~n:procs plan
@@ -1244,10 +1219,7 @@ let faults kind procs objects ops abcast latency seed batch fastpath plan rto
       History.Msc
     | _ -> History.Mlin
   in
-  (match
-     with_domains domains (fun pool ->
-         Mmc_store.Runner.check_trace ?pool res ~flavour)
-   with
+  (match Mmc_store.Runner.check_trace res ~flavour with
   | Check_constrained.Admissible _ ->
     Fmt.pr "check           %a (Theorem 7, WW): PASS@." History.pp_flavour
       flavour;
@@ -1321,7 +1293,7 @@ let faults_cmd =
     Term.(
       const faults $ kind $ procs $ objects $ ops $ abcast $ latency $ seed
       $ batch_term $ fastpath_term $ plan $ rto_arg "faults" $ max_rto_arg
-      $ max_retries_arg $ save $ domains)
+      $ max_retries_arg $ save)
 
 (* --- recover --- *)
 
@@ -1354,7 +1326,7 @@ let counter_problems ~expected ~plan (res : Mmc_store.Runner.result) handle =
 
 let recover procs objects ops abcast latency seed batch plan checkpoint_every
     scrub_every crc json rto max_rto max_retries delivery heartbeat_every
-    suspect_after save domains =
+    suspect_after save =
   require_positive ~cmd:"recover"
     [
       ("--procs", procs);
@@ -1487,10 +1459,7 @@ let recover procs objects ops abcast latency seed batch plan checkpoint_every
     Fmt.pr "history saved   %s@." path
   | None -> ());
   let admissible =
-    match
-      with_domains domains (fun pool ->
-          Mmc_store.Runner.check_trace ?pool res ~flavour:History.Msc)
-    with
+    match Mmc_store.Runner.check_trace res ~flavour:History.Msc with
     | Check_constrained.Admissible _ ->
       Fmt.pr "check           msc (Theorem 7, WW): PASS@.";
       true
@@ -1628,7 +1597,7 @@ let recover_cmd =
       $ batch_term $ plan $ checkpoint_every $ scrub_arg $ crc_arg
       $ json_summary_arg $ rto_arg "recover" $ max_rto_arg
       $ max_retries_arg $ delivery_arg $ heartbeat_every_arg
-      $ suspect_after_arg $ save $ domains)
+      $ suspect_after_arg $ save)
 
 (* --- chaos --- *)
 
@@ -1656,7 +1625,7 @@ let pp_replay ~procs ~objects ~ops ~abcast ~latency ~batch ~delivery
   Fmt.pf ppf " --plan '%s'" (Mmc_sim.Fault.to_spec plan)
 
 let chaos procs objects ops abcast latency seed batch plans delivery
-    heartbeat_every suspect_after scrub_every crc json verbose domains =
+    heartbeat_every suspect_after scrub_every crc json verbose =
   require_positive ~cmd:"chaos"
     [
       ("--procs", procs);
@@ -1674,125 +1643,122 @@ let chaos procs objects ops abcast latency seed batch plans delivery
     pp_replay ~procs ~objects ~ops ~abcast ~latency ~batch ~delivery
       ~heartbeat_every ~suspect_after ~scrub_every ~crc
   in
-  with_domains domains (fun pool ->
-      for i = 0 to plans - 1 do
-        let run_seed = seed + i in
-        let plan =
-          Mmc_sim.Fault.fuzz ~rng:(Mmc_sim.Rng.create run_seed) ~n:procs
-        in
-        let cfg =
-          {
-            Mmc_store.Runner.default_config with
-            n_procs = procs;
-            n_objects = objects;
-            ops_per_proc = ops;
-            kind = Mmc_store.Store.Rmsc;
-            abcast_impl = abcast;
-            latency;
-            fault = plan;
-            delivery;
-            detector;
-            batch;
-            recovery =
-              { Mmc_recovery.Rlog.default_policy with scrub_every; crc };
-          }
-        in
-        match
-          Mmc_store.Runner.run ~seed:run_seed cfg
-            ~workload:(Mmc_workload.Generator.mixed spec)
-        with
-        | exception e ->
-          (* A run blowing up (e.g. the recorder detecting two writers
-             of one version) is divergence-grade evidence, not a
-             driver crash. *)
-          incr diverged;
-          incr failed;
-          Fmt.pr "seed %-6d FAIL  plan: %a@." run_seed Mmc_sim.Fault.pp_plan
-            plan;
-          Fmt.pr "            - run raised %s@." (Printexc.to_string e);
-          Fmt.pr "            replay: %a@." (pp_replay ~seed:run_seed) plan
-        | res ->
-        let handle =
-          match res.Mmc_store.Runner.recovery with
-          | Some h -> h
-          | None ->
-            Fmt.epr "mmc: chaos: internal error: no recovery handle@.";
-            exit 124
-        in
-        let logs = handle.Mmc_store.Rstore.log_stats () in
-        let sum f = Array.fold_left (fun acc s -> acc + f s) 0 logs in
-        torn := !torn + sum (fun s -> s.Mmc_recovery.Rlog.torn);
-        corrupt := !corrupt + sum (fun s -> s.Mmc_recovery.Rlog.corrupt);
-        silent := !silent + sum (fun s -> s.Mmc_recovery.Rlog.silent);
-        repaired := !repaired + sum (fun s -> s.Mmc_recovery.Rlog.repaired);
-        (match res.Mmc_store.Runner.fault with
-        | Some f ->
-          restarts :=
-            !restarts + (Mmc_sim.Fault.counts f).Mmc_sim.Fault.restarts
+  for i = 0 to plans - 1 do
+    let run_seed = seed + i in
+    let plan =
+      Mmc_sim.Fault.fuzz ~rng:(Mmc_sim.Rng.create run_seed) ~n:procs
+    in
+    let cfg =
+      {
+        Mmc_store.Runner.default_config with
+        n_procs = procs;
+        n_objects = objects;
+        ops_per_proc = ops;
+        kind = Mmc_store.Store.Rmsc;
+        abcast_impl = abcast;
+        latency;
+        fault = plan;
+        delivery;
+        detector;
+        batch;
+        recovery =
+          { Mmc_recovery.Rlog.default_policy with scrub_every; crc };
+      }
+    in
+    match
+      Mmc_store.Runner.run ~seed:run_seed cfg
+        ~workload:(Mmc_workload.Generator.mixed spec)
+    with
+    | exception e ->
+      (* A run blowing up (e.g. the recorder detecting two writers
+         of one version) is divergence-grade evidence, not a crash
+         of the chaos loop. *)
+      incr diverged;
+      incr failed;
+      Fmt.pr "seed %-6d FAIL  plan: %a@." run_seed Mmc_sim.Fault.pp_plan
+        plan;
+      Fmt.pr "            - run raised %s@." (Printexc.to_string e);
+      Fmt.pr "            replay: %a@." (pp_replay ~seed:run_seed) plan
+    | res ->
+    let handle =
+      match res.Mmc_store.Runner.recovery with
+      | Some h -> h
+      | None ->
+        Fmt.epr "mmc: chaos: internal error: no recovery handle@.";
+        exit 124
+    in
+    let logs = handle.Mmc_store.Rstore.log_stats () in
+    let sum f = Array.fold_left (fun acc s -> acc + f s) 0 logs in
+    torn := !torn + sum (fun s -> s.Mmc_recovery.Rlog.torn);
+    corrupt := !corrupt + sum (fun s -> s.Mmc_recovery.Rlog.corrupt);
+    silent := !silent + sum (fun s -> s.Mmc_recovery.Rlog.silent);
+    repaired := !repaired + sum (fun s -> s.Mmc_recovery.Rlog.repaired);
+    (match res.Mmc_store.Runner.fault with
+    | Some f ->
+      restarts :=
+        !restarts + (Mmc_sim.Fault.counts f).Mmc_sim.Fault.restarts
+    | None -> ());
+    let problems = ref [] in
+    let note fmt = Fmt.kstr (fun s -> problems := s :: !problems) fmt in
+    (* Oracle 1: every replica converged to identical state. *)
+    if not (handle.Mmc_store.Rstore.converged ()) then begin
+      incr diverged;
+      note "replicas DIVERGED"
+    end;
+    (* Oracle 2: the history stitched across crash epochs is
+       Theorem-7 admissible for m-sequential consistency. *)
+    (match Mmc_store.Runner.check_trace res ~flavour:History.Msc with
+    | Check_constrained.Admissible _ -> ()
+    | r ->
+      note "trace not admissible (%a)" Check_constrained.pp_result r);
+    (* Oracle 3: counter sanity. *)
+    List.iter (note "%s")
+      (counter_problems ~expected:(procs * ops) ~plan res handle);
+    if !problems <> [] then begin
+      incr failed;
+      Fmt.pr "seed %-6d FAIL  plan: %a@." run_seed Mmc_sim.Fault.pp_plan
+        plan;
+      List.iter (fun p -> Fmt.pr "            - %s@." p) (List.rev !problems);
+      Fmt.pr "            replay: %a@." (pp_replay ~seed:run_seed) plan;
+      if verbose then begin
+        Fmt.pr "            cursors: %a@."
+          Fmt.(array ~sep:sp int)
+          (handle.Mmc_store.Rstore.cursors ());
+        Fmt.pr "            broadcast: %a@." Mmc_broadcast.Rbcast.pp_stats
+          (handle.Mmc_store.Rstore.broadcast_stats ());
+        (match handle.Mmc_store.Rstore.detector_stats () with
+        | Some d -> Fmt.pr "            detector: %a@." pp_detector_stats d
         | None -> ());
-        let problems = ref [] in
-        let note fmt = Fmt.kstr (fun s -> problems := s :: !problems) fmt in
-        (* Oracle 1: every replica converged to identical state. *)
-        if not (handle.Mmc_store.Rstore.converged ()) then begin
-          incr diverged;
-          note "replicas DIVERGED"
-        end;
-        (* Oracle 2: the history stitched across crash epochs is
-           Theorem-7 admissible for m-sequential consistency. *)
-        (match
-           Mmc_store.Runner.check_trace ?pool res ~flavour:History.Msc
-         with
-        | Check_constrained.Admissible _ -> ()
-        | r ->
-          note "trace not admissible (%a)" Check_constrained.pp_result r);
-        (* Oracle 3: counter sanity. *)
-        List.iter (note "%s")
-          (counter_problems ~expected:(procs * ops) ~plan res handle);
-        if !problems <> [] then begin
-          incr failed;
-          Fmt.pr "seed %-6d FAIL  plan: %a@." run_seed Mmc_sim.Fault.pp_plan
-            plan;
-          List.iter (fun p -> Fmt.pr "            - %s@." p) (List.rev !problems);
-          Fmt.pr "            replay: %a@." (pp_replay ~seed:run_seed) plan;
-          if verbose then begin
-            Fmt.pr "            cursors: %a@."
-              Fmt.(array ~sep:sp int)
-              (handle.Mmc_store.Rstore.cursors ());
-            Fmt.pr "            broadcast: %a@." Mmc_broadcast.Rbcast.pp_stats
-              (handle.Mmc_store.Rstore.broadcast_stats ());
-            (match handle.Mmc_store.Rstore.detector_stats () with
-            | Some d -> Fmt.pr "            detector: %a@." pp_detector_stats d
-            | None -> ());
-            match res.Mmc_store.Runner.fault with
-            | None -> ()
-            | Some f ->
-              let c = Mmc_sim.Fault.counts f in
-              Fmt.pr
-                "            faults: dropped %d, retransmits %d, given up %d@."
-                (Mmc_sim.Fault.dropped f) c.Mmc_sim.Fault.retransmissions
-                c.Mmc_sim.Fault.abandoned
-          end
-        end
-        else if verbose then
-          Fmt.pr "seed %-6d ok    t=%-6d plan: %a@." run_seed
-            res.Mmc_store.Runner.duration Mmc_sim.Fault.pp_plan plan
-      done;
-      Fmt.pr "chaos           %d random plans (seeds %d..%d), %a delivery@."
-        plans seed
-        (seed + plans - 1)
-        Mmc_store.Rstore.pp_mode delivery;
-      Fmt.pr "storage         %d torn sectors, %d corrupt, %d silent, %d \
-              repaired (crc %s, scrub %s)@."
-        !torn !corrupt !silent !repaired
-        (if crc then "on" else "off")
-        (if scrub_every = 0 then "off" else string_of_int scrub_every);
-      Fmt.pr "failed          %d (%d diverged)@." !failed !diverged;
-      if json then
-        Fmt.pr
-          "{\"cmd\":\"chaos\",\"plans\":%d,\"seed\":%d,\"failed\":%d,\"diverged\":%d,\"converged\":%b,\"admissible\":%b,\"restarts\":%d,\"repaired\":%d,\"torn\":%d,\"corrupt\":%d,\"silent\":%d,\"crc\":%b,\"scrub\":%d}@."
-          plans seed !failed !diverged (!diverged = 0) (!failed = 0) !restarts
-          !repaired !torn !corrupt !silent crc scrub_every;
-      if !diverged > 0 then 2 else if !failed > 0 then 1 else 0)
+        match res.Mmc_store.Runner.fault with
+        | None -> ()
+        | Some f ->
+          let c = Mmc_sim.Fault.counts f in
+          Fmt.pr
+            "            faults: dropped %d, retransmits %d, given up %d@."
+            (Mmc_sim.Fault.dropped f) c.Mmc_sim.Fault.retransmissions
+            c.Mmc_sim.Fault.abandoned
+      end
+    end
+    else if verbose then
+      Fmt.pr "seed %-6d ok    t=%-6d plan: %a@." run_seed
+        res.Mmc_store.Runner.duration Mmc_sim.Fault.pp_plan plan
+  done;
+  Fmt.pr "chaos           %d random plans (seeds %d..%d), %a delivery@."
+    plans seed
+    (seed + plans - 1)
+    Mmc_store.Rstore.pp_mode delivery;
+  Fmt.pr "storage         %d torn sectors, %d corrupt, %d silent, %d \
+          repaired (crc %s, scrub %s)@."
+    !torn !corrupt !silent !repaired
+    (if crc then "on" else "off")
+    (if scrub_every = 0 then "off" else string_of_int scrub_every);
+  Fmt.pr "failed          %d (%d diverged)@." !failed !diverged;
+  if json then
+    Fmt.pr
+      "{\"cmd\":\"chaos\",\"plans\":%d,\"seed\":%d,\"failed\":%d,\"diverged\":%d,\"converged\":%b,\"admissible\":%b,\"restarts\":%d,\"repaired\":%d,\"torn\":%d,\"corrupt\":%d,\"silent\":%d,\"crc\":%b,\"scrub\":%d}@."
+      plans seed !failed !diverged (!diverged = 0) (!failed = 0) !restarts
+      !repaired !torn !corrupt !silent crc scrub_every;
+  if !diverged > 0 then 2 else if !failed > 0 then 1 else 0
 
 let chaos_cmd =
   let procs =
@@ -1872,8 +1838,7 @@ let chaos_cmd =
     Term.(
       const chaos $ procs $ objects $ ops $ abcast $ latency $ seed
       $ batch_term $ plans $ delivery_arg $ heartbeat_every_arg
-      $ suspect_after_arg $ scrub_arg $ crc_arg $ json_summary_arg $ verbose
-      $ domains)
+      $ suspect_after_arg $ scrub_arg $ crc_arg $ json_summary_arg $ verbose)
 
 (* --- shard --- *)
 
@@ -1890,7 +1855,7 @@ let placement_conv =
   Arg.conv (parse, pp)
 
 let shard n_shards kind procs objects ops cross read_ratio skew abcast latency
-    seed batch fastpath commute_ratio plan placement save domains =
+    seed batch fastpath commute_ratio plan placement save =
   require_positive ~cmd:"shard"
     [
       ("--shards", n_shards);
@@ -2002,9 +1967,7 @@ let shard n_shards kind procs objects ops cross read_ratio skew abcast latency
       History.Msc
     | _ -> History.Mlin
   in
-  let v =
-    with_domains domains (fun pool -> Shard_runner.check ?pool res ~flavour)
-  in
+  let v = Shard_runner.check res ~flavour in
   Fmt.pr "%a@." Check_sharded.pp v;
   if not v.Check_sharded.agree then 2
   else if Check_sharded.admissible v then 0
@@ -2113,7 +2076,7 @@ let shard_cmd =
     Term.(
       const shard $ n_shards $ kind $ procs $ objects $ ops $ cross
       $ read_ratio $ skew $ abcast $ latency $ seed $ batch_term
-      $ fastpath_term $ commute_ratio $ plan $ placement $ save $ domains)
+      $ fastpath_term $ commute_ratio $ plan $ placement $ save)
 
 (* --- experiments --- *)
 

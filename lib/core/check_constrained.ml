@@ -39,7 +39,7 @@ let pp_result ppf = function
     via {!Relation.add_edge_closed} as a trace grows. *)
 exception Violation of Legality.triple
 
-let check_closed ?arena h closed kind =
+let check_closed h closed kind =
   if not (Relation.is_irreflexive closed) then Cyclic
   else if not (Constraints.satisfies h closed kind) then Constraint_violated
   else begin
@@ -63,20 +63,15 @@ let check_closed ?arena h closed kind =
     with
     | exception Violation t -> Not_legal t
     | fresh ->
-      let ext = Relation.closure_with ?arena closed fresh in
+      let ext = Relation.closure_with closed fresh in
       (* [ext] is transitively closed, so the witness order is read
          off row cardinalities instead of a Kahn sort.  Witness
          validity (Theorem 7 / Lemma 5) is exercised by the test
          suite's [Sequential.validate] properties, not re-checked on
          every call. *)
-      let verdict =
-        match Relation.topo_sort_closed ext with
-        | None -> Extended_cyclic
-        | Some order -> Admissible order
-      in
-      (* The witness is a bare permutation: [ext] is dead here. *)
-      Option.iter (fun a -> Relation.recycle a ext) arena;
-      verdict
+      match Relation.topo_sort_closed ext with
+      | None -> Extended_cyclic
+      | Some order -> Admissible order
   end
 
 (** [check_relation h base kind] — decide admissibility of [h] with
@@ -85,16 +80,13 @@ let check_closed ?arena h closed kind =
     not trusted.  Used directly when the synchronization order (e.g.
     the atomic-broadcast order) is supplied as extra edges beyond a
     standard flavour. *)
-let check_relation ?pool ?arena h base kind =
-  let closed = Relation.transitive_closure ?pool ?arena base in
-  let verdict = check_closed ?arena h closed kind in
-  Option.iter (fun a -> Relation.recycle a closed) arena;
-  verdict
+let check_relation h base kind =
+  check_closed h (Relation.transitive_closure base) kind
 
 (** [check h flavour kind] — {!check_relation} over the base relation
     of the given consistency condition. *)
-let check ?pool ?arena h flavour kind =
-  check_relation ?pool ?arena h (History.base_relation h flavour) kind
+let check h flavour kind =
+  check_relation h (History.base_relation h flavour) kind
 
 (* --- chain-decomposed check --------------------------------------------
 
@@ -437,10 +429,7 @@ let check_chain ?arena h ~flavour ~extra kind =
 module Incremental = struct
   type t = { closed : Relation.t }
 
-  let create ?arena n =
-    match arena with
-    | None -> { closed = Relation.create n }
-    | Some a -> { closed = Relation.create_in a n }
+  let create n = { closed = Relation.create n }
 
   let add_edge t i j = Relation.add_edge_closed t.closed i j
 
@@ -451,7 +440,5 @@ module Incremental = struct
 
   let is_acyclic t = Relation.is_irreflexive t.closed
 
-  (* [t.closed] stays owned by [t]; only the extension intermediate
-     goes through the arena. *)
-  let check ?arena t h kind = check_closed ?arena h t.closed kind
+  let check t h kind = check_closed h t.closed kind
 end

@@ -18,43 +18,18 @@ val pp_result : Format.formatter -> result -> unit
 (** [check_closed h closed kind] — like {!check_relation} over an
     already transitively closed relation; a cyclic [~H] is recognized
     by reflexive entries of the closure.  Entry point for callers that
-    maintain the closure themselves (e.g. {!Incremental}).  With
-    [~arena] the [~rw]-extension intermediate is acquired from and
-    recycled into the arena ({!Relation.Arena}); [closed] itself is
-    never recycled. *)
-val check_closed :
-  ?arena:Relation.Arena.arena ->
-  History.t ->
-  Relation.t ->
-  Constraints.kind ->
-  result
+    maintain the closure themselves (e.g. {!Incremental}). *)
+val check_closed : History.t -> Relation.t -> Constraints.kind -> result
 
 (** [check_relation h base kind] — decide admissibility with respect to
     the (not necessarily closed) relation [base], verifying constraint
     [kind] first.  Use when the synchronization order (e.g. the atomic
-    broadcast order) is supplied as extra edges.  [~pool] parallelizes
-    the up-front Warshall closure ({!Relation.transitive_closure});
-    the verdict is identical with or without it.  [~arena] recycles
-    the closure intermediates (both the closed copy and the
-    [~rw]-extension), cutting the check's allocations to near zero
-    after warm-up. *)
-val check_relation :
-  ?pool:Mmc_parallel.Pool.t ->
-  ?arena:Relation.Arena.arena ->
-  History.t ->
-  Relation.t ->
-  Constraints.kind ->
-  result
+    broadcast order) is supplied as extra edges. *)
+val check_relation : History.t -> Relation.t -> Constraints.kind -> result
 
 (** [check h flavour kind] — over the base relation of the given
     consistency condition. *)
-val check :
-  ?pool:Mmc_parallel.Pool.t ->
-  ?arena:Relation.Arena.arena ->
-  History.t ->
-  History.flavour ->
-  Constraints.kind ->
-  result
+val check : History.t -> History.flavour -> Constraints.kind -> result
 
 (** [check_chain h ~flavour ~extra kind] — the same verdict as
     {!check_relation} over [flavour]'s base relation plus the [extra]
@@ -68,8 +43,7 @@ val check :
     that follows the reads-from source in the object's writer chain.
     With [~arena] the frontier and sort tables come from the arena's
     scratch lists and go back before returning.  No state outlives
-    the call, so distinct histories may be checked on distinct
-    domains. *)
+    the call. *)
 val check_chain :
   ?arena:Relation.Arena.arena ->
   History.t ->
@@ -85,12 +59,8 @@ val check_chain :
 module Incremental : sig
   type t
 
-  (** [create n] — empty (closed) relation over [0 .. n-1].  With
-      [~arena] the backing words come from (and can go back to, via
-      {!Relation.recycle} on the {!relation}) the arena's free lists —
-      how the windowed streaming checker keeps one epoch-sized
-      relation resident instead of a trace-sized one. *)
-  val create : ?arena:Relation.Arena.arena -> int -> t
+  (** [create n] — empty (closed) relation over [0 .. n-1]. *)
+  val create : int -> t
 
   val add_edge : t -> int -> int -> unit
   val add_edges : t -> (int * int) list -> unit
@@ -100,8 +70,6 @@ module Incremental : sig
 
   val is_acyclic : t -> bool
 
-  (** {!check_closed} on the maintained closure (which stays owned by
-      [t] — only the extension intermediate goes through [~arena]). *)
-  val check :
-    ?arena:Relation.Arena.arena -> t -> History.t -> Constraints.kind -> result
+  (** {!check_closed} on the maintained closure. *)
+  val check : t -> History.t -> Constraints.kind -> result
 end

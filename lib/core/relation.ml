@@ -117,7 +117,7 @@ let subset a b =
   !ok
 
 let equal a b =
-  if a.n <> b.n then invalid_arg "Relation.subset: size mismatch";
+  if a.n <> b.n then invalid_arg "Relation.equal: size mismatch";
   a.bits = b.bits
 
 (* Call [f] on every set bit of row [i]; allocation-free, skips empty
@@ -180,36 +180,11 @@ let predecessors t j =
   iter_predecessors t j (fun i -> acc := i :: !acc);
   List.rev !acc
 
-(* Below this size the sequential closure wins even with domains to
-   spare: one pivot chunk's stolen work is a handful of row blocks,
-   less than two barrier rendezvous.  [par_cutover] is the historical
-   default (benchmarked around n = 128, see DESIGN.md par.11); the
-   effective threshold is mutable so {!calibrate} can replace the
-   guess with a measurement on the running machine. *)
-let par_cutover = 128
-
-let effective_cutover = ref par_cutover
-
-let current_cutover () = !effective_cutover
-
-let set_par_cutover n =
-  if n < 1 then invalid_arg "Relation.set_par_cutover: cutover must be >= 1";
-  effective_cutover := n
-
-let calibrate ~pool () =
-  let c = Mmc_parallel.Par_closure.calibrate ~pool () in
-  effective_cutover := c;
-  c
-
-(** Reusable word-array scratch for closure intermediates.  The
-    checkers copy a relation per closure (and per [closure_with]);
-    those copies die immediately after the verdict, so an arena keeps
-    free lists of word arrays keyed by length: [acquire] pops and
-    blits instead of allocating, {!recycle} pushes a dead relation's
-    words back.  Single-domain only — callers that fan a check out
-    over a pool keep the arena on the submitting domain (the pool
-    workers only write {e into} an already-acquired array, which is
-    fine). *)
+(** Reusable word-array scratch for the sparse checkers' per-call
+    tables ({!Check_constrained.check_chain}, {!Digraph}, the windowed
+    checker): those tables die when the call returns, so an arena keeps
+    free lists of word arrays keyed by length — [scratch] pops instead
+    of allocating, [release] pushes back.  Single-domain only. *)
 module Arena = struct
   type arena = {
     free : (int, int array Stack.t) Hashtbl.t;
@@ -281,93 +256,62 @@ module Arena = struct
     words
 end
 
-(* Arena-aware empty relation: the acquired words are recycled, so
-   they must be cleared before use. *)
-let create_in arena n =
-  if n < 0 then invalid_arg "Relation.create_in: negative size";
-  let ws = (n + bpw - 1) / bpw in
-  let bits = Arena.acquire arena (n * ws) in
-  Array.fill bits 0 (Array.length bits) 0;
-  { n; ws; bits }
-
-(* Arena-aware copy: the blit covers the full acquired length (free
-   lists are keyed by exact length), so stale bits never leak. *)
-let copy_via arena t =
-  match arena with
-  | None -> copy t
-  | Some a ->
-    let len = Array.length t.bits in
-    let words = Arena.acquire a len in
-    Array.blit t.bits 0 words 0 len;
-    { t with bits = words }
-
-let recycle a t = Arena.release a t.bits
-
 (* In-place Warshall transitive closure; the inner loop is a word-wise
    row OR, so the whole closure costs O(n^2 . n/63) word operations.
-   With [~pool] (and at least [cutover] nodes — default the calibrated
-   {!current_cutover}) the pivots go through the chunked work-stealing
-   scheme ({!Mmc_parallel.Par_closure}); the result is bit-for-bit the
-   sequential closure.  Sequentially, wide matrices (rows over 16
-   words, i.e. n > ~1000) are processed in 16-word column tiles so the
-   pivot row's tile stays cache-hot across the whole row sweep; the
-   absorption bit is fixed within a pivot, so tiling reorders only the
-   word writes, never the result. *)
+   Wide matrices (rows over 16 words, i.e. n > ~1000) are processed in
+   16-word column tiles so the pivot row's tile stays cache-hot across
+   the whole row sweep; the absorption bit is fixed within a pivot, so
+   tiling reorders only the word writes, never the result. *)
 let seq_closure_tile = 16
 
-let transitive_closure_inplace ?pool ?cutover t =
-  let cutover = match cutover with Some c -> c | None -> !effective_cutover in
-  match pool with
-  | Some pool when Mmc_parallel.Pool.size pool > 1 && t.n >= cutover ->
-    Mmc_parallel.Par_closure.closure_inplace pool ~n:t.n ~ws:t.ws ~bpw t.bits
-  | _ ->
-    let n = t.n and ws = t.ws in
-    let bits = t.bits in
-    if ws <= seq_closure_tile then
-      for k = 0 to n - 1 do
-        let row_k = k * ws in
-        let kw = k / bpw and kb = k mod bpw in
+let transitive_closure_inplace t =
+  let n = t.n and ws = t.ws in
+  let bits = t.bits in
+  if ws <= seq_closure_tile then
+    for k = 0 to n - 1 do
+      let row_k = k * ws in
+      let kw = k / bpw and kb = k mod bpw in
+      for i = 0 to n - 1 do
+        if
+          i <> k
+          && (Array.unsafe_get bits ((i * ws) + kw) lsr kb) land 1 = 1
+        then begin
+          let row_i = i * ws in
+          for w = 0 to ws - 1 do
+            Array.unsafe_set bits (row_i + w)
+              (Array.unsafe_get bits (row_i + w)
+              lor Array.unsafe_get bits (row_k + w))
+          done
+        end
+      done
+    done
+  else
+    for k = 0 to n - 1 do
+      let row_k = k * ws in
+      let kw = k / bpw and kb = k mod bpw in
+      let w0 = ref 0 in
+      while !w0 < ws do
+        let w1 = min ws (!w0 + seq_closure_tile) in
         for i = 0 to n - 1 do
           if
             i <> k
             && (Array.unsafe_get bits ((i * ws) + kw) lsr kb) land 1 = 1
           then begin
             let row_i = i * ws in
-            for w = 0 to ws - 1 do
+            for w = !w0 to w1 - 1 do
               Array.unsafe_set bits (row_i + w)
                 (Array.unsafe_get bits (row_i + w)
                 lor Array.unsafe_get bits (row_k + w))
             done
           end
-        done
+        done;
+        w0 := w1
       done
-    else
-      for k = 0 to n - 1 do
-        let row_k = k * ws in
-        let kw = k / bpw and kb = k mod bpw in
-        let w0 = ref 0 in
-        while !w0 < ws do
-          let w1 = min ws (!w0 + seq_closure_tile) in
-          for i = 0 to n - 1 do
-            if
-              i <> k
-              && (Array.unsafe_get bits ((i * ws) + kw) lsr kb) land 1 = 1
-            then begin
-              let row_i = i * ws in
-              for w = !w0 to w1 - 1 do
-                Array.unsafe_set bits (row_i + w)
-                  (Array.unsafe_get bits (row_i + w)
-                  lor Array.unsafe_get bits (row_k + w))
-              done
-            end
-          done;
-          w0 := w1
-        done
-      done
+    done
 
-let transitive_closure ?pool ?cutover ?arena t =
-  let c = copy_via arena t in
-  transitive_closure_inplace ?pool ?cutover c;
+let transitive_closure t =
+  let c = copy t in
+  transitive_closure_inplace c;
   c
 
 (** [add_edge_closed t i j] — [t] must be transitively closed; adds the
@@ -418,8 +362,8 @@ let is_irreflexive t =
     cost O(1); up to n genuinely new edges are absorbed incrementally
     ({!add_edge_closed}, O(n^2/63) each); beyond that one batch
     Warshall pass is cheaper. *)
-let closure_with ?arena t edges =
-  let r = copy_via arena t in
+let closure_with t edges =
+  let r = copy t in
   if List.length edges <= t.n then
     List.iter (fun (i, j) -> add_edge_closed r i j) edges
   else begin

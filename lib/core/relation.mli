@@ -34,37 +34,10 @@ val iter_successors : t -> int -> (int -> unit) -> unit
 
 val iter_predecessors : t -> int -> (int -> unit) -> unit
 
-(** Default node count below which {!transitive_closure} ignores
-    [?pool] and stays sequential (the synchronization overhead of the
-    parallel scheme only amortizes on larger matrices).  This is the
-    historical benchmarked constant; the {e effective} threshold is
-    {!current_cutover}, which {!calibrate} replaces with a measurement
-    on the running machine. *)
-val par_cutover : int
-
-(** The effective parallel cutover (initially {!par_cutover}). *)
-val current_cutover : unit -> int
-
-(** Override the effective cutover ([max_int] disables the parallel
-    path entirely); must be [>= 1]. *)
-val set_par_cutover : int -> unit
-
-(** [calibrate ~pool ()] — measure the smallest size at which the
-    parallel closure beats the sequential one on this machine
-    ({!Mmc_parallel.Par_closure.calibrate}), install it as the
-    effective cutover, and return it ([max_int] when the parallel path
-    never wins, e.g. on a single-core container — the parallel path is
-    then never taken). *)
-val calibrate : pool:Mmc_parallel.Pool.t -> unit -> int
-
-(** Reusable scratch for closure intermediates and the chain checker's
-    tables: free lists of word arrays keyed by length.
-    [transitive_closure] and {!closure_with} with [~arena] acquire
-    their copies from it; hand dead results back with {!recycle}.  Recycling a relation that is
-    still referenced aliases its bits — callers own the discipline.
-    Single-domain: keep an arena on the domain that runs the check
-    (pool workers inside one closure only write into already-acquired
-    words, which is safe). *)
+(** Reusable scratch for the sparse checkers' per-call tables
+    ({!Check_constrained.check_chain}, {!Digraph}, the windowed
+    checker): free lists of word arrays keyed by length.
+    Single-domain: keep an arena on the domain that runs the check. *)
 module Arena : sig
   type arena
 
@@ -89,38 +62,20 @@ module Arena : sig
   val scratch_words : arena -> int
 
   (** [peak_during a f] — [f ()] and the most words [f] held from the
-      arena at once (taken as {!scratch} or relation words, not yet
-      handed back): a call's resident footprint, where {!scratch_words}
-      counts an array again each time it is taken. *)
+      arena at once (taken as {!scratch}, not yet handed back): a
+      call's resident footprint, where {!scratch_words} counts an
+      array again each time it is taken. *)
   val peak_during : arena -> (unit -> 'a) -> 'a * int
 end
 
-(** Return a dead relation's words to the arena. *)
-val recycle : Arena.arena -> t -> unit
-
-(** [create_in arena n] — like {!create}, drawing (and zeroing) the
-    backing words from the arena's free lists.  Pair with {!recycle}:
-    a windowed checker that creates one relation per epoch and
-    recycles it on retirement allocates nothing after warm-up. *)
-val create_in : Arena.arena -> int -> t
-
-(** Warshall transitive closure (fresh copy; [_inplace] mutates).
-    With [~pool] of two or more domains and at least [cutover]
-    (default {!current_cutover}) nodes, pivots go through the chunked
-    work-stealing scheme ({!Mmc_parallel.Par_closure}); the result is
-    bit-for-bit the sequential closure either way.  The pool must be
-    otherwise idle (see {!Mmc_parallel.Pool}).  With [~arena] the
-    fresh copy's words come from the arena's free lists. *)
-val transitive_closure :
-  ?pool:Mmc_parallel.Pool.t -> ?cutover:int -> ?arena:Arena.arena -> t -> t
+(** Warshall transitive closure (fresh copy; [_inplace] mutates). *)
+val transitive_closure : t -> t
 
 (** [closure_with t edges] — fresh closure of [t ∪ edges], [t] already
-    closed; incremental per edge when the new edges are few.  With
-    [~arena] the copy's words come from the arena. *)
-val closure_with : ?arena:Arena.arena -> t -> (int * int) list -> t
+    closed; incremental per edge when the new edges are few. *)
+val closure_with : t -> (int * int) list -> t
 
-val transitive_closure_inplace :
-  ?pool:Mmc_parallel.Pool.t -> ?cutover:int -> t -> unit
+val transitive_closure_inplace : t -> unit
 
 (** [add_edge_closed t i j] — [t] must already be transitively closed;
     adds the edge and restores closure incrementally in O(n . n/63)

@@ -153,14 +153,6 @@ let all : entry list =
           Exp_shard.s1 ~shards:[ 1; 4 ] ~ratios:[ 0.0; 0.2 ] ~seeds:2 ~ops:8 ());
     };
     {
-      id = "S2";
-      description = "parallel verification: worker domains x shard count";
-      run = (fun () -> Exp_shard.s2 ());
-      quick =
-        (fun () ->
-          Exp_shard.s2 ~domains:[ 0; 2 ] ~shards:[ 4 ] ~seeds:1 ~ops:12 ());
-    };
-    {
       id = "F1";
       description = "coordination avoidance: commute-ratio sweep (seg vs msc)";
       run = (fun () -> Exp_fastpath.f1 ());

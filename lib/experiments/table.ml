@@ -41,12 +41,3 @@ let time_ms f =
   let result = f () in
   let t1 = Sys.time () in
   (result, (t1 -. t0) *. 1000.0)
-
-(** Wall-clock a thunk, in milliseconds.  For multicore measurements:
-    CPU time sums over worker domains, wall time is what a parallel
-    run actually saves. *)
-let wall_ms f =
-  let t0 = Unix.gettimeofday () in
-  let result = f () in
-  let t1 = Unix.gettimeofday () in
-  (result, (t1 -. t0) *. 1000.0)

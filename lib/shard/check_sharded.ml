@@ -72,35 +72,18 @@ let check_stitched ?(kind = Constraints.WW) (st : Shard_recorder.t) ~flavour =
   Check_constrained.check_chain st.Shard_recorder.history ~flavour
     ~extra:(constraint_edges st) kind
 
-let check_shards ?pool ?(kind = Constraints.WW) recorders ~flavour =
-  match pool with
-  | None ->
-    Array.mapi (fun s recorder -> check_shard recorder ~flavour ~kind s) recorders
-  | Some pool ->
-    (* One submission per shard; each job builds that shard's history
-       and chain check from scratch, so the only data
-       shared between domains is the read-only recorder.  Verdicts are
-       joined positionally — the result is independent of scheduling. *)
-    Array.mapi
-      (fun s recorder ->
-        Mmc_parallel.Pool.submit pool (fun () ->
-            check_shard recorder ~flavour ~kind s))
-      recorders
-    |> Array.map Mmc_parallel.Pool.await
+let check_shards ?(kind = Constraints.WW) recorders ~flavour =
+  Array.mapi (fun s recorder -> check_shard recorder ~flavour ~kind s) recorders
 
-let check ?pool ?arena ?(oracle = true) ?(kind = Constraints.WW) placement
-    recorders ~flavour =
-  let per_shard = check_shards ?pool ~kind recorders ~flavour in
+let check ?(oracle = true) ?(kind = Constraints.WW) placement recorders ~flavour
+    =
+  let per_shard = check_shards ~kind recorders ~flavour in
   let st = Shard_recorder.stitch placement recorders in
   let stitched = check_stitched ~kind st ~flavour in
   let batch =
-    (* The arena stays on this domain: only the batch oracle (which
-       runs here, fanning at most the closure rows over the pool) uses
-       it — the per-shard jobs above run whole on pool workers. *)
     if oracle then
       Some
-        (Check_constrained.check_relation ?pool ?arena
-           st.Shard_recorder.history
+        (Check_constrained.check_relation st.Shard_recorder.history
            (stitched_relation st ~flavour)
            kind)
     else None

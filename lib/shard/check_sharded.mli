@@ -79,32 +79,22 @@ val check_stitched :
 
 (** [check_shards recorders ~flavour ~kind] — just the per-shard
     Theorem-7 verdicts (each shard's own history, base relation plus
-    that shard's broadcast order), index = shard.  With [~pool] the
-    shards are checked in parallel, one pool submission each — the
-    checks share no mutable state, and the verdict array is identical
-    to the sequential one (joined positionally). *)
+    that shard's broadcast order), index = shard. *)
 val check_shards :
-  ?pool:Mmc_parallel.Pool.t ->
   ?kind:Constraints.kind ->
   Mmc_store.Recorder.t array ->
   flavour:History.flavour ->
   shard_verdict array
 
-(** [check ?pool ?oracle ?kind placement recorders ~flavour] —
+(** [check ?oracle ?kind placement recorders ~flavour] —
     per-shard Theorem-7 checks, the stitched chain check, the
     batch cross-check and the [agree] / [composes] bits.  [kind]
     defaults to WW (each shard's broadcast totally orders its updates,
-    and the merged order extends them globally).  [~pool] fans the
-    per-shard checks out over the pool's domains and parallelizes the
-    oracle's closure.  [~oracle:false] skips the O(n^3) batch
-    cross-check (then [batch = None] and [agree] is vacuously true) —
-    for bench loops that only want the decomposed pipeline.  [~arena]
-    recycles the oracle's closure intermediates
-    ({!Mmc_core.Relation.Arena}); it stays on the calling domain, so
-    it composes with [~pool]. *)
+    and the merged order extends them globally).  [~oracle:false]
+    skips the O(n^3) batch cross-check (then [batch = None] and
+    [agree] is vacuously true) — for bench loops that only want the
+    decomposed pipeline. *)
 val check :
-  ?pool:Mmc_parallel.Pool.t ->
-  ?arena:Relation.Arena.arena ->
   ?oracle:bool ->
   ?kind:Constraints.kind ->
   Placement.t ->

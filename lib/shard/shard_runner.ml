@@ -91,6 +91,5 @@ let run ~seed ?placement (cfg : Runner.config) ~workload =
     fastpath;
   }
 
-let check ?pool ?arena ?oracle ?(kind = Constraints.WW) res ~flavour =
-  Check_sharded.check ?pool ?arena ?oracle ~kind res.placement res.recorders
-    ~flavour
+let check ?oracle ?(kind = Constraints.WW) res ~flavour =
+  Check_sharded.check ?oracle ~kind res.placement res.recorders ~flavour

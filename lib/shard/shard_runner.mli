@@ -48,12 +48,8 @@ val run :
 
 (** [check result ~flavour] — per-shard Theorem-7 checks plus the
     stitched global check ({!Check_sharded.check}); [kind] defaults
-    to WW.  [~pool] fans the per-shard checks out in parallel;
-    [~arena] recycles the oracle's closure intermediates;
-    [~oracle:false] skips the batch cross-check. *)
+    to WW.  [~oracle:false] skips the batch cross-check. *)
 val check :
-  ?pool:Mmc_parallel.Pool.t ->
-  ?arena:Relation.Arena.arena ->
   ?oracle:bool ->
   ?kind:Constraints.kind ->
   result ->

@@ -128,35 +128,19 @@ let make_store ?fault ?sink ?tail ?ownership ?fsink cfg engine ~rng ~recorder =
 (** [check_trace result ~flavour] — Theorem-7 admissibility of the
     recorded trace: the flavour's base relation plus the recorded
     atomic-broadcast order as extra edges, checked under [kind]
-    (default WW — the broadcast totally orders updates).
-
-    Without a pool this is the chain-decomposed check
-    ({!Mmc_core.Check_constrained.check_chain}): per-process frontier
-    vectors over a sparse edge list, no n×n closure. *)
-let check_history ?pool ?arena ?(kind = Constraints.WW) h ~sync_order ~flavour
-    =
+    (default WW — the broadcast totally orders updates) by the
+    chain-decomposed check ({!Mmc_core.Check_constrained.check_chain}):
+    per-process frontier vectors over a sparse edge list, no n×n
+    closure. *)
+let check_history ?(kind = Constraints.WW) h ~sync_order ~flavour =
   let rec link acc = function
     | a :: (b :: _ as rest) -> link ((a, b) :: acc) rest
     | [ _ ] | [] -> acc
   in
-  let sync = link [] sync_order in
-  match pool with
-  | Some _ ->
-    (* With a pool, take the dense route over the same edges and let
-       {!Mmc_core.Relation.transitive_closure} block its rows over the
-       pool's domains.  This is the slower checker: the chain check
-       beats the dense pipeline by far more than a few domains can
-       win back.  [test_incremental] and [test_parallel] pin this
-       path to the chain check verdict-for-verdict. *)
-    let rel = Relation.create (History.n_mops h) in
-    Relation.add_edges rel (History.base_edges h flavour);
-    Relation.add_edges rel sync;
-    Check_constrained.check_relation ?pool ?arena h rel kind
-  | None -> Check_constrained.check_chain ?arena h ~flavour ~extra:sync kind
+  Check_constrained.check_chain h ~flavour ~extra:(link [] sync_order) kind
 
-let check_trace ?pool ?arena ?kind (res : result) ~flavour =
-  check_history ?pool ?arena ?kind res.history ~sync_order:res.sync_order
-    ~flavour
+let check_trace ?kind (res : result) ~flavour =
+  check_history ?kind res.history ~sync_order:res.sync_order ~flavour
 
 (** [run ~seed cfg ~workload] — [workload rng ~proc ~step] produces the
     [step]-th m-operation of client [proc]. *)

@@ -87,14 +87,8 @@ val make_store :
     recorded trace: the flavour's base relation plus the recorded
     atomic-broadcast order, checked under [kind] (default WW) by the
     chain-decomposed check ({!Mmc_core.Check_constrained.check_chain}),
-    which never builds an n×n closure.  With [~pool] the same edges go
-    through the dense batch pipeline instead, so the one-shot closure
-    can be row-blocked over the pool's domains — slower than the chain
-    check on few cores; the verdict is the same either way (pinned by
-    [test_incremental] and [test_parallel]). *)
+    which never builds an n×n closure. *)
 val check_trace :
-  ?pool:Mmc_parallel.Pool.t ->
-  ?arena:Relation.Arena.arena ->
   ?kind:Constraints.kind ->
   result ->
   flavour:History.flavour ->
@@ -105,8 +99,6 @@ val check_trace :
     NDJSON files, the soak's full-verification cross-check) rather
     than through {!run}. *)
 val check_history :
-  ?pool:Mmc_parallel.Pool.t ->
-  ?arena:Relation.Arena.arena ->
   ?kind:Constraints.kind ->
   History.t ->
   sync_order:Types.mop_id list ->

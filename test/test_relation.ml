@@ -76,6 +76,12 @@ let test_of_total_order () =
   check "0->1" true (Relation.mem r 0 1);
   check "1->0 absent" false (Relation.mem r 1 0)
 
+(* A size mismatch names the operation that was called. *)
+let test_size_mismatch () =
+  Alcotest.check_raises "equal"
+    (Invalid_argument "Relation.equal: size mismatch") (fun () ->
+      ignore (Relation.equal (Relation.create 3) (Relation.create 4)))
+
 (* Properties *)
 
 let gen_edges n =
@@ -137,6 +143,7 @@ let () =
           Alcotest.test_case "union/subset" `Quick test_union_subset;
           Alcotest.test_case "respects" `Quick test_respects;
           Alcotest.test_case "of_total_order" `Quick test_of_total_order;
+          Alcotest.test_case "size mismatch" `Quick test_size_mismatch;
         ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest

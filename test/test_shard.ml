@@ -1,8 +1,8 @@
 (* Tests for the sharded store layer: placement algebra, router
    classification, per-shard + stitched verification agreement (WW and
-   OO workloads, with and without faults), codec round-trips of
-   stitched histories, and a seeded constraint-violation fixture that
-   must be flagged. *)
+   OO workloads, with and without faults, with and without the batch
+   oracle), codec round-trips of stitched histories, and a seeded
+   constraint-violation fixture that must be flagged. *)
 
 open Mmc_core
 open Mmc_shard
@@ -206,6 +206,55 @@ let test_agreement_under_faults () =
               (Mmc_sim.Fault.dropped f > 0))
         [ 1; 2 ])
     [ 2; 4 ]
+
+(* Skipping the batch oracle leaves every other verdict alone: the
+   per-shard and stitched verdicts and [composes] match the full check,
+   [batch] is absent and [agree] vacuously true — across shard counts,
+   seeds and a reliable and a lossy, partitioned fault plan. *)
+let test_oracle_skip_matches_full () =
+  let result = Alcotest.testable Check_constrained.pp_result ( = ) in
+  let plans =
+    [
+      ("reliable", Mmc_sim.Fault.none);
+      ( "lossy+partition",
+        {
+          Mmc_sim.Fault.none with
+          Mmc_sim.Fault.drop = 0.2;
+          partitions =
+            [ { Mmc_sim.Fault.from_ = 100; until = 300; island = [ 0 ] } ];
+        } );
+    ]
+  in
+  List.iter
+    (fun (plan, fault) ->
+      List.iter
+        (fun n_shards ->
+          List.iter
+            (fun seed ->
+              let res = run ~fault ~ops:8 ~seed ~n_shards ~cross:0.15 () in
+              let name = Fmt.str "%s S=%d seed=%d" plan n_shards seed in
+              let full = Shard_runner.check res ~flavour:History.Msc in
+              let lean =
+                Shard_runner.check ~oracle:false res ~flavour:History.Msc
+              in
+              Array.iter2
+                (fun (f : Check_sharded.shard_verdict)
+                     (l : Check_sharded.shard_verdict) ->
+                  Alcotest.check result
+                    (Fmt.str "%s: shard %d verdict" name f.Check_sharded.shard)
+                    f.Check_sharded.result l.Check_sharded.result)
+                full.Check_sharded.per_shard lean.Check_sharded.per_shard;
+              Alcotest.check result (name ^ ": stitched")
+                full.Check_sharded.stitched lean.Check_sharded.stitched;
+              Alcotest.(check bool) (name ^ ": composes")
+                full.Check_sharded.composes lean.Check_sharded.composes;
+              Alcotest.(check bool)
+                (name ^ ": oracle skipped")
+                true
+                (lean.Check_sharded.batch = None && lean.Check_sharded.agree))
+            [ 1; 2 ])
+        [ 1; 2; 4 ])
+    plans
 
 (* Other per-shard protocols behind the same router.  Mlin records a
    broadcast order per shard, so per-shard admissibility holds like for
@@ -436,6 +485,8 @@ let () =
           Alcotest.test_case "OO agreement" `Quick test_agreement_oo;
           Alcotest.test_case "agreement under faults" `Quick
             test_agreement_under_faults;
+          Alcotest.test_case "oracle skip = full check" `Quick
+            test_oracle_skip_matches_full;
           Alcotest.test_case "other store kinds" `Quick test_other_store_kinds;
         ] );
       ( "stitching",

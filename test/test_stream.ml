@@ -247,14 +247,13 @@ let test_sharded_per_shard () =
         Alcotest.failf "shard inconclusive: %s" msg)
     res.Mmc_shard.Shard_runner.recorders
 
-(* Arena recycling: after warm-up, epoch relations come from the free
-   lists — hits grow, misses stop, and the resident words stay
+(* Arena recycling: after warm-up, each epoch check's tables come from
+   the free lists — hits grow, misses stop, and the resident words stay
    window-bounded while recycled words track the epoch count. *)
 let test_arena_gc () =
   let arena = Relation.Arena.create () in
   let cycle n =
-    let inc = Check_constrained.Incremental.create ~arena n in
-    Relation.recycle arena (Check_constrained.Incremental.relation inc)
+    Relation.Arena.release arena (Relation.Arena.scratch arena n)
   in
   cycle 40;
   let h0 = Relation.Arena.hits arena and m0 = Relation.Arena.misses arena in
@@ -279,7 +278,7 @@ let test_arena_gc () =
     "epochs recycled words" true
     (m.Mmc_stream.Window_check.recycled_words > 0);
   Alcotest.(check bool)
-    "epoch relations come from the arena after warm-up" true
+    "epoch tables come from the arena after warm-up" true
     (m.Mmc_stream.Window_check.arena_hits > 0);
   Alcotest.(check bool)
     "checks ran" true
