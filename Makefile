@@ -2,7 +2,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test check ci smoke shard-smoke recover-smoke chaos-smoke scrub-smoke soak-smoke soak-snapshot fastpath-smoke bench-smoke bench-diff experiments bench-json clean
+.PHONY: all build test check ci smoke shard-smoke recover-smoke chaos-smoke scrub-smoke soak-smoke soak-snapshot fastpath-smoke soakbench-test bench-smoke bench-diff experiments bench-json clean
 
 all: build
 
@@ -17,11 +17,19 @@ test:
 check: build test
 
 # Mirror of .github/workflows/ci.yml: build, full test suite, the
-# recovery smoke and the bench smoke (reduced sizes, compared against
-# the committed trajectory in warn mode — CI runners are too noisy
-# for a hard perf gate, but a broken bench or a failed built-in
-# metric assertion still fails the job via the bench exit code).
-ci: build test recover-smoke chaos-smoke scrub-smoke soak-smoke fastpath-smoke bench-smoke
+# recovery smoke, the soak benchmark self-test and the bench smoke
+# (reduced sizes, compared against the committed trajectory in warn
+# mode — CI runners are too noisy for a hard perf gate, but a broken
+# bench or a failed built-in metric assertion still fails the job via
+# the bench exit code).
+ci: build test recover-smoke chaos-smoke scrub-smoke soak-smoke fastpath-smoke soakbench-test bench-smoke
+
+# Soak benchmark self-test: every BENCHMARK.json workload at 2000
+# m-operations, untraced and traced (about 12 s); exits non-zero
+# unless each run is correct with no failed operation, prints exactly
+# the declared metrics and, traced, agrees with the untraced run.
+soakbench-test: build
+	python3 soakbench/test_run.py
 
 # Reduced-size bench pass over the core, fastpath and sim groups with
 # metric assertions active, written to a scratch JSON and diffed

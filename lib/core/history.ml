@@ -38,8 +38,9 @@ let ill_formed fmt = Fmt.kstr (fun s -> raise (Ill_formed s)) fmt
     Raises {!Ill_formed} if identifiers are wrong, an operation touches
     an object outside [0 .. n_objects-1], a process subhistory is not
     sequential, or [rf] is inconsistent with the operations (missing or
-    duplicated edge for an external read, value mismatch, writer not
-    writing the object). *)
+    duplicated edge for an external read, an edge for an object its
+    reader does not read, value mismatch, writer not writing the
+    object). *)
 let create ~n_objects mops ~rf =
   let arr = Array.of_list (Mop.initializer_ ~n_objects :: mops) in
   Array.iteri
@@ -89,10 +90,12 @@ let create ~n_objects mops ~rf =
       check ms)
     by_proc;
   (* Reads-from must cover each external read exactly once, with
-     matching values. *)
+     matching values, and hold no edge for any other object: a stray
+     edge would still order its writer before its reader. *)
   Array.iter
     (fun (m : Mop.t) ->
-      if m.Mop.id <> Types.init_mop then
+      if m.Mop.id <> Types.init_mop then begin
+        let reads = Mop.external_reads m in
         List.iter
           (fun (x, v) ->
             match List.filter (fun e -> e.obj = x) rf_by_reader.(m.Mop.id) with
@@ -115,7 +118,15 @@ let create ~n_objects mops ~rf =
             | _ :: _ :: _ ->
               ill_formed "duplicate reads-from edges for read of x%d by #%d" x
                 m.Mop.id)
-          (Mop.external_reads m))
+          reads;
+        List.iter
+          (fun e ->
+            if not (List.mem_assoc e.obj reads) then
+              ill_formed
+                "reads-from edge for x%d by #%d, which does not read x%d" e.obj
+                m.Mop.id e.obj)
+          rf_by_reader.(m.Mop.id)
+      end)
     arr;
   List.iter
     (fun e ->

@@ -60,29 +60,41 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-(** Zipf-distributed integer in [0, n): P(k) proportional to
-    1/(k+1)^s.  [s = 0] is uniform; larger [s] concentrates mass on
-    small ranks (hot objects).  O(n) per draw — fine for the object
-    counts the workloads use. *)
-let zipf t ~n ~s =
+(** Zipf sampler over [0, n): the uniform bound when [s = 0], else the
+    cumulative weights [cum.(k) = w(0) +. ... +. w(k)] with
+    [w(k) = 1/(k+1)^s], summed left to right from [0.0]. *)
+type zipf = Uniform of int | Cdf of float array
+
+let zipf_table ~n ~s =
   if n <= 0 then invalid_arg "Rng.zipf: n must be positive";
-  if s = 0.0 then int t ~bound:n
+  if s = 0.0 then Uniform n
   else begin
-    let weight k = 1.0 /. (float_of_int (k + 1) ** s) in
-    let total = ref 0.0 in
+    let cum = Array.make n 0.0 in
+    let acc = ref 0.0 in
     for k = 0 to n - 1 do
-      total := !total +. weight k
+      acc := !acc +. (1.0 /. (float_of_int (k + 1) ** s));
+      cum.(k) <- !acc
     done;
-    let u = float t *. !total in
-    let rec pick k acc =
-      if k = n - 1 then k
-      else begin
-        let acc = acc +. weight k in
-        if u < acc then k else pick (k + 1) acc
-      end
-    in
-    pick 0 0.0
+    Cdf cum
   end
+
+(** One uniform draw [u] scaled by the total weight, then the least
+    [k <= n-2] with [u < cum.(k)], else [n-1], by binary search — the
+    rank a linear walk of the same partial sums returns.  [cum.(n-1)]
+    is only the scale, never compared against. *)
+let zipf_draw t = function
+  | Uniform n -> int t ~bound:n
+  | Cdf cum ->
+    let n = Array.length cum in
+    let u = float t *. cum.(n - 1) in
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if u < cum.(mid) then hi := mid else lo := mid + 1
+    done;
+    !lo
+
+let zipf t ~n ~s = zipf_draw t (zipf_table ~n ~s)
 
 (** Geometric-ish positive integer with mean roughly [mean] (used for
     exponential-like latency tails). *)

@@ -31,8 +31,24 @@ val choose : t -> 'a list -> 'a
 (** In-place Fisher–Yates shuffle. *)
 val shuffle : t -> 'a array -> unit
 
-(** Zipf-distributed rank in [0, n): P(k) ∝ 1/(k+1)^s; [s = 0] is
+(** A Zipf sampler over ranks [0, n): P(k) ∝ 1/(k+1)^s; [s = 0] is
     uniform, larger [s] makes low ranks hot. *)
+type zipf
+
+(** Build the sampler once per [(n, s)]: O(n) time and words, one
+    [**] per rank.  Raises [Invalid_argument] when [n <= 0]. *)
+val zipf_table : n:int -> s:float -> zipf
+
+(** One Zipf rank: a single uniform draw from the stream ([int] when
+    [s = 0], else [float]) and an O(log n) search of the table.  Draws
+    are bit-identical to a linear walk of the cumulative weights
+    [1/(k+1)^s], summed left to right from [0.0]: the least [k <= n-2]
+    with [float t *. total < cum.(k)], else [n-1]. *)
+val zipf_draw : t -> zipf -> int
+
+(** One-shot {!zipf_draw} on a fresh {!zipf_table}: O(n) per call, for
+    callers that draw once; a generator drawing per m-operation builds
+    the table once instead. *)
 val zipf : t -> n:int -> s:float -> int
 
 (** Exponential-tailed positive integer with roughly the given mean. *)

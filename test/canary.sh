@@ -1,12 +1,12 @@
 #!/bin/sh
 # Determinism canary: print the count lines of one faulty `mmc recover`
-# run and one fault-free rmsc soak — virtual time, messages,
-# retransmits, acks, WAL and storage counters, catch-up, broadcast,
-# engine events and tick latencies.  The runtest rule diffs them
-# against canary.expected, so a change that moves any event, message,
-# timer or counter of these runs fails it.  A change meant to alter
-# the protocol's runs re-records the file (`dune runtest; dune
-# promote`) and says so.
+# run, one fault-free rmsc soak and one Zipf-skewed sharded run —
+# virtual time, messages, retransmits, acks, WAL and storage counters,
+# catch-up, broadcast, engine events, router counts and tick
+# latencies.  The runtest rule diffs them against canary.expected, so
+# a change that moves any event, message, timer or counter of these
+# runs fails it.  A change meant to alter the protocol's runs
+# re-records the file (`dune runtest; dune promote`) and says so.
 #
 # usage: sh test/canary.sh PATH/TO/mmc_cli.exe
 set -eu
@@ -18,3 +18,10 @@ mmc=$1
 
 "$mmc" soak --store rmsc --ops 4000 --seed 1 |
   grep -E '^(arrived ops|completed ops|virtual time|messages|engine events|latency|query latency|update latency|max queue) '
+
+# The only CLI path that draws Zipf keys (`--skew`): a change to the
+# workload generators or to `Rng.zipf` that moves any draw moves these
+# lines.
+"$mmc" shard --shards 4 --procs 8 --objects 32 --ops 100 --skew 0.99 \
+  --cross 0.1 --seed 2 |
+  grep -E '^(completed ops|virtual time|messages|engine events|router|query latency|update latency) '

@@ -110,6 +110,46 @@ let test_zipf_sampling () =
   done;
   Alcotest.(check bool) "uniform-ish" true (!c0 > 300 && !c0 < 700)
 
+(* The Zipf table must draw exactly what the per-draw O(n) walk of the
+   same cumulative weights drew before it; that walk is the oracle. *)
+let zipf_oracle t ~n ~s =
+  let module Rng = Mmc_sim.Rng in
+  if s = 0.0 then Rng.int t ~bound:n
+  else begin
+    let weight k = 1.0 /. (float_of_int (k + 1) ** s) in
+    let total = ref 0.0 in
+    for k = 0 to n - 1 do
+      total := !total +. weight k
+    done;
+    let u = Rng.float t *. !total in
+    let rec pick k acc =
+      if k = n - 1 then k
+      else begin
+        let acc = acc +. weight k in
+        if u < acc then k else pick (k + 1) acc
+      end
+    in
+    pick 0 0.0
+  end
+
+let prop_zipf_table_matches_walk =
+  QCheck.Test.make ~count:500 ~name:"zipf table draws = linear walk"
+    QCheck.(
+      triple (int_range 1 64)
+        (oneofl [ 0.0; 0.5; 0.99; 1.2; 2.0 ])
+        (int_bound 1_000_000))
+    (fun (n, s, seed) ->
+      let module Rng = Mmc_sim.Rng in
+      let table = Rng.zipf_table ~n ~s in
+      let a = Rng.create seed and b = Rng.create seed and c = Rng.create seed in
+      for _ = 1 to 50 do
+        let want = zipf_oracle a ~n ~s in
+        if Rng.zipf_draw b table <> want || Rng.zipf c ~n ~s <> want then
+          QCheck.Test.fail_reportf "n=%d s=%g seed=%d: draw differs" n s seed
+      done;
+      let next = Rng.next_int64 a in
+      Rng.next_int64 b = next && Rng.next_int64 c = next)
+
 let test_engine_stop_and_limits () =
   let e = Mmc_sim.Engine.create () in
   let count = ref 0 in
@@ -238,6 +278,7 @@ let () =
       ( "sim",
         [
           Alcotest.test_case "zipf" `Quick test_zipf_sampling;
+          QCheck_alcotest.to_alcotest prop_zipf_table_matches_walk;
           Alcotest.test_case "engine stop/limits" `Quick test_engine_stop_and_limits;
           Alcotest.test_case "runner validation" `Quick test_runner_think_validation;
         ] );

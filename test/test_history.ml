@@ -80,6 +80,22 @@ let test_self_rf () =
         [ mop 1 0 [ r 0 1; w 0 1 ] 0 5 ]
         ~rf:[ { History.reader = 1; obj = 0; writer = 1 } ])
 
+(* A reads-from edge for an object its reader never reads still orders
+   the writer before the reader, so it could flip a verdict: #2 reads
+   only x1, and the extra edge claims it read x0 from #1. *)
+let test_stray_rf () =
+  let mops = [ mop 1 0 [ w 0 0; w 1 5 ] 0 3; mop 2 1 [ r 1 0 ] 1 2 ] in
+  let rf = [ { History.reader = 2; obj = 1; writer = 0 } ] in
+  ignore (History.create ~n_objects:2 mops ~rf);
+  match
+    History.create ~n_objects:2 mops
+      ~rf:(rf @ [ { History.reader = 2; obj = 0; writer = 1 } ])
+  with
+  | exception History.Ill_formed msg ->
+    Alcotest.(check string) "message"
+      "reads-from edge for x0 by #2, which does not read x0" msg
+  | _ -> Alcotest.fail "expected Ill_formed"
+
 let test_rfobjects () =
   let h = sample () in
   Alcotest.(check (list int)) "rfobjects b from c" [ 1 ] (History.rfobjects h 2 3);
@@ -171,6 +187,7 @@ let () =
           Alcotest.test_case "rf writer does not write" `Quick test_rf_writer_does_not_write;
           Alcotest.test_case "duplicate rf" `Quick test_duplicate_rf;
           Alcotest.test_case "self rf" `Quick test_self_rf;
+          Alcotest.test_case "stray rf" `Quick test_stray_rf;
         ] );
       ( "relations",
         [
