@@ -9,10 +9,13 @@
      checker/T7    constrained-checker corpus pass
      core/*        large-history Theorem-7 / legality / closure kernels
                    (n in {50,100,200,400}), the perf-trajectory set:
-                   the dense reference pipeline (theorem7-ww-N) and
-                   the chain-decomposed check on the same inputs
-                   (theorem7-chain-N); with --json also asserts equal
-                   verdicts and a >= 10x chain speedup at n = 400
+                   the dense reference pipeline (theorem7-ww-N), the
+                   chain-decomposed check on the same inputs
+                   (theorem7-chain-N) and the construction and
+                   validation of those inputs (history-create-N, the
+                   step the windowed checker runs once per epoch);
+                   with --json also asserts equal verdicts and a
+                   >= 10x chain speedup at n = 400
      protocol/P1..P3, C1, J1   store simulations (whole runs)
      broadcast/P4  atomic broadcast simulations
      objects/P5    DCAS contention loop
@@ -259,6 +262,13 @@ let bench_core =
            Test.make
              ~name:(Fmt.str "theorem7-chain-%d" n)
              (Staged.stage (fun () -> ignore (chain_check h links)));
+           Test.make
+             ~name:(Fmt.str "history-create-%d" n)
+             (let n_objects = History.n_objects h
+              and mops = History.real_mops h
+              and rf = History.rf h in
+              Staged.stage (fun () ->
+                  ignore (History.create ~n_objects mops ~rf)));
            Test.make
              ~name:(Fmt.str "legality-%d" n)
              (Staged.stage (fun () -> ignore (Legality.is_legal h closed)));

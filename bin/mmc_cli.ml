@@ -307,7 +307,11 @@ let failing_prefix h flavour =
    polynomial checker has no WW constraint to work under and answers
    inconclusive. *)
 let check_stream file flavour window settle =
-  let ic = if file = "-" then stdin else open_in file in
+  match if file = "-" then stdin else open_in file with
+  | exception Sys_error msg ->
+    Fmt.epr "mmc: check: %s@." msg;
+    124
+  | ic ->
   Fun.protect ~finally:(fun () -> if file <> "-" then close_in ic)
   @@ fun () ->
   let wc = ref None in
@@ -377,6 +381,9 @@ let check_history file flavour single stream window settle =
   if stream then check_stream file flavour window settle
   else
   match Codec.of_file file with
+  | exception Sys_error msg ->
+    Fmt.epr "mmc: check: %s@." msg;
+    124
   | exception Codec.Parse_error msg ->
     Fmt.epr "parse error: %s@." msg;
     1
@@ -417,11 +424,17 @@ let check_history file flavour single stream window settle =
         2
     end
 
+(* Cmdliner's [file] converter, except that "-" (stdin, read by
+   --stream) passes unchecked. *)
+let input_file_conv =
+  let parse s = if s = "-" then Ok s else Arg.conv_parser Arg.file s in
+  Arg.conv (parse, Arg.conv_printer Arg.file)
+
 let check_cmd =
   let file =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some input_file_conv) None
       & info [] ~docv:"FILE"
           ~doc:"History file (\"-\" for stdin with --stream).")
   in

@@ -40,7 +40,7 @@ let ill_formed fmt = Fmt.kstr (fun s -> raise (Ill_formed s)) fmt
     sequential, or [rf] is inconsistent with the operations (missing or
     duplicated edge for an external read, an edge for an object its
     reader does not read, value mismatch, writer not writing the
-    object). *)
+    object, reader out of range). *)
 let create ~n_objects mops ~rf =
   let arr = Array.of_list (Mop.initializer_ ~n_objects :: mops) in
   Array.iteri
@@ -63,71 +63,87 @@ let create ~n_objects mops ~rf =
         rf_by_reader.(e.reader) <- e :: rf_by_reader.(e.reader))
     (List.rev rf);
   let h = { n_objects; mops = arr; rf; rf_by_reader } in
+  let n = Array.length arr in
   (* Process subhistories must be sequential: same-process intervals
-     may not overlap. *)
-  let by_proc = Hashtbl.create 8 in
-  Array.iter
-    (fun (m : Mop.t) ->
-      if m.Mop.id <> Types.init_mop then
-        Hashtbl.replace by_proc m.Mop.proc
-          (m :: (Option.value ~default:[] (Hashtbl.find_opt by_proc m.Mop.proc))))
-    arr;
-  Hashtbl.iter
-    (fun proc ms ->
-      let ms =
-        List.sort (fun (a : Mop.t) (b : Mop.t) -> compare a.Mop.inv b.Mop.inv) ms
-      in
-      let rec check = function
-        | a :: (b :: _ as rest) ->
-          if not (Mop.rt_precedes a b) then
-            ill_formed
-              "process P%d subhistory not sequential: #%d [%d,%d] overlaps \
-               #%d [%d,%d]"
-              proc a.Mop.id a.Mop.inv a.Mop.resp b.Mop.id b.Mop.inv b.Mop.resp;
-          check rest
-        | [ _ ] | [] -> ()
-      in
-      check ms)
-    by_proc;
+     may not overlap.  One stable sort of the real ids by (process,
+     invocation) lines each process up; ids enter in descending order,
+     so of two equal invocations the higher id comes first and is the
+     one an overlap names first. *)
+  let order = Array.init (n - 1) (fun i -> n - 1 - i) in
+  Array.stable_sort
+    (fun i j ->
+      let a = arr.(i) and b = arr.(j) in
+      let c = Int.compare a.Mop.proc b.Mop.proc in
+      if c <> 0 then c else Int.compare a.Mop.inv b.Mop.inv)
+    order;
+  for k = 1 to n - 2 do
+    let a = arr.(order.(k - 1)) and b = arr.(order.(k)) in
+    if a.Mop.proc = b.Mop.proc && not (Mop.rt_precedes a b) then
+      ill_formed
+        "process P%d subhistory not sequential: #%d [%d,%d] overlaps #%d \
+         [%d,%d]"
+        a.Mop.proc a.Mop.id a.Mop.inv a.Mop.resp b.Mop.id b.Mop.inv b.Mop.resp
+  done;
   (* Reads-from must cover each external read exactly once, with
      matching values, and hold no edge for any other object: a stray
-     edge would still order its writer before its reader. *)
-  Array.iter
-    (fun (m : Mop.t) ->
-      if m.Mop.id <> Types.init_mop then begin
-        let reads = Mop.external_reads m in
-        List.iter
-          (fun (x, v) ->
-            match List.filter (fun e -> e.obj = x) rf_by_reader.(m.Mop.id) with
-            | [] ->
-              ill_formed "no reads-from edge for read of x%d by #%d" x m.Mop.id
-            | [ e ] -> (
-              if e.writer = e.reader then
-                ill_formed "#%d reads-from itself on x%d" m.Mop.id x;
-              if e.writer < 0 || e.writer >= Array.length arr then
-                ill_formed "reads-from writer #%d out of range" e.writer;
-              match Mop.final_write_value arr.(e.writer) x with
-              | None ->
-                ill_formed "#%d has no (final) write to x%d but #%d reads from it"
-                  e.writer x m.Mop.id
-              | Some w ->
-                if not (Value.equal w v) then
-                  ill_formed
-                    "#%d reads %s from x%d but writer #%d wrote %s"
-                    m.Mop.id (Value.show v) x e.writer (Value.show w))
-            | _ :: _ :: _ ->
-              ill_formed "duplicate reads-from edges for read of x%d by #%d" x
-                m.Mop.id)
-          reads;
-        List.iter
-          (fun e ->
-            if not (List.mem_assoc e.obj reads) then
-              ill_formed
-                "reads-from edge for x%d by #%d, which does not read x%d" e.obj
-                m.Mop.id e.obj)
-          rf_by_reader.(m.Mop.id)
-      end)
-    arr;
+     edge would still order its writer before its reader.  Each
+     reader's edges are tallied per object first; the per-object
+     arrays are stamped with the reader's id, so they are never
+     cleared, and the walks below take the id as an argument, so
+     nothing is allocated per reader but its external reads. *)
+  let tallied_by = Array.make n_objects (-1) in
+  let n_edges = Array.make n_objects 0 in
+  let writer_of = Array.make n_objects 0 in
+  let read_by = Array.make n_objects (-1) in
+  let rec tally id = function
+    | [] -> ()
+    | e :: rest ->
+      let x = e.obj in
+      (if x >= 0 && x < n_objects then
+         if tallied_by.(x) <> id then begin
+           tallied_by.(x) <- id;
+           n_edges.(x) <- 1;
+           writer_of.(x) <- e.writer
+         end
+         else n_edges.(x) <- n_edges.(x) + 1);
+      tally id rest
+  in
+  let rec cover id = function
+    | [] -> ()
+    | (x, v) :: rest ->
+      read_by.(x) <- id;
+      (match if tallied_by.(x) = id then n_edges.(x) else 0 with
+      | 0 -> ill_formed "no reads-from edge for read of x%d by #%d" x id
+      | 1 -> (
+        let writer = writer_of.(x) in
+        if writer = id then ill_formed "#%d reads-from itself on x%d" id x;
+        if writer < 0 || writer >= n then
+          ill_formed "reads-from writer #%d out of range" writer;
+        match Mop.final_write_value arr.(writer) x with
+        | None ->
+          ill_formed "#%d has no (final) write to x%d but #%d reads from it"
+            writer x id
+        | Some w ->
+          if not (Value.equal w v) then
+            ill_formed "#%d reads %s from x%d but writer #%d wrote %s" id
+              (Value.show v) x writer (Value.show w))
+      | _ -> ill_formed "duplicate reads-from edges for read of x%d by #%d" x id);
+      cover id rest
+  in
+  let rec no_strays id = function
+    | [] -> ()
+    | e :: rest ->
+      if not (e.obj >= 0 && e.obj < n_objects && read_by.(e.obj) = id) then
+        ill_formed "reads-from edge for x%d by #%d, which does not read x%d"
+          e.obj id e.obj;
+      no_strays id rest
+  in
+  for id = 1 to n - 1 do
+    let edges = rf_by_reader.(id) in
+    tally id edges;
+    cover id (Mop.external_reads arr.(id));
+    no_strays id edges
+  done;
   List.iter
     (fun e ->
       if e.reader <= 0 || e.reader >= Array.length arr then

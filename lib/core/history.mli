@@ -23,7 +23,19 @@ exception Ill_formed of string
 
     Raises {!Ill_formed} on: wrong identifiers, objects out of range,
     non-sequential process subhistories, or reads-from edges that are
-    missing, duplicated, self-referential or value-inconsistent. *)
+    missing, duplicated, self-referential, value-inconsistent, for an
+    object the reader does not read, or with a reader out of range.
+
+    Cost: one stable sort of the n m-operation ids by (process,
+    invocation) — O(n log n) — plus one pass over each reader's edges
+    and external reads against four per-object arrays, and one scan of
+    the writer's ops per edge ({!Mop.final_write_value}); it allocates
+    the history's own arrays and edge lists, the sort's index array
+    and those four arrays, and builds no hash table.  It accepts and
+    rejects exactly the inputs the per-process-table version it
+    replaced did, and for an input with one defect raises the same
+    message, naming the same m-operation of an overlapping pair
+    first. *)
 val create : n_objects:int -> Mop.t list -> rf:rf_edge list -> t
 
 val n_objects : t -> int

@@ -52,33 +52,51 @@ let is_update t = wobjects t <> []
 (** An m-operation is a query iff it is not an update. *)
 let is_query t = not (is_update t)
 
+(* Whether object [x] is in [xs]: an int comparison, not [List.mem]'s
+   polymorphic one. *)
+let rec mem_obj (x : Types.obj_id) = function
+  | [] -> false
+  | y :: rest -> y = x || mem_obj x rest
+
 (** First read of each object that is not preceded by a write to that
     object in the same m-operation, with the value read.  These are
-    exactly the reads subject to the reads-from relation and legality. *)
+    exactly the reads subject to the reads-from relation and legality:
+    an object's external read, if any, is the m-operation's first op on
+    it. *)
 let external_reads t =
-  let rec go written acc = function
+  let rec go touched acc = function
     | [] -> List.rev acc
-    | Op.Write (x, _) :: rest -> go (x :: written) acc rest
-    | Op.Read (x, v) :: rest ->
-      if List.mem x written || List.mem_assoc x acc then go written acc rest
-      else go written ((x, v) :: acc) rest
+    | op :: rest ->
+      let x = Op.obj op in
+      if mem_obj x touched then go touched acc rest
+      else
+        go (x :: touched)
+          (match op with Op.Read (_, v) -> (x, v) :: acc | Op.Write _ -> acc)
+          rest
   in
   go [] [] t.ops
 
 (** Last write per object, with the value written: the externally
-    visible writes of the m-operation. *)
+    visible writes of the m-operation, by ascending object.  The ops
+    are walked backwards, so the first write met for an object is its
+    last; it is inserted into the sorted result unless the object is
+    already there.  Writes in ascending object order — the
+    initializer, an epoch summary — each insert at the head in O(1). *)
 let final_writes t =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (function
-      | Op.Write (x, v) -> Hashtbl.replace tbl x v
-      | Op.Read _ -> ())
-    t.ops;
-  Hashtbl.fold (fun x v acc -> (x, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let rec insert x v = function
+    | (y, _) :: _ as l when x < y -> (x, v) :: l
+    | ((y, _) as p) :: rest when x > y -> p :: insert x v rest
+    | [] -> [ (x, v) ]
+    | l -> l
+  in
+  List.fold_left
+    (fun acc op ->
+      match op with Op.Write (x, v) -> insert x v acc | Op.Read _ -> acc)
+    [] (List.rev t.ops)
 
-(** Value of the final write of [t] to object [x], if any. *)
-let final_write_value t x = List.assoc_opt x (final_writes t)
+(** Value of the final write of [t] to object [x], if any: one scan of
+    [t.ops]. *)
+let final_write_value t x = Op.last_write t.ops x
 
 (** Two distinct m-operations conflict iff one reads or writes an
     object the other writes (D 4.1). *)

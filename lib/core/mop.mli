@@ -41,13 +41,23 @@ val is_query : t -> bool
 (** First read of each object not preceded by a write to that object
     in the same m-operation, with the value read — the reads subject to
     the reads-from relation and legality (internal reads are ignored,
-    paper Section 2.2). *)
+    paper Section 2.2).  An object's external read is the m-operation's
+    first op on it: one pass over the ops with integer comparisons,
+    O(ops × objects touched). *)
 val external_reads : t -> (Types.obj_id * Value.t) list
 
 (** Last write per object, with the value written: the externally
-    visible writes. *)
+    visible writes, in ascending object order.  Builds no table and
+    sorts nothing: O(ops) when the m-operation writes its objects in
+    ascending order (the initializer, an epoch summary), O(ops ×
+    written objects) at worst, allocating only the result and one
+    reversed copy of the ops.  Returns the same list as the
+    table-and-sort version it replaced. *)
 val final_writes : t -> (Types.obj_id * Value.t) list
 
+(** Value of the final write to an object, if any: one scan of the
+    ops, O(ops), allocating only the result — no per-call table.
+    Returns the same value as [List.assoc_opt x (final_writes t)]. *)
 val final_write_value : t -> Types.obj_id -> Value.t option
 
 (** Conflict (D 4.1): distinct and one reads or writes an object the

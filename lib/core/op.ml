@@ -21,6 +21,16 @@ let read x v = Read (x, v)
 
 let write x v = Write (x, v)
 
+(** Value of the last write of [x] in [ops], if any: one scan, no
+    table. *)
+let last_write ops x =
+  let rec scan found = function
+    | [] -> found
+    | Write (y, v) :: rest when y = x -> scan (Some v) rest
+    | _ :: rest -> scan found rest
+  in
+  scan None ops
+
 let pp ppf = function
   | Read (x, v) -> Fmt.pf ppf "r(x%d)%a" x Value.pp_compact v
   | Write (x, v) -> Fmt.pf ppf "w(x%d)%a" x Value.pp_compact v

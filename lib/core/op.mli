@@ -19,5 +19,9 @@ val is_write : t -> bool
 val read : Types.obj_id -> Value.t -> t
 val write : Types.obj_id -> Value.t -> t
 
+(** Value of the last write of an object in a sequence of operations,
+    if any — one scan of the list, O(length). *)
+val last_write : t list -> Types.obj_id -> Value.t option
+
 val pp : Format.formatter -> t -> unit
 val show : t -> string

@@ -111,6 +111,15 @@ type t = {
   settle : int;
   arena : Relation.Arena.arena;
   objs : ostate array;
+  (* Retirement's candidate frontier u(x) for the prefix under test:
+     the highest version the prefix writes and its writer, [u_ver.(x) =
+     0] where it writes none.  The objects it sets are [u_objs.(0 ..
+     u_n-1)]; resets go through them, and put [no_writer] back so that
+     u holds no retired writer. *)
+  u_ver : int array;
+  u_w : wstate array;
+  u_objs : int array;
+  mutable u_n : int;
   wr_gid : (int * int, wstate) Hashtbl.t;  (* (gid, obj) -> writer *)
   proc_retired : (int, unit) Hashtbl.t;
   pending : pending_e Queue.t;
@@ -133,6 +142,18 @@ type t = {
 
 let default_window = 256
 let default_settle = 512
+
+(* Placeholder in [u_w] where the prefix writes no version. *)
+let no_writer =
+  {
+    w_gid = 0;
+    w_feed = -1;
+    w_ver = 0;
+    w_value = Value.initial;
+    w_resp = 0;
+    last_reader = -1;
+    succ_resp = max_int;
+  }
 
 let create ?arena ?(window = default_window) ?(settle = default_settle)
     ~flavour ~n_objects () =
@@ -159,6 +180,10 @@ let create ?arena ?(window = default_window) ?(settle = default_settle)
             touched_retired = false;
             by_ver = Hashtbl.create 8;
           });
+    u_ver = Array.make n_objects 0;
+    u_w = Array.make n_objects no_writer;
+    u_objs = Array.make n_objects 0;
+    u_n = 0;
     wr_gid = Hashtbl.create 64;
     proc_retired = Hashtbl.create 8;
     pending = Queue.create ();
@@ -374,86 +399,89 @@ let retire t (lv : live_e array) =
   (* Version horizons: the candidate frontier u(x) of the prefix may
      only land when every version below it is superseded past the
      settle grace, with no reader outside the prefix.  A violation
-     caps the prefix below u(x)'s writer and we rescan. *)
+     caps the prefix below u(x)'s writer and we rescan.  u lives in
+     [t.u_ver]/[t.u_w]; each round rebuilds it from a reset, and the
+     round that returns [e] leaves it built for the fold. *)
+  let reset_u () =
+    for i = 0 to t.u_n - 1 do
+      let x = t.u_objs.(i) in
+      t.u_ver.(x) <- 0;
+      t.u_w.(x) <- no_writer
+    done;
+    t.u_n <- 0
+  in
   let rec fix e =
     if e < 0 then -1
     else begin
-      let u : (int, int * wstate) Hashtbl.t = Hashtbl.create 8 in
+      reset_u ();
       for i = 0 to e do
         List.iter
           (fun (x, v, _) ->
-            let keep =
-              match Hashtbl.find_opt u x with
-              | Some (v', _) -> v > v'
-              | None -> true
-            in
-            if keep then
+            if v > t.u_ver.(x) then
               match Hashtbl.find_opt t.objs.(x).by_ver v with
-              | Some w -> Hashtbl.replace u x (v, w)
+              | Some w ->
+                if t.u_ver.(x) = 0 then begin
+                  t.u_objs.(t.u_n) <- x;
+                  t.u_n <- t.u_n + 1
+                end;
+                t.u_ver.(x) <- v;
+                t.u_w.(x) <- w
               | None -> ())
           lv.(i).l.writes
       done;
       let cap = ref e in
-      Hashtbl.iter
-        (fun x (uv, uw) ->
-          let ost = t.objs.(x) in
-          let closed succ = succ < max_int && t.inv_floor >= succ + t.settle in
-          let ok =
-            (* The current frontier — including version 0, the initial
-               value — counts as a version below [uv]: it must be
-               superseded past the grace with no reader left outside
-               the prefix before the frontier may move past it. *)
-            closed ost.frontier_succ_resp
-            && ost.frontier_last_reader <= t.base + e
-            && Hashtbl.fold
-                 (fun v (w : wstate) acc ->
-                   acc
-                   && (v >= uv
-                      || closed w.succ_resp
-                         && w.last_reader <= t.base + e
-                         && w.w_feed <= t.base + e))
-                 ost.by_ver true
-          in
-          if not ok then cap := min !cap (uw.w_feed - t.base - 1))
-        u;
+      for i = 0 to t.u_n - 1 do
+        let x = t.u_objs.(i) in
+        let uv = t.u_ver.(x) and uw = t.u_w.(x) in
+        let ost = t.objs.(x) in
+        let closed succ = succ < max_int && t.inv_floor >= succ + t.settle in
+        let ok =
+          (* The current frontier — including version 0, the initial
+             value — counts as a version below [uv]: it must be
+             superseded past the grace with no reader left outside the
+             prefix before the frontier may move past it. *)
+          closed ost.frontier_succ_resp
+          && ost.frontier_last_reader <= t.base + e
+          && Hashtbl.fold
+               (fun v (w : wstate) acc ->
+                 acc
+                 && (v >= uv
+                    || closed w.succ_resp
+                       && w.last_reader <= t.base + e
+                       && w.w_feed <= t.base + e))
+               ost.by_ver true
+        in
+        if not ok then cap := min !cap (uw.w_feed - t.base - 1)
+      done;
       if !cap >= e then e else fix (best_under !cap)
     end
   in
   let e = fix (best_under (k - 1)) in
   if e >= 0 then begin
     (* Fold the prefix into the frontier state. *)
-    let u : (int, int * wstate) Hashtbl.t = Hashtbl.create 8 in
     for i = 0 to e do
       let le = lv.(i) in
       Hashtbl.replace t.proc_retired le.l.proc ();
       List.iter (fun op -> t.objs.(Op.obj op).touched_retired <- true) le.l.ops;
       List.iter
         (fun (x, v, _) ->
-          let keep =
-            match Hashtbl.find_opt u x with
-            | Some (v', _) -> v > v'
-            | None -> true
-          in
-          (if keep then
-             match Hashtbl.find_opt t.objs.(x).by_ver v with
-             | Some w -> Hashtbl.replace u x (v, w)
-             | None -> ());
-          (match Hashtbl.find_opt t.objs.(x).by_ver v with
+          match Hashtbl.find_opt t.objs.(x).by_ver v with
           | Some w ->
             Hashtbl.remove t.objs.(x).by_ver v;
             Hashtbl.remove t.wr_gid (w.w_gid, x)
-          | None -> ()))
+          | None -> ())
         le.l.writes
     done;
-    Hashtbl.iter
-      (fun x (uv, uw) ->
-        let ost = t.objs.(x) in
-        ost.frontier_ver <- uv;
-        ost.frontier_gid <- uw.w_gid;
-        ost.frontier_value <- uw.w_value;
-        ost.frontier_last_reader <- uw.last_reader;
-        ost.frontier_succ_resp <- uw.succ_resp)
-      u;
+    for i = 0 to t.u_n - 1 do
+      let x = t.u_objs.(i) in
+      let uw = t.u_w.(x) in
+      let ost = t.objs.(x) in
+      ost.frontier_ver <- t.u_ver.(x);
+      ost.frontier_gid <- uw.w_gid;
+      ost.frontier_value <- uw.w_value;
+      ost.frontier_last_reader <- uw.last_reader;
+      ost.frontier_succ_resp <- uw.succ_resp
+    done;
     t.next_pos <- t.next_pos + scnt.(e);
     t.base <- t.base + e + 1;
     let rest = ref [] in
@@ -462,7 +490,8 @@ let retire t (lv : live_e array) =
     done;
     t.live_rev <- !rest;
     t.n_live <- k - e - 1
-  end
+  end;
+  reset_u ()
 
 (* --- epoch check ------------------------------------------------------- *)
 
@@ -700,19 +729,6 @@ let metrics t =
 
 (* --- adapters ---------------------------------------------------------- *)
 
-let final_write_values ops =
-  let tbl = Hashtbl.create 4 in
-  let order = ref [] in
-  List.iter
-    (fun op ->
-      match op with
-      | Op.Write (x, v) ->
-        if not (Hashtbl.mem tbl x) then order := x :: !order;
-        Hashtbl.replace tbl x v
-      | Op.Read _ -> ())
-    ops;
-  List.rev_map (fun x -> (x, Hashtbl.find tbl x)) !order
-
 let entry_of_record (r : Mmc_store.Recorder.record) =
   let ns = ref None in
   let see n =
@@ -725,11 +741,10 @@ let entry_of_record (r : Mmc_store.Recorder.record) =
   in
   List.iter (fun (_, _, n) -> see n) r.Mmc_store.Recorder.reads;
   List.iter (fun (_, _, n) -> see n) r.Mmc_store.Recorder.writes;
-  let values = final_write_values r.Mmc_store.Recorder.ops in
   let writes =
     List.map
       (fun (x, v, _) ->
-        match List.assoc_opt x values with
+        match Op.last_write r.Mmc_store.Recorder.ops x with
         | Some value -> (x, v, value)
         | None ->
           invalid_arg

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Determinism canary: print the count lines of one faulty `mmc recover`
-# run, one fault-free rmsc soak and one Zipf-skewed sharded run —
-# virtual time, messages, retransmits, acks, WAL and storage counters,
-# catch-up, broadcast, engine events, router counts and tick
-# latencies.  The runtest rule diffs them against canary.expected, so
+# run, one fault-free rmsc soak, one Zipf-skewed sharded run and one
+# msc and one mlin soak — virtual time, messages, retransmits, acks,
+# WAL and storage counters, catch-up, broadcast, engine events, router
+# counts, tick latencies and the windowed checker's epochs (window
+# occupancy, retired prefix and epoch checks, checker words, verdict).  The runtest rule diffs them against canary.expected, so
 # a change that moves any event, message, timer or counter of these
 # runs fails it.  A change meant to alter the protocol's runs
 # re-records the file (`dune runtest; dune promote`) and says so.
@@ -17,7 +18,7 @@ mmc=$1
   grep -E '^(completed ops|virtual time|messages|dropped|retransmits|restarts|recoveries|wal|storage|catch-up|broadcast|detector|stability acks) '
 
 "$mmc" soak --store rmsc --ops 4000 --seed 1 |
-  grep -E '^(arrived ops|completed ops|virtual time|messages|engine events|latency|query latency|update latency|max queue) '
+  grep -E '^(arrived ops|completed ops|virtual time|messages|engine events|latency|query latency|update latency|max queue|window occupancy|retired prefix|checker words|verdict) '
 
 # The only CLI path that draws Zipf keys (`--skew`): a change to the
 # workload generators or to `Rng.zipf` that moves any draw moves these
@@ -25,3 +26,11 @@ mmc=$1
 "$mmc" shard --shards 4 --procs 8 --objects 32 --ops 100 --skew 0.99 \
   --cross 0.1 --seed 2 |
   grep -E '^(completed ops|virtual time|messages|engine events|router|query latency|update latency) '
+
+# The windowed checker's epochs on the two soak stores it checks most:
+# a change to how an epoch history is built or retired that moves any
+# epoch, retirement or checker-word count moves these lines.
+for store in msc mlin; do
+  "$mmc" soak --store "$store" --ops 20000 --seed 3 |
+    grep -E '^(window occupancy|retired prefix|checker words|verdict) '
+done
