@@ -16,12 +16,13 @@ test:
 # Tier-1 gate: everything builds and every test passes.
 check: build test
 
-# Mirror of .github/workflows/ci.yml: build, full test suite, the
-# recovery smoke, the soak benchmark self-test and the bench smoke
-# (reduced sizes, compared against the committed trajectory in warn
-# mode — CI runners are too noisy for a hard perf gate, but a broken
-# bench or a failed built-in metric assertion still fails the job via
-# the bench exit code).
+# What .github/workflows/ci.yml runs (its one job is `make ci`): build,
+# full test suite, the recovery, chaos, storage, soak and fastpath
+# smokes, the soak benchmark self-test and the bench smoke (reduced
+# sizes, compared against the committed trajectory in warn mode — CI
+# runners are too noisy for a hard perf gate, but a broken bench or a
+# failed built-in metric assertion still fails the job via the bench
+# exit code).
 ci: build test recover-smoke chaos-smoke scrub-smoke soak-smoke fastpath-smoke soakbench-test bench-smoke
 
 # Soak benchmark self-test: every BENCHMARK.json workload at 2000
@@ -31,13 +32,15 @@ ci: build test recover-smoke chaos-smoke scrub-smoke soak-smoke fastpath-smoke s
 soakbench-test: build
 	python3 soakbench/test_run.py
 
-# Reduced-size bench pass over the core, fastpath and sim groups with
-# metric assertions active, written to a scratch JSON and diffed
-# against the committed BENCH_core.json in warn-only mode.
+# Reduced-size bench pass over the core, fastpath, sim, shard and
+# stream groups with metric assertions active (the stream group's
+# flat-memory ceiling, PASS verdict and seeded-corruption FAIL among
+# them), written to a scratch JSON and diffed against the committed
+# BENCH_core.json in warn-only mode.
 bench-smoke: build
 	$(DUNE) build bench/main.exe
 	$(DUNE) exec bench/main.exe -- --quick --only core --only fastpath \
-	  --only sim --json /tmp/bench-smoke.json \
+	  --only sim --only shard --only stream --json /tmp/bench-smoke.json \
 	  --compare BENCH_core.json --compare-warn
 
 # Hard perf gate for local use: re-run the core group at full size

@@ -39,10 +39,6 @@ let admissible (res : Runner.result) flavour =
   | Check_constrained.Admissible _ -> true
   | _ -> false
 
-let flavour_of = function
-  | Store.Msc -> History.Msc
-  | _ -> History.Mlin
-
 (** One (store, plan) cell aggregated over seeds. *)
 type cell = {
   ok : int;  (** admissible traces *)
@@ -79,7 +75,7 @@ let measure ?procs ?ops ~seeds ~kind ~plan () =
     let res = run_faulty ?procs ?ops ~seed ~kind ~plan () in
     let a = !acc in
     let a =
-      if admissible res (flavour_of kind) then { a with ok = a.ok + 1 } else a
+      if admissible res (Store.flavour kind) then { a with ok = a.ok + 1 } else a
     in
     let a =
       {

@@ -4,7 +4,9 @@
     Drives [cfg.n_procs] sequential clients against a {!Shard_store}
     (one per-shard store instance of [cfg.kind] each, fronted by the
     {!Router}), runs to quiescence and returns everything needed to
-    verify and measure the run.  The per-shard traces are not stitched
+    verify and measure the run.  The clients are
+    {!Mmc_store.Runner.closed_loop}'s, so a seed splits its streams
+    exactly as in {!Mmc_store.Runner.run}.  The per-shard traces are not stitched
     here: {!Shard_recorder.stitch} [res.placement res.recorders] builds
     the global history for callers that need it, and {!check} stitches
     on its own. *)

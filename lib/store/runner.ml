@@ -142,13 +142,22 @@ let check_history ?(kind = Constraints.WW) h ~sync_order ~flavour =
 let check_trace ?kind (res : result) ~flavour =
   check_history ?kind res.history ~sync_order:res.sync_order ~flavour
 
-(** [run ~seed cfg ~workload] — [workload rng ~proc ~step] produces the
-    [step]-th m-operation of client [proc]. *)
-let run ~seed cfg ~workload =
-  if cfg.think_lo < 1 then invalid_arg "Runner.run: think_lo must be >= 1";
+module Loop = struct
+  type t = {
+    store : Store.t;
+    duration : Types.time;
+    events : int;
+    completed : int;
+    query_latency : Stats.summary;
+    update_latency : Stats.summary;
+    fault : Fault.t option;
+  }
+end
+
+let closed_loop ~seed cfg ~store ~workload =
+  if cfg.think_lo < 1 then invalid_arg "Runner.closed_loop: think_lo must be >= 1";
   let engine = Engine.create () in
   let rng = Rng.create seed in
-  let recorder = Recorder.create ~n_objects:cfg.n_objects in
   let store_rng = Rng.split rng in
   let query_stats = Stats.create () in
   let update_stats = Stats.create () in
@@ -162,14 +171,7 @@ let run ~seed cfg ~workload =
     if Fault.is_none cfg.fault then None
     else Some (Fault.create cfg.fault ~rng:(Rng.split rng))
   in
-  let handle = ref None in
-  let fhandle = ref None in
-  let store =
-    make_store ?fault
-      ~sink:(fun h -> handle := Some h)
-      ~fsink:(fun h -> fhandle := Some h)
-      cfg engine ~rng:store_rng ~recorder
-  in
+  let store = store fault engine store_rng in
   let rec step proc i () =
     if i < cfg.ops_per_proc then begin
       let m = workload client_rngs.(proc) ~proc ~step:i in
@@ -190,6 +192,29 @@ let run ~seed cfg ~workload =
     Engine.schedule engine ~delay:start (step proc 0)
   done;
   Engine.run engine;
+  {
+    Loop.store;
+    duration = Engine.now engine;
+    events = Engine.executed engine;
+    completed = !completed;
+    query_latency = Stats.summarize query_stats;
+    update_latency = Stats.summarize update_stats;
+    fault;
+  }
+
+(** [run ~seed cfg ~workload] — [workload rng ~proc ~step] produces the
+    [step]-th m-operation of client [proc]. *)
+let run ~seed cfg ~workload =
+  let recorder = Recorder.create ~n_objects:cfg.n_objects in
+  let handle = ref None in
+  let fhandle = ref None in
+  let loop =
+    closed_loop ~seed cfg ~workload ~store:(fun fault engine rng ->
+        make_store ?fault
+          ~sink:(fun h -> handle := Some h)
+          ~fsink:(fun h -> fhandle := Some h)
+          cfg engine ~rng ~recorder)
+  in
   (* The Seg store's tail entries (never flushed by quiescence) join
      the synchronization order before the history is built. *)
   Option.iter (fun (h : Seg_store.handle) -> h.finalize ()) !fhandle;
@@ -198,13 +223,13 @@ let run ~seed cfg ~workload =
     history;
     stamps;
     sync_order;
-    duration = Engine.now engine;
-    messages = Store.messages_sent store;
-    events = Engine.executed engine;
-    completed = !completed;
-    query_latency = Stats.summarize query_stats;
-    update_latency = Stats.summarize update_stats;
-    fault;
+    duration = loop.Loop.duration;
+    messages = Store.messages_sent loop.Loop.store;
+    events = loop.Loop.events;
+    completed = loop.Loop.completed;
+    query_latency = loop.Loop.query_latency;
+    update_latency = loop.Loop.update_latency;
+    fault = loop.Loop.fault;
     recovery = !handle;
     fastpath = !fhandle;
   }

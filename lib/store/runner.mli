@@ -105,6 +105,40 @@ val check_history :
   flavour:History.flavour ->
   Check_constrained.result
 
+(** What one closed-loop run measured, up to quiescence. *)
+module Loop : sig
+  type t = {
+    store : Store.t;  (** the store the clients drove *)
+    duration : Types.time;  (** virtual time at quiescence *)
+    events : int;
+    completed : int;
+    query_latency : Mmc_sim.Stats.summary;
+    update_latency : Mmc_sim.Stats.summary;
+    fault : Mmc_sim.Fault.t option;
+        (** the fault injector, when [cfg.fault] is a plan *)
+  }
+end
+
+(** [closed_loop ~seed cfg ~store ~workload] — the client loop {!run}
+    and the sharded runner both drive: [cfg.n_procs] sequential
+    clients, each issuing its next m-operation ([workload rng ~proc
+    ~step]) a think time after the previous response, run to
+    quiescence.  [store fault engine rng] builds the store under test.
+
+    The loop owns the seed's stream-splitting order, which pinned seeds
+    depend on: the store's stream first, then one per client, then the
+    fault injector's — split only when [cfg.fault] is a plan, so
+    fault-free runs draw as they would without fault injection.
+    Raises [Invalid_argument] when [cfg.think_lo < 1] or when the plan
+    names a node outside [0, cfg.n_procs). *)
+val closed_loop :
+  seed:int ->
+  config ->
+  store:
+    (Mmc_sim.Fault.t option -> Mmc_sim.Engine.t -> Mmc_sim.Rng.t -> Store.t) ->
+  workload:(Mmc_sim.Rng.t -> proc:int -> step:int -> Prog.mprog) ->
+  Loop.t
+
 (** [run ~seed cfg ~workload] — [workload rng ~proc ~step] produces the
     [step]-th m-operation of client [proc]. *)
 val run :

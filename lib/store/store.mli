@@ -31,3 +31,11 @@ type kind =
 
 val pp_kind : Format.formatter -> kind -> unit
 val kind_of_string : string -> kind option
+
+(** The condition a store's traces are checked against: m-sequential
+    consistency for Figure 4 and the stores built on it ([Msc],
+    [Rmsc], [Seg]) and for the [Local] baseline it is expected to
+    fail; m-linearizability for Figure 6 and the other baselines.
+    This is the one store→condition table; every driver and checker
+    caller takes its flavour from here. *)
+val flavour : kind -> History.flavour

@@ -22,7 +22,8 @@ open Mmc_core
 open Mmc_sim
 open Mmc_store
 
-(** The consistency flavour a store kind's trace is checked under. *)
+(** The consistency flavour a store kind's trace is checked under:
+    {!Mmc_store.Store.flavour}. *)
 val flavour_of_kind : Store.kind -> History.flavour
 
 type config = {

@@ -4,9 +4,12 @@
 # msc and one mlin soak — virtual time, messages, retransmits, acks,
 # WAL and storage counters, catch-up, broadcast, engine events, router
 # counts, tick latencies and the windowed checker's epochs (window
-# occupancy, retired prefix and epoch checks, checker words, verdict).  The runtest rule diffs them against canary.expected, so
-# a change that moves any event, message, timer or counter of these
-# runs fails it.  A change meant to alter the protocol's runs
+# occupancy, retired prefix and epoch checks, checker words, verdict) —
+# then the whole stdout of one run of each run-style subcommand
+# (simulate, faults, recover, chaos, shard and two soaks).  The runtest
+# rule diffs them against canary.expected, so a change that moves any
+# event, message, timer or counter of these runs, or any line they
+# print, fails it.  A change meant to alter the protocol's runs
 # re-records the file (`dune runtest; dune promote`) and says so.
 #
 # usage: sh test/canary.sh PATH/TO/mmc_cli.exe
@@ -34,3 +37,24 @@ for store in msc mlin; do
   "$mmc" soak --store "$store" --ops 20000 --seed 3 |
     grep -E '^(window occupancy|retired prefix|checker words|verdict) '
 done
+
+# The full stdout of each run-style subcommand, without the
+# environment-dependent process heap (`process heap` lines and the
+# `top_heap_w=` field): a change to how a subcommand reads its flags,
+# builds its run configuration or prints its verdict that moves any
+# printed line moves these.  The chaos sweep FAILs seed 100, so it
+# also pins a `replay:` line.
+strip_heap() {
+  grep -v '^process heap ' | sed 's/ top_heap_w=[0-9]*//'
+}
+"$mmc" simulate --store mlin --ops 5 --seed 3 --check --latency exp:8
+"$mmc" faults --store mlin --abcast lamport --plan drop=0.2,part=120:320:0 \
+  --ops 8 --seed 2 --batch 2 --fanout 2
+"$mmc" recover --abcast lamport --checkpoint-every 4 --ops 8 --seed 2 --json
+"$mmc" chaos --plans 6 --seed 95 --ops 400 --verbose || test $? -eq 1
+"$mmc" shard --shards 2 --store mlin --ops 8 --cross 0.15 \
+  --plan drop=0.2,part=100:300:0 --placement rr --seed 1
+"$mmc" soak --store msc --shards 4 --procs 8 --objects 32 --ops 4000 \
+  --seed 3 | strip_heap
+"$mmc" soak --store mlin --ops 3000 --seed 2 --json --sample-every 500 |
+  strip_heap

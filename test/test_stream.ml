@@ -68,8 +68,6 @@ let compare_one ~seed ~kind ~flavour ~fault ~window ~settle ~ops =
     Alcotest.failf "%s: windowed checker inconclusive: %s" ctx msg);
   (v, Mmc_stream.Window_check.metrics wc)
 
-let flavour_of = function Store.Mlin -> History.Mlin | _ -> History.Msc
-
 let test_equality_sweep () =
   List.iter
     (fun kind ->
@@ -78,7 +76,7 @@ let test_equality_sweep () =
           List.iter
             (fun seed ->
               ignore
-                (compare_one ~seed ~kind ~flavour:(flavour_of kind)
+                (compare_one ~seed ~kind ~flavour:(Store.flavour kind)
                    ~fault:Mmc_sim.Fault.none ~window
                    ~settle:Mmc_stream.Window_check.default_settle ~ops:16))
             [ 1; 2; 3 ])
@@ -95,7 +93,7 @@ let test_equality_tight_settle () =
       List.iter
         (fun seed ->
           let v, m =
-            compare_one ~seed ~kind ~flavour:(flavour_of kind)
+            compare_one ~seed ~kind ~flavour:(Store.flavour kind)
               ~fault:Mmc_sim.Fault.none ~window:4 ~settle:64 ~ops:40
           in
           Alcotest.(check bool)
@@ -131,7 +129,7 @@ let test_equality_under_faults () =
       List.iter
         (fun seed ->
           ignore
-            (compare_one ~seed ~kind ~flavour:(flavour_of kind) ~fault:plan
+            (compare_one ~seed ~kind ~flavour:(Store.flavour kind) ~fault:plan
                ~window:8 ~settle:128 ~ops:16))
         [ 1; 2; 3 ])
     [ Store.Msc; Store.Rmsc ]
@@ -145,7 +143,7 @@ let prop_equality =
         match k with 0 -> Store.Msc | 1 -> Store.Mlin | _ -> Store.Rmsc
       in
       ignore
-        (compare_one ~seed ~kind ~flavour:(flavour_of kind)
+        (compare_one ~seed ~kind ~flavour:(Store.flavour kind)
            ~fault:Mmc_sim.Fault.none ~window ~settle:128 ~ops:10);
       true)
 
