@@ -59,25 +59,37 @@ let flavour_conv =
   Arg.conv (parse, History.pp_flavour)
 
 let latency_conv =
+  let usage =
+    "latency model: constant:D | uniform:LO:HI | exp:MEAN | \
+     bimodal:FAST:SLOW:P, with delays >= 0, LO <= HI, MEAN >= 1 and P in \
+     [0, 1]"
+  in
   let parse s =
     match String.split_on_char ':' s with
-    | [ "constant"; d ] -> Ok (Mmc_sim.Latency.Constant (int_of_string d))
+    | [ "constant"; d ] -> Mmc_sim.Latency.Constant (int_of_string d)
     | [ "uniform"; lo; hi ] ->
-      Ok (Mmc_sim.Latency.Uniform (int_of_string lo, int_of_string hi))
-    | [ "exp"; m ] -> Ok (Mmc_sim.Latency.Exponential (int_of_string m))
+      Mmc_sim.Latency.Uniform (int_of_string lo, int_of_string hi)
+    | [ "exp"; m ] -> Mmc_sim.Latency.Exponential (int_of_string m)
     | [ "bimodal"; fast; slow; p ] ->
-      Ok
-        (Mmc_sim.Latency.Bimodal
-           {
-             fast = int_of_string fast;
-             slow = int_of_string slow;
-             p_slow = float_of_string p;
-           })
-    | _ ->
-      Error
-        (`Msg
-          "latency model: constant:D | uniform:LO:HI | exp:MEAN | \
-           bimodal:FAST:SLOW:P")
+      Mmc_sim.Latency.Bimodal
+        {
+          fast = int_of_string fast;
+          slow = int_of_string slow;
+          p_slow = float_of_string p;
+        }
+    | _ -> failwith usage
+  in
+  (* A model the simulator cannot sample is a usage error (exit 124),
+     not a crash at the first message. *)
+  let parse s =
+    match parse s with
+    | Mmc_sim.Latency.Constant d when d >= 0 -> Ok (Mmc_sim.Latency.Constant d)
+    | Uniform (lo, hi) when 0 <= lo && lo <= hi -> Ok (Uniform (lo, hi))
+    | Exponential m when m >= 1 -> Ok (Exponential m)
+    | Bimodal { fast; slow; p_slow } as b
+      when fast >= 0 && slow >= 0 && p_slow >= 0. && p_slow <= 1. ->
+      Ok b
+    | _ | (exception Failure _) -> Error (`Msg usage)
   in
   (* Prints what [parse] reads back (the chaos replay lines use it). *)
   let pp ppf = function
@@ -124,15 +136,18 @@ let crc_conv =
   let pp ppf b = Fmt.string ppf (if b then "on" else "off") in
   Arg.conv (parse, pp)
 
-(* Every count flag takes a [count]: an integer below 1 is a usage
-   error (exit 124) before anything runs. *)
-let count =
+(* Every count flag takes a [count]: an integer below [least] (1 by
+   default) is a usage error (exit 124) before anything runs. *)
+let count_from least =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n < 1 -> Error (`Msg (Fmt.str "expected a count >= 1, got %d" n))
+    | Ok n when n < least ->
+      Error (`Msg (Fmt.str "expected a count >= %d, got %d" least n))
     | r -> r
   in
   Arg.conv (parse, Fmt.int)
+
+let count = count_from 1
 
 (* --- flags that are not part of the run configuration --- *)
 
@@ -166,7 +181,7 @@ let window ~doc =
 let settle ~doc =
   Arg.(
     value
-    & opt int Mmc_stream.Window_check.default_settle
+    & opt (count_from 0) Mmc_stream.Window_check.default_settle
     & info [ "settle" ] ~docv:"S" ~doc)
 
 let json ~doc = Arg.(value & flag & info [ "json" ] ~doc)
@@ -1832,7 +1847,7 @@ let show_cmd =
   let width =
     Arg.(
       value
-      & opt int Timeline.default_width
+      & opt count Timeline.default_width
       & info [ "width" ] ~docv:"COLS" ~doc:"Timeline width in columns.")
   in
   Cmd.v

@@ -7,14 +7,14 @@
     (Lemmas 3–5).  Everything here is polynomial in the history size,
     in contrast with {!Admissible.search}.
 
-    Two pipelines decide the same verdicts.  {!check_chain} works on
+    Two pipelines decide the same verdicts.  {!check_chains} works on
     per-process chains and a sparse edge list and serves the
-    verification paths.  The dense one ({!check_relation},
-    {!check_closed}, {!Incremental}) is the reference oracle and is
-    single-pass: the base relation is closed exactly once (acyclicity
-    read off the closure's diagonal) and the interference triples are
-    computed once and shared between the legality scan and the [~rw]
-    extension. *)
+    verification paths, through {!check_chain} for a {!History.t}.
+    The dense one ({!check_relation}, {!check_closed}, {!Incremental})
+    is the reference oracle and is single-pass: the base relation is
+    closed exactly once (acyclicity read off the closure's diagonal)
+    and the interference triples are computed once and shared between
+    the legality scan and the [~rw] extension. *)
 
 type result =
   | Admissible of Sequential.witness
@@ -100,9 +100,30 @@ let check h flavour kind =
    [~rw] need only the next writer after each reads-from source
    (DESIGN.md §9 gives the argument). *)
 
-let check_chain ?arena h ~flavour ~extra kind =
-  let n = History.n_mops h and nx = History.n_objects h in
-  let mops = History.mops h in
+type chains = {
+  n : int;
+  n_objects : int;
+  chain : int array;
+  idx : int array;
+  inv : Types.time array;
+  resp : Types.time array;
+  row : int array;
+  wend : int array;
+  tend : int array;
+  objs : int array;
+  n_rf : int;
+  rf_reader : int array;
+  rf_obj : int array;
+  rf_writer : int array;
+  n_extra : int;
+  extra_src : int array;
+  extra_dst : int array;
+}
+
+let check_chains ?arena (c : chains) ~flavour kind =
+  let n = c.n and nx = c.n_objects in
+  let chain = c.chain and idx = c.idx and inv = c.inv and resp = c.resp in
+  let row = c.row and wend = c.wend and tend = c.tend and objs = c.objs in
   (* Working tables come from the arena's scratch lists when one is
      given (they may be longer than asked for) and all go back at the
      end. *)
@@ -115,59 +136,13 @@ let check_chain ?arena h ~flavour ~extra kind =
       taken := w :: !taken;
       w
   in
-  (* Deduplicated objects per m-operation in compressed rows:
-     [start.(v) .. start.(v+1) - 1] of [objs]. *)
-  let object_rows keep =
-    let start = scratch (n + 1) and seen = scratch nx in
-    Array.fill seen 0 nx (-1);
-    let count = ref 0 in
-    let pass f =
-      Array.iter
-        (fun (m : Mop.t) ->
-          List.iter
-            (fun op ->
-              let x = Op.obj op in
-              if keep op && seen.(x) <> m.Mop.id then begin
-                seen.(x) <- m.Mop.id;
-                f m.Mop.id x
-              end)
-            m.Mop.ops)
-        mops
-    in
-    Array.fill start 0 (n + 1) 0;
-    pass (fun v _ ->
-        start.(v + 1) <- start.(v + 1) + 1;
-        incr count);
-    for v = 1 to n do
-      start.(v) <- start.(v) + start.(v - 1)
-    done;
-    let objs = scratch !count and fill = scratch n in
-    Array.blit start 0 fill 0 n;
-    Array.fill seen 0 nx (-1);
-    pass (fun v x ->
-        objs.(fill.(v)) <- x;
-        fill.(v) <- fill.(v) + 1);
-    (start, objs)
-  in
-  let wstart, wobjs = object_rows Op.is_write in
-  let touched = lazy (object_rows (fun _ -> true)) in
-  (* Chains: the initializer's, then one per process in order of first
-     appearance.  [memb] lists each chain's members (ids) contiguously
-     from [cstart.(c)], in invocation order; [idx] is the position in
-     the chain. *)
-  let chain = scratch n and idx = scratch n in
-  let chain_of_proc = Hashtbl.create 8 in
-  Array.iter
-    (fun (m : Mop.t) ->
-      chain.(m.Mop.id) <-
-        (match Hashtbl.find_opt chain_of_proc m.Mop.proc with
-        | Some c -> c
-        | None ->
-          let c = Hashtbl.length chain_of_proc in
-          Hashtbl.add chain_of_proc m.Mop.proc c;
-          c))
-    mops;
-  let nc = Hashtbl.length chain_of_proc in
+  (* Each chain's members contiguously from [cstart.(c)], in chain
+     order. *)
+  let nc = ref 0 in
+  for v = 0 to n - 1 do
+    if chain.(v) >= !nc then nc := chain.(v) + 1
+  done;
+  let nc = !nc in
   let cstart = Array.make (nc + 1) 0 in
   for v = 0 to n - 1 do
     cstart.(chain.(v) + 1) <- cstart.(chain.(v) + 1) + 1
@@ -175,41 +150,20 @@ let check_chain ?arena h ~flavour ~extra kind =
   for c = 1 to nc do
     cstart.(c) <- cstart.(c) + cstart.(c - 1)
   done;
-  let memb = scratch n and cfill = Array.sub cstart 0 nc in
+  let memb = scratch n in
   for v = 0 to n - 1 do
-    let c = chain.(v) in
-    memb.(cfill.(c)) <- v;
-    cfill.(c) <- cfill.(c) + 1
-  done;
-  for c = 0 to nc - 1 do
-    let s = cstart.(c) and len = cstart.(c + 1) - cstart.(c) in
-    let sorted = ref true in
-    for k = s + 1 to s + len - 1 do
-      if mops.(memb.(k - 1)).Mop.inv > mops.(memb.(k)).Mop.inv then
-        sorted := false
-    done;
-    if not !sorted then begin
-      let seg = Array.sub memb s len in
-      Array.stable_sort
-        (fun i j -> Int.compare mops.(i).Mop.inv mops.(j).Mop.inv)
-        seg;
-      Array.blit seg 0 memb s len
-    end;
-    for k = s to s + len - 1 do
-      idx.(memb.(k)) <- k - s
-    done
+    memb.(cstart.(chain.(v)) + idx.(v)) <- v
   done;
   (* Object order (m-normality) needs, per (chain, object), the
      chain's ops touching the object in chain order. *)
   let touching =
     match flavour with
     | History.Mnorm ->
-      let ostart, oobjs = Lazy.force touched in
       let t = Array.make (nc * nx) [] in
       for k = n - 1 downto 0 do
         let v = memb.(k) in
-        for r = ostart.(v) to ostart.(v + 1) - 1 do
-          let cx = (chain.(v) * nx) + oobjs.(r) in
+        for r = row.(v) to tend.(v) - 1 do
+          let cx = (chain.(v) * nx) + objs.(r) in
           t.(cx) <- v :: t.(cx)
         done
       done;
@@ -227,10 +181,12 @@ let check_chain ?arena h ~flavour ~extra kind =
         f memb.(k - 1) memb.(k)
       done
     done;
-    List.iter
-      (fun (e : History.rf_edge) -> f e.History.writer e.History.reader)
-      (History.rf h);
-    List.iter (fun (a, b) -> f a b) extra;
+    for i = 0 to c.n_rf - 1 do
+      f c.rf_writer.(i) c.rf_reader.(i)
+    done;
+    for i = 0 to c.n_extra - 1 do
+      f c.extra_src.(i) c.extra_dst.(i)
+    done;
     match flavour with
     | History.Msc -> ()
     | History.Mlin ->
@@ -245,10 +201,7 @@ let check_chain ?arena h ~flavour ~extra kind =
             let p = ref (cstart.(c) - 1) and last = ref (-1) in
             for k = cstart.(cb) to cstart.(cb + 1) - 1 do
               let b = memb.(k) in
-              while
-                !p + 1 < cstart.(c + 1)
-                && mops.(memb.(!p + 1)).Mop.resp < mops.(b).Mop.inv
-              do
+              while !p + 1 < cstart.(c + 1) && resp.(memb.(!p + 1)) < inv.(b) do
                 incr p
               done;
               if !p >= cstart.(c) && !p > !last then begin
@@ -262,24 +215,22 @@ let check_chain ?arena h ~flavour ~extra kind =
     | History.Mnorm ->
       (* The same reduction per (chain, object): the latest op of
          chain [c] touching [x] that responds before [b] invokes. *)
-      Array.iter
-        (fun (b : Mop.t) ->
-          List.iter
-            (fun x ->
-              for c = 0 to nc - 1 do
-                if c <> chain.(b.Mop.id) then begin
-                  let cs = touching.((c * nx) + x) in
-                  let lo = ref 0 and hi = ref (Array.length cs) in
-                  while !lo < !hi do
-                    let mid = (!lo + !hi) / 2 in
-                    if mops.(cs.(mid)).Mop.resp < b.Mop.inv then lo := mid + 1
-                    else hi := mid
-                  done;
-                  if !lo > 0 then f cs.(!lo - 1) b.Mop.id
-                end
-              done)
-            (Mop.objects b))
-        mops
+      for b = 0 to n - 1 do
+        for r = row.(b) to tend.(b) - 1 do
+          let x = objs.(r) in
+          for c = 0 to nc - 1 do
+            if c <> chain.(b) then begin
+              let cs = touching.((c * nx) + x) in
+              let lo = ref 0 and hi = ref (Array.length cs) in
+              while !lo < !hi do
+                let mid = (!lo + !hi) / 2 in
+                if resp.(cs.(mid)) < inv.(b) then lo := mid + 1 else hi := mid
+              done;
+              if !lo > 0 then f cs.(!lo - 1) b
+            end
+          done
+        done
+      done
   in
   let g = Digraph.of_iter ?arena n base_edges in
   let verdict =
@@ -313,7 +264,7 @@ let check_chain ?arena h ~flavour ~extra kind =
           let last = ref (-1) and ok = ref true in
           Array.iter
             (fun v ->
-              if !ok && wstart.(v + 1) > wstart.(v) then begin
+              if !ok && wend.(v) > row.(v) then begin
                 if !last >= 0 && not (prec !last v) then ok := false;
                 last := v
               end)
@@ -323,8 +274,8 @@ let check_chain ?arena h ~flavour ~extra kind =
           let last = Array.make nx (-1) and ok = ref true in
           Array.iter
             (fun v ->
-              for r = wstart.(v) to wstart.(v + 1) - 1 do
-                let x = wobjs.(r) in
+              for r = row.(v) to wend.(v) - 1 do
+                let x = objs.(r) in
                 if last.(x) >= 0 && not (prec last.(x) v) then ok := false;
                 last.(x) <- v
               done)
@@ -334,15 +285,14 @@ let check_chain ?arena h ~flavour ~extra kind =
           (* Each accessor after the last writer before it and before
              the first writer after it; writers are accessors, so the
              writers of an object form a chain too. *)
-          let ostart, oobjs = Lazy.force touched in
           let near = Array.make nx (-1) and ok = ref true in
           let visit ordered v =
-            for r = ostart.(v) to ostart.(v + 1) - 1 do
-              let w = near.(oobjs.(r)) in
+            for r = row.(v) to tend.(v) - 1 do
+              let w = near.(objs.(r)) in
               if w >= 0 && not (ordered w v) then ok := false
             done;
-            for r = wstart.(v) to wstart.(v + 1) - 1 do
-              near.(wobjs.(r)) <- v
+            for r = row.(v) to wend.(v) - 1 do
+              near.(objs.(r)) <- v
             done
           in
           for k = 0 to n - 1 do
@@ -361,17 +311,19 @@ let check_chain ?arena h ~flavour ~extra kind =
         let pos = scratch n in
         Array.iteri (fun k v -> pos.(v) <- k) order;
         let xstart = Array.make (nx + 1) 0 in
-        for r = 0 to wstart.(n) - 1 do
-          xstart.(wobjs.(r) + 1) <- xstart.(wobjs.(r) + 1) + 1
+        for v = 0 to n - 1 do
+          for r = row.(v) to wend.(v) - 1 do
+            xstart.(objs.(r) + 1) <- xstart.(objs.(r) + 1) + 1
+          done
         done;
         for x = 1 to nx do
           xstart.(x) <- xstart.(x) + xstart.(x - 1)
         done;
-        let xw = scratch wstart.(n) and fill = Array.sub xstart 0 nx in
+        let xw = scratch xstart.(nx) and fill = Array.sub xstart 0 nx in
         Array.iter
           (fun v ->
-            for r = wstart.(v) to wstart.(v + 1) - 1 do
-              let x = wobjs.(r) in
+            for r = row.(v) to wend.(v) - 1 do
+              let x = objs.(r) in
               xw.(fill.(x)) <- v;
               fill.(x) <- fill.(x) + 1
             done)
@@ -387,38 +339,147 @@ let check_chain ?arena h ~flavour ~extra kind =
         (* Next-writer lemma: for [b --x--> a] every writer of [x] after
            [b] is [c = succ_x b] or follows it, so [c] alone decides
            legality ([c ~H a]) and the one [~rw] edge [a -> c]. *)
+        let rw = ref [] in
         match
-          List.fold_left
-            (fun rw (e : History.rf_edge) ->
-              let a = e.History.reader and b = e.History.writer in
-              let c = next_writer e.History.obj b in
-              if c < 0 || c = a then rw
-              else if prec c a then
+          for i = 0 to c.n_rf - 1 do
+            let a = c.rf_reader.(i) and b = c.rf_writer.(i) in
+            let x = c.rf_obj.(i) in
+            let w = next_writer x b in
+            if w >= 0 && w <> a then
+              if prec w a then
                 raise
-                  (Violation
-                     { Legality.alpha = a; beta = b; gamma = c; obj = e.History.obj })
-              else if prec a c then rw
-              else (a, c) :: rw)
-            [] (History.rf h)
+                  (Violation { Legality.alpha = a; beta = b; gamma = w; obj = x })
+              else if not (prec a w) then rw := (a, w) :: !rw
+          done
         with
         | exception Violation t -> Not_legal t
-        | [] -> Admissible order
-        | rw -> (
-          let g' =
-            Digraph.of_iter ?arena n (fun f ->
-                base_edges f;
-                List.iter (fun (a, c) -> f a c) rw)
-          in
-          let witness = Digraph.topo_sort ?arena g' in
-          Digraph.release ?arena g';
-          match witness with
-          | None -> Extended_cyclic
-          | Some w -> Admissible w)
+        | () -> (
+          match !rw with
+          | [] -> Admissible order
+          | rw -> (
+            let g' =
+              Digraph.of_iter ?arena n (fun f ->
+                  base_edges f;
+                  List.iter (fun (a, c) -> f a c) rw)
+            in
+            let witness = Digraph.topo_sort ?arena g' in
+            Digraph.release ?arena g';
+            match witness with
+            | None -> Extended_cyclic
+            | Some w -> Admissible w))
       end
   in
   Digraph.release ?arena g;
   Option.iter (fun a -> List.iter (Relation.Arena.release a) !taken) arena;
   verdict
+
+(* The input of [h]: chains in order of first appearance (the
+   initializer's first), members by invocation; each m-operation's
+   written objects, then the others it touches; reads-from in
+   [History.rf] order. *)
+let check_chain ?arena h ~flavour ~extra kind =
+  let n = History.n_mops h and nx = History.n_objects h in
+  let mops = History.mops h in
+  let chain = Array.make n 0 and idx = Array.make n 0 in
+  let chain_of_proc = Hashtbl.create 8 in
+  Array.iter
+    (fun (m : Mop.t) ->
+      chain.(m.Mop.id) <-
+        (match Hashtbl.find_opt chain_of_proc m.Mop.proc with
+        | Some c -> c
+        | None ->
+          let c = Hashtbl.length chain_of_proc in
+          Hashtbl.add chain_of_proc m.Mop.proc c;
+          c))
+    mops;
+  let nc = Hashtbl.length chain_of_proc in
+  let cstart = Array.make (nc + 1) 0 in
+  for v = 0 to n - 1 do
+    cstart.(chain.(v) + 1) <- cstart.(chain.(v) + 1) + 1
+  done;
+  for c = 1 to nc do
+    cstart.(c) <- cstart.(c) + cstart.(c - 1)
+  done;
+  let memb = Array.make n 0 and cfill = Array.sub cstart 0 nc in
+  for v = 0 to n - 1 do
+    let c = chain.(v) in
+    memb.(cfill.(c)) <- v;
+    cfill.(c) <- cfill.(c) + 1
+  done;
+  for c = 0 to nc - 1 do
+    let s = cstart.(c) and len = cstart.(c + 1) - cstart.(c) in
+    let sorted = ref true in
+    for k = s + 1 to s + len - 1 do
+      if mops.(memb.(k - 1)).Mop.inv > mops.(memb.(k)).Mop.inv then
+        sorted := false
+    done;
+    if not !sorted then begin
+      let seg = Array.sub memb s len in
+      Array.stable_sort
+        (fun i j -> Int.compare mops.(i).Mop.inv mops.(j).Mop.inv)
+        seg;
+      Array.blit seg 0 memb s len
+    end;
+    for k = s to s + len - 1 do
+      idx.(memb.(k)) <- k - s
+    done
+  done;
+  let size =
+    Array.fold_left (fun a (m : Mop.t) -> a + List.length m.Mop.ops) 0 mops
+  in
+  let objs = Array.make size 0 and row = Array.make n 0 in
+  let wend = Array.make n 0 and tend = Array.make n 0 in
+  let inv = Array.make n 0 and resp = Array.make n 0 in
+  let wrote = Array.make nx (-1) and seen = Array.make nx (-1) in
+  let k = ref 0 in
+  let add x =
+    objs.(!k) <- x;
+    incr k
+  in
+  Array.iter
+    (fun (m : Mop.t) ->
+      let v = m.Mop.id in
+      inv.(v) <- m.Mop.inv;
+      resp.(v) <- m.Mop.resp;
+      row.(v) <- !k;
+      List.iter
+        (function
+          | Op.Write (x, _) when wrote.(x) <> v ->
+            wrote.(x) <- v;
+            add x
+          | Op.Write _ | Op.Read _ -> ())
+        m.Mop.ops;
+      wend.(v) <- !k;
+      List.iter
+        (fun op ->
+          let x = Op.obj op in
+          if wrote.(x) <> v && seen.(x) <> v then begin
+            seen.(x) <- v;
+            add x
+          end)
+        m.Mop.ops;
+      tend.(v) <- !k)
+    mops;
+  let rf = History.rf h in
+  let n_rf = List.length rf and n_extra = List.length extra in
+  let rf_reader = Array.make n_rf 0 and rf_obj = Array.make n_rf 0 in
+  let rf_writer = Array.make n_rf 0 in
+  List.iteri
+    (fun i (e : History.rf_edge) ->
+      rf_reader.(i) <- e.History.reader;
+      rf_obj.(i) <- e.History.obj;
+      rf_writer.(i) <- e.History.writer)
+    rf;
+  let extra_src = Array.make n_extra 0 and extra_dst = Array.make n_extra 0 in
+  List.iteri
+    (fun i (a, b) ->
+      extra_src.(i) <- a;
+      extra_dst.(i) <- b)
+    extra;
+  check_chains ?arena
+    { n; n_objects = nx; chain; idx; inv; resp; row; wend; tend; objs; n_rf;
+      rf_reader; rf_obj; rf_writer; n_extra; extra_src; extra_dst }
+    ~flavour kind
 
 (** Incrementally closed relation for checking a growing trace: edges
     stream in (process order, reads-from, synchronization order...) as

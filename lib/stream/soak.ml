@@ -167,8 +167,22 @@ let run ?(on_sample = fun (_ : sample) -> ()) ~seed ~workload cfg =
   let lat_u = Stats.create () in
   let interval = ref (Stats.create ()) in
   let n_samples = ref 0 in
-  (* Reordering buffer and corruption bookkeeping. *)
-  let buffer : Recorder.record list ref = ref [] in
+  (* Reordering buffer, a heap keyed by (inv, resp, proc) — unique, as
+     a process's invocations strictly increase — and corruption
+     bookkeeping. *)
+  let cmp_rec (a : Recorder.record) (b : Recorder.record) =
+    let c = Int.compare a.inv b.inv in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.resp b.resp in
+      if c <> 0 then c else Int.compare a.proc b.proc
+  in
+  let buffer =
+    Heap.create ~compare:cmp_rec
+      ~dummy:
+        { Recorder.proc = 0; inv = 0; resp = 0; ops = []; reads = [];
+          writes = []; start_ts = [||]; finish_ts = [||]; sync = None }
+  in
   let kept : Recorder.record list ref = ref [] in
   let vals : (int * int, Value.t) Hashtbl.t = Hashtbl.create 256 in
   let n_fed = ref 0 in
@@ -184,11 +198,6 @@ let run ?(on_sample = fun (_ : sample) -> ()) ~seed ~workload cfg =
       match h.Seg_store.oldest_pending () with
       | None -> wm
       | Some t -> min wm t)
-  in
-  let cmp_rec (a : Recorder.record) (b : Recorder.record) =
-    compare
-      (a.Recorder.inv, a.Recorder.resp, a.Recorder.proc)
-      (b.Recorder.inv, b.Recorder.resp, b.Recorder.proc)
   in
   let feed_one (r : Recorder.record) =
     let r =
@@ -221,16 +230,17 @@ let run ?(on_sample = fun (_ : sample) -> ()) ~seed ~workload cfg =
     if cfg.verify_full then kept := r :: !kept;
     Window_check.feed wc (Window_check.entry_of_record r)
   in
+  (* Feed, in (inv, resp, proc) order, every buffered record the
+     watermark has passed (all of them at the end). *)
   let pump ~final () =
-    buffer := List.rev_append (Recorder.drain recorder) !buffer;
+    List.iter (Heap.push buffer) (Recorder.drain recorder);
     let wm = watermark () in
-    let ready, rest =
-      List.partition
-        (fun (r : Recorder.record) -> final || r.Recorder.inv < wm)
-        !buffer
-    in
-    buffer := rest;
-    if ready <> [] then List.iter feed_one (List.sort cmp_rec ready)
+    while
+      (not (Heap.is_empty buffer))
+      && (final || (Heap.top buffer).Recorder.inv < wm)
+    do
+      Option.iter feed_one (Heap.pop buffer)
+    done
   in
   let stopping () =
     (cfg.max_ops > 0 && !arrived >= cfg.max_ops)

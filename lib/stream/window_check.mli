@@ -21,6 +21,19 @@
     their synchronization (atomic broadcast) position; positions start
     at 0 and every position is eventually fed.
 
+    {b Validated once, at feed.}  Each entry is checked against its
+    ops when it is fed, and an ill-formed feed answers [Inconclusive]
+    at every window size: an op on an object out of range; a process
+    whose intervals overlap (each entry against its process's last
+    one, retired or not); reads that do not name exactly one writer
+    for each external read (an object's first op, when it is a read),
+    or name the entry itself; listed writes that are not exactly the
+    final writes of the ops, with their values; and, when the read
+    resolves, a value its writer (a live one, the frontier or the
+    initializer) did not write.  The messages name m-operations by
+    feed index, counting from 1 — the ids NDJSON traces carry — never
+    by their position in an epoch.
+
     {b Verdict.}  [Pass]/[Fail] agree with the full-trace checker
     ({!Mmc_store.Runner.check_history}) on the same trace: a retired
     prefix only ever stands for real [~H]-paths (see DESIGN.md §14 for
@@ -59,7 +72,8 @@ type entry = {
     [Invalid_argument] if the record spans version namespaces — the
     broadcast-based stores the streaming checker targets use a single
     one (multi-namespace stores record unsynchronized updates, which
-    {!feed} answers [Inconclusive] anyway). *)
+    {!feed} answers [Inconclusive] anyway).  A recorded write its ops
+    do not make is left for {!feed} to reject. *)
 val entry_of_record : Mmc_store.Recorder.record -> entry
 
 type verdict =
@@ -80,9 +94,10 @@ type metrics = {
   frontier_objects : int;  (** objects with a retired (nonzero) frontier *)
   resident_words : int;
       (** the most words the last epoch check held from the arena at
-          once (frontier vectors, compressed rows, sort scratch); its
+          once (frontier vectors, chain members, sort scratch); its
           n-word topological orders and per-chain/per-object index
-          tables are allocated directly and not counted *)
+          tables are allocated directly and not counted, nor is the
+          epoch input the window keeps *)
   max_resident_words : int;
   recycled_words : int;  (** cumulative words recycled into the arena *)
   arena_hits : int;

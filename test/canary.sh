@@ -38,6 +38,14 @@ for store in msc mlin; do
     grep -E '^(window occupancy|retired prefix|checker words|verdict) '
 done
 
+# The windowed checker over an NDJSON trace under each condition: the
+# only canary runs whose reads name their writer by m-operation id
+# rather than by version, and the only ones under m-normality.
+for c in msc mnorm mlin; do
+  "$mmc" generate --stream --mops 2000 --seed 5 |
+    "$mmc" check --stream --condition "$c" --window 16 -
+done
+
 # The full stdout of each run-style subcommand, without the
 # environment-dependent process heap (`process heap` lines and the
 # `top_heap_w=` field): a change to how a subcommand reads its flags,

@@ -306,6 +306,248 @@ let test_window_bounded_words () =
     true
     (m.Mmc_stream.Window_check.max_resident_words < full_words)
 
+(* Outcomes pinned: one digest over the verdict text and the count
+   metrics (not the arena word counts) of a sweep of windowed runs —
+   store traces under every window and settle, m-normality, a lossy
+   plan, sharded windows, seeded-corruption FAILs and straggler
+   INCONCLUSIVEs.  It was recorded before epochs were checked straight
+   from the window's arrays; any change to epoch boundaries,
+   retirement, verdicts or messages on well-formed input moves it. *)
+let pinned_outcomes = "22cc8bd93164e55304bc6346044e1c36"
+
+let lossy_plan =
+  {
+    Mmc_sim.Fault.none with
+    Mmc_sim.Fault.drop = 0.2;
+    spike_prob = 0.05;
+    spike_delay = 40;
+    partitions = [ { Mmc_sim.Fault.from_ = 80; until = 260; island = [ 0 ] } ];
+  }
+
+let test_outcomes_pinned () =
+  let module W = Mmc_stream.Window_check in
+  let buf = Buffer.create 65536 in
+  let inconclusive = ref 0 in
+  let record ctx v (m : W.metrics) =
+    (match v with W.Inconclusive _ -> incr inconclusive | _ -> ());
+    Buffer.add_string buf
+      (Fmt.str "%s %a fed=%d pending=%d live=%d max_live=%d checks=%d \
+                retired=%d frontier=%d\n"
+         ctx pp_verdict v m.W.fed m.W.pending m.W.live m.W.max_live
+         m.W.checks m.W.retired m.W.frontier_objects)
+  in
+  let windowed ?arena ~window ~settle ~flavour h ~sync_order =
+    let wc =
+      W.create ?arena ~window ~settle ~flavour
+        ~n_objects:(History.n_objects h) ()
+    in
+    W.feed_history wc h ~sync_order;
+    let v = W.finish wc in
+    (v, W.metrics wc)
+  in
+  List.iter
+    (fun (plan_name, fault) ->
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun seed ->
+              let res = run_trace ~seed ~kind ~fault ~ops:20 in
+              let flavours =
+                Store.flavour kind
+                :: (if kind = Store.Msc then [ History.Mnorm ] else [])
+              in
+              List.iter
+                (fun flavour ->
+                  List.iter
+                    (fun window ->
+                      List.iter
+                        (fun settle ->
+                          let v, m =
+                            windowed ~window ~settle ~flavour
+                              res.Runner.history
+                              ~sync_order:res.Runner.sync_order
+                          in
+                          record
+                            (Fmt.str "%s %a %a seed=%d w=%d s=%d" plan_name
+                               Store.pp_kind kind History.pp_flavour flavour
+                               seed window settle)
+                            v m)
+                        [ 0; 64; W.default_settle ])
+                    [ 1; 4; 16; 256 ])
+                flavours)
+            [ 1; 2; 3; 4 ])
+        [ Store.Msc; Store.Mlin; Store.Rmsc ])
+    [ ("none", Mmc_sim.Fault.none); ("lossy", lossy_plan) ];
+  (* Sharded: one window per shard, sharing an arena. *)
+  let spec =
+    { Mmc_workload.Spec.default with n_objects = 8; read_ratio = 0.5 }
+  in
+  let cfg =
+    {
+      Runner.default_config with
+      n_procs = 4;
+      n_objects = 8;
+      ops_per_proc = 12;
+      kind = Store.Msc;
+    }
+  in
+  let placement = Mmc_shard.Placement.hash ~n_shards:2 ~n_objects:8 in
+  let sres =
+    Mmc_shard.Shard_runner.run ~seed:5 ~placement cfg
+      ~workload:(Mmc_workload.Generator.mixed spec)
+  in
+  let arena = Relation.Arena.create () in
+  Array.iteri
+    (fun i recorder ->
+      let h, _, sync_order = Recorder.to_history_full recorder in
+      let v, m =
+        windowed ~arena ~window:4 ~settle:64 ~flavour:History.Msc h ~sync_order
+      in
+      record (Fmt.str "shard %d" i) v m)
+    sres.Mmc_shard.Shard_runner.recorders;
+  (* Open-loop soaks with one seeded stale read: FAIL prefix and
+     reason, and a tight settle that answers a straggler. *)
+  let soak ~kind ~seed ~settle ~corrupt =
+    let spec =
+      { Mmc_workload.Spec.default with n_objects = 12; read_ratio = 0.5 }
+    in
+    let cfg =
+      {
+        Mmc_stream.Soak.default_config with
+        runner =
+          { Runner.default_config with n_procs = 4; n_objects = 12; kind };
+        rate = 3;
+        max_ops = 2500;
+        settle;
+        corrupt;
+      }
+    in
+    let r =
+      Mmc_stream.Soak.run ~seed ~workload:(Mmc_workload.Generator.mixed spec)
+        cfg
+    in
+    record
+      (Fmt.str "soak %a seed=%d settle=%d" Store.pp_kind kind seed settle)
+      r.Mmc_stream.Soak.verdict r.Mmc_stream.Soak.wc
+  in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun seed ->
+          soak ~kind ~seed ~settle:W.default_settle ~corrupt:(Some 1000);
+          soak ~kind ~seed ~settle:0 ~corrupt:None)
+        [ 7; 8 ])
+    [ Store.Msc; Store.Mlin ];
+  let text = Buffer.contents buf in
+  Alcotest.(check bool)
+    "the sweep reaches a straggler INCONCLUSIVE" true (!inconclusive > 0);
+  Alcotest.(check string)
+    "digest of every outcome" pinned_outcomes
+    (Digest.to_hex (Digest.string text))
+
+(* Ill-formed feeds: each defect answers INCONCLUSIVE at every window
+   and settle, whether the entries involved are still live or have
+   retired, and names m-operations by feed index. *)
+let test_ill_formed () =
+  let module W = Mmc_stream.Window_check in
+  let i = Value.int in
+  let entry ?sync ?(writes = []) ?(reads = []) proc inv resp ops =
+    { W.proc; inv; resp; ops; reads; writes; sync }
+  in
+  (* #1 writes x0 = 1 at synchronization position 0 (version 1). *)
+  let w1 = entry ~sync:0 ~writes:[ (0, 1, i 1) ] 0 0 1 [ Op.write 0 (i 1) ] in
+  let read1 ?(v = i 1) reads = entry ~reads 1 2 3 [ Op.read 0 v ] in
+  (* A query that lets #1 retire at a small window with no settle
+     grace, so that a later read of x0 resolves to the frontier. *)
+  let idle = entry ~reads:[ (1, W.Gid 0) ] 1 5 6 [ Op.read 1 (i 0) ] in
+  let cases =
+    [
+      ( "op object out of range",
+        [ w1;
+          entry ~reads:[ (0, W.Gid 1) ] 1 2 3
+            [ Op.read 0 (i 1); Op.read 7 (i 0) ] ],
+        None );
+      ( "overlap inside the window",
+        [ entry 0 0 10 [ Op.read 1 (i 0) ] ~reads:[ (1, W.Gid 0) ];
+          entry 0 5 6 [ Op.read 1 (i 0) ] ~reads:[ (1, W.Gid 0) ] ],
+        Some "process P0 not sequential: #1 [0,10] overlaps #2 [5,6]" );
+      ( "overlap across a retired prefix",
+        [ entry ~sync:0 ~writes:[ (0, 1, i 1) ] 0 0 50 [ Op.write 0 (i 1) ];
+          entry ~reads:[ (0, W.Gid 1) ] 1 5 6 [ Op.read 0 (i 1) ];
+          entry ~sync:1 ~writes:[ (0, 2, i 2) ] 1 7 8 [ Op.write 0 (i 2) ];
+          entry ~reads:[ (0, W.Gid 3) ] 1 9 10 [ Op.read 0 (i 2) ];
+          entry ~reads:[ (0, W.Gid 3) ] 0 20 30 [ Op.read 0 (i 2) ] ],
+        Some "process P0 not sequential: #1 [0,50] overlaps #5 [20,30]" );
+      ("missing rf edge", [ w1; read1 [] ], None);
+      ("duplicate rf edge", [ w1; read1 [ (0, W.Gid 1); (0, W.Gid 1) ] ], None);
+      ("stray rf edge", [ w1; read1 [ (0, W.Gid 1); (1, W.Gid 0) ] ], None);
+      ( "self rf edge",
+        [ w1;
+          entry ~sync:1 ~writes:[ (0, 2, i 2) ] ~reads:[ (0, W.Gid 2) ] 1 2 3
+            [ Op.read 0 (i 2); Op.write 0 (i 2) ] ],
+        Some "#2 reads-from itself on x0" );
+      ( "self rf edge by version",
+        [ w1;
+          entry ~sync:1 ~writes:[ (0, 2, i 2) ] ~reads:[ (0, W.Version 2) ] 1 2
+            3 [ Op.read 0 (i 2); Op.write 0 (i 2) ] ],
+        None );
+      ( "listed write not the final write",
+        [ entry ~sync:0 ~writes:[ (0, 1, i 9) ] 0 0 1
+            [ Op.write 0 (i 9); Op.write 0 (i 1) ] ],
+        None );
+      ( "read value vs a live writer",
+        [ w1; read1 ~v:(i 7) [ (0, W.Gid 1) ] ],
+        Some "#2 reads 7 from x0 but #1 wrote 1" );
+      ( "read value vs the frontier",
+        [ w1; idle; entry ~reads:[ (0, W.Gid 1) ] 1 7 8 [ Op.read 0 (i 9) ] ],
+        Some "#3 reads 9 from x0 but #1 wrote 1" );
+      ( "read value vs the frontier, by version",
+        [ w1; idle;
+          entry ~reads:[ (0, W.Version 1) ] 1 7 8 [ Op.read 0 (i 9) ] ],
+        Some "#3 reads 9 from x0 but #1 wrote 1" );
+      ( "read value vs the initial value",
+        [ entry ~reads:[ (0, W.Gid 0) ] 1 0 1 [ Op.read 0 (i 5) ] ],
+        Some "#1 reads 5 from x0 but #0 wrote 0" );
+    ]
+  in
+  let frontier_reached = ref false in
+  List.iter
+    (fun (name, entries, msg) ->
+      List.iter
+        (fun (window, settle) ->
+          let wc =
+            W.create ~window ~settle ~flavour:History.Msc ~n_objects:2 ()
+          in
+          List.iter (W.feed wc) entries;
+          let ctx = Fmt.str "%s, window %d settle %d" name window settle in
+          match W.finish wc with
+          | W.Inconclusive m ->
+            Option.iter (fun msg -> Alcotest.(check string) ctx msg m) msg;
+            if
+              name = "read value vs the frontier"
+              && (W.metrics wc).W.retired > 0
+            then frontier_reached := true
+          | v ->
+            Alcotest.failf "%s: expected INCONCLUSIVE, got %a" ctx pp_verdict v)
+        [ (1, 0); (4, 0); (256, 0); (1, W.default_settle);
+          (256, W.default_settle) ])
+    cases;
+  Alcotest.(check bool)
+    "a read resolved against a retired writer's frontier" true
+    !frontier_reached;
+  (* The same entries, well formed, pass: the defects alone decide. *)
+  List.iter
+    (fun window ->
+      let wc =
+        W.create ~window ~settle:0 ~flavour:History.Msc ~n_objects:2 ()
+      in
+      List.iter (W.feed wc)
+        [ w1; idle; entry ~reads:[ (0, W.Gid 1) ] 1 7 8 [ Op.read 0 (i 1) ] ];
+      match W.finish wc with
+      | W.Pass -> ()
+      | v -> Alcotest.failf "well-formed control: %a" pp_verdict v)
+    [ 1; 4; 256 ]
+
 let () =
   Alcotest.run "stream"
     [
@@ -329,6 +571,8 @@ let () =
             test_forward_rf;
           Alcotest.test_case "sharded per-shard windows" `Quick
             test_sharded_per_shard;
+          Alcotest.test_case "outcomes pinned" `Quick test_outcomes_pinned;
+          Alcotest.test_case "ill-formed feeds" `Quick test_ill_formed;
         ] );
       ( "arena",
         [
