@@ -373,93 +373,99 @@ let check_chains ?arena (c : chains) ~flavour kind =
   Option.iter (fun a -> List.iter (Relation.Arena.release a) !taken) arena;
   verdict
 
+(* A chain while [check_chain] numbers it: its members so far, the
+   last one's invocation, and whether they came in invocation order. *)
+type chain_fill = {
+  c_proc : Types.proc_id;
+  c_id : int;
+  mutable c_len : int;
+  mutable c_last : Types.time;
+  mutable c_sorted : bool;
+}
+
 (* The input of [h]: chains in order of first appearance (the
-   initializer's first), members by invocation; each m-operation's
-   written objects, then the others it touches; reads-from in
-   [History.rf] order. *)
+   initializer's first), members by invocation, stably; each
+   m-operation's written objects, then the others it touches;
+   reads-from in [History.rf] order.  One walk over the m-operations
+   and their ops builds all but the edges. *)
 let check_chain ?arena h ~flavour ~extra kind =
   let n = History.n_mops h and nx = History.n_objects h in
   let mops = History.mops h in
   let chain = Array.make n 0 and idx = Array.make n 0 in
-  let chain_of_proc = Hashtbl.create 8 in
-  Array.iter
-    (fun (m : Mop.t) ->
-      chain.(m.Mop.id) <-
-        (match Hashtbl.find_opt chain_of_proc m.Mop.proc with
-        | Some c -> c
-        | None ->
-          let c = Hashtbl.length chain_of_proc in
-          Hashtbl.add chain_of_proc m.Mop.proc c;
-          c))
-    mops;
-  let nc = Hashtbl.length chain_of_proc in
-  let cstart = Array.make (nc + 1) 0 in
-  for v = 0 to n - 1 do
-    cstart.(chain.(v) + 1) <- cstart.(chain.(v) + 1) + 1
-  done;
-  for c = 1 to nc do
-    cstart.(c) <- cstart.(c) + cstart.(c - 1)
-  done;
-  let memb = Array.make n 0 and cfill = Array.sub cstart 0 nc in
-  for v = 0 to n - 1 do
-    let c = chain.(v) in
-    memb.(cfill.(c)) <- v;
-    cfill.(c) <- cfill.(c) + 1
-  done;
-  for c = 0 to nc - 1 do
-    let s = cstart.(c) and len = cstart.(c + 1) - cstart.(c) in
-    let sorted = ref true in
-    for k = s + 1 to s + len - 1 do
-      if mops.(memb.(k - 1)).Mop.inv > mops.(memb.(k)).Mop.inv then
-        sorted := false
-    done;
-    if not !sorted then begin
-      let seg = Array.sub memb s len in
-      Array.stable_sort
-        (fun i j -> Int.compare mops.(i).Mop.inv mops.(j).Mop.inv)
-        seg;
-      Array.blit seg 0 memb s len
-    end;
-    for k = s to s + len - 1 do
-      idx.(memb.(k)) <- k - s
-    done
-  done;
-  let size =
-    Array.fold_left (fun a (m : Mop.t) -> a + List.length m.Mop.ops) 0 mops
-  in
-  let objs = Array.make size 0 and row = Array.make n 0 in
-  let wend = Array.make n 0 and tend = Array.make n 0 in
   let inv = Array.make n 0 and resp = Array.make n 0 in
-  let wrote = Array.make nx (-1) and seen = Array.make nx (-1) in
-  let k = ref 0 in
-  let add x =
-    objs.(!k) <- x;
+  let row = Array.make n 0 and wend = Array.make n 0 in
+  let tend = Array.make n 0 and chains = ref [] and nc = ref 0 in
+  let objs = ref (Array.make ((2 * n) + nx) 0) and k = ref 0 in
+  let push x =
+    if !k = Array.length !objs then begin
+      let a = Array.make (2 * !k) 0 in
+      Array.blit !objs 0 a 0 !k;
+      objs := a
+    end;
+    !objs.(!k) <- x;
     incr k
   in
+  let wrote = Array.make nx (-1) and seen = Array.make nx (-1) in
+  let touched = Array.make nx 0 in
   Array.iter
     (fun (m : Mop.t) ->
       let v = m.Mop.id in
+      (* A scan of the C chains found so far: O(C) per node, within
+         the check's O((n + e) . C), and no hashing. *)
+      let rec find = function
+        | c :: rest -> if c.c_proc = m.Mop.proc then c else find rest
+        | [] ->
+          let c =
+            { c_proc = m.Mop.proc; c_id = !nc; c_len = 0; c_last = min_int;
+              c_sorted = true }
+          in
+          chains := c :: !chains;
+          incr nc;
+          c
+      in
+      let c = find !chains in
+      chain.(v) <- c.c_id;
+      idx.(v) <- c.c_len;
+      c.c_len <- c.c_len + 1;
+      if m.Mop.inv < c.c_last then c.c_sorted <- false;
+      c.c_last <- m.Mop.inv;
       inv.(v) <- m.Mop.inv;
       resp.(v) <- m.Mop.resp;
       row.(v) <- !k;
-      List.iter
-        (function
-          | Op.Write (x, _) when wrote.(x) <> v ->
-            wrote.(x) <- v;
-            add x
-          | Op.Write _ | Op.Read _ -> ())
-        m.Mop.ops;
-      wend.(v) <- !k;
+      let nt = ref 0 in
       List.iter
         (fun op ->
           let x = Op.obj op in
-          if wrote.(x) <> v && seen.(x) <> v then begin
+          if seen.(x) <> v then begin
             seen.(x) <- v;
-            add x
+            touched.(!nt) <- x;
+            incr nt
+          end;
+          if Op.is_write op && wrote.(x) <> v then begin
+            wrote.(x) <- v;
+            push x
           end)
         m.Mop.ops;
+      wend.(v) <- !k;
+      for i = 0 to !nt - 1 do
+        if wrote.(touched.(i)) <> v then push touched.(i)
+      done;
       tend.(v) <- !k)
     mops;
+  (* A chain whose ids do not run in invocation order: a stable sort
+     of its members by invocation renumbers it. *)
+  List.iter
+    (fun c ->
+      if not c.c_sorted then begin
+        let memb = Array.make c.c_len 0 in
+        for v = 0 to n - 1 do
+          if chain.(v) = c.c_id then memb.(idx.(v)) <- v
+        done;
+        Array.stable_sort (fun i j -> Int.compare inv.(i) inv.(j)) memb;
+        Array.iteri (fun k v -> idx.(v) <- k) memb
+      end)
+    !chains;
+  let objs = !objs in
   let rf = History.rf h in
   let n_rf = List.length rf and n_extra = List.length extra in
   let rf_reader = Array.make n_rf 0 and rf_obj = Array.make n_rf 0 in

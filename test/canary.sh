@@ -4,13 +4,14 @@
 # msc and one mlin soak — virtual time, messages, retransmits, acks,
 # WAL and storage counters, catch-up, broadcast, engine events, router
 # counts, tick latencies and the windowed checker's epochs (window
-# occupancy, retired prefix and epoch checks, checker words, verdict) —
-# then the whole stdout of one run of each run-style subcommand
-# (simulate, faults, recover, chaos, shard and two soaks).  The runtest
-# rule diffs them against canary.expected, so a change that moves any
-# event, message, timer or counter of these runs, or any line they
-# print, fails it.  A change meant to alter the protocol's runs
-# re-records the file (`dune runtest; dune promote`) and says so.
+# occupancy, retired prefix and epoch checks, checker words, verdict)
+# and of one NDJSON trace under each condition — then the whole stdout
+# of one run of each run-style subcommand (simulate, faults, recover,
+# chaos, shard and two soaks).  The runtest rule diffs them against
+# canary.expected, so a change that moves any event, message, timer or
+# counter of these runs, or any line they print, fails it.  A change
+# meant to alter the protocol's runs re-records the file (`dune
+# runtest; dune promote`) and says so.
 #
 # usage: sh test/canary.sh PATH/TO/mmc_cli.exe
 set -eu
