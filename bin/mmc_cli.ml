@@ -1515,24 +1515,13 @@ let check_stream file flavour window settle =
             w
         in
         Mmc_stream.Window_check.feed w
-          {
-            Mmc_stream.Window_check.proc = m.Mop.proc;
-            inv = m.Mop.inv;
-            resp = m.Mop.resp;
-            ops = m.Mop.ops;
-            reads =
-              List.map
-                (fun (x, wr) -> (x, Mmc_stream.Window_check.Gid wr))
-                rf;
-            writes =
-              List.map
-                (fun (x, v) ->
-                  ( x,
-                    (match sync with Some p -> p + 1 | None -> 0),
-                    v ))
-                (Mop.final_writes m);
-            sync;
-          };
+          (Mmc_stream.Window_check.make_entry ~proc:m.Mop.proc ~inv:m.Mop.inv
+             ~resp:m.Mop.resp ~ops:m.Mop.ops
+             ~reads:
+               (List.map
+                  (fun (x, wr) -> (x, Mmc_stream.Window_check.Gid wr))
+                  rf)
+             ~sync);
         n + 1)
   with
   | exception Codec.Parse_error msg ->

@@ -25,6 +25,13 @@ exception Parse_error of string
 
 let parse_error fmt = Fmt.kstr (fun s -> raise (Parse_error s)) fmt
 
+(* [Mop.make] for the m-operation on line [lineno], where a response
+   before the invocation is a parse error like any other bad line. *)
+let mop_at lineno ~id ~proc ~ops ~inv ~resp =
+  if resp < inv then
+    parse_error "line %d: response %d precedes invocation %d" lineno resp inv;
+  Mop.make ~id ~proc ~ops ~inv ~resp
+
 let decode_value s =
   if s = "" then parse_error "empty value"
   else
@@ -84,9 +91,9 @@ let of_string s =
         | [ "objects"; n ] -> n_objects := Some (int_of_string n)
         | "mop" :: id :: proc :: inv :: resp :: ops ->
           let m =
-            Mop.make ~id:(int_of_string id) ~proc:(int_of_string proc)
-              ~ops:(List.map decode_op ops) ~inv:(int_of_string inv)
-              ~resp:(int_of_string resp)
+            mop_at (lineno + 1) ~id:(int_of_string id)
+              ~proc:(int_of_string proc) ~ops:(List.map decode_op ops)
+              ~inv:(int_of_string inv) ~resp:(int_of_string resp)
           in
           mops := m :: !mops
         | [ "rf"; reader; obj; writer ] ->
@@ -307,7 +314,7 @@ module Stream = struct
       | None -> None
       | Some _ -> parse_error "line %d: bad field \"sync\"" lineno
     in
-    (Mop.make ~id ~proc ~ops ~inv ~resp, rf, sync)
+    (mop_at lineno ~id ~proc ~ops ~inv ~resp, rf, sync)
 
   let fold ic ~init ~f =
     let n_objects, header_line = read_header ic in

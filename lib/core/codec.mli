@@ -21,8 +21,9 @@ val decode_op : string -> Op.t
 
 val to_string : History.t -> string
 
-(** Raises {!Parse_error} on syntax errors and {!History.Ill_formed}
-    on semantic ones. *)
+(** Raises {!Parse_error} on syntax errors — an m-operation whose
+    response precedes its invocation among them, naming its line — and
+    {!History.Ill_formed} on semantic ones. *)
 val of_string : string -> History.t
 
 val to_file : History.t -> string -> unit
@@ -51,7 +52,8 @@ module Stream : sig
 
   (** Fold over a stream without materialising it.  [f] receives each
       m-operation with its rf pairs and optional sync position; raises
-      {!Parse_error} on malformed input. *)
+      {!Parse_error} on malformed input, naming the line (an
+      m-operation whose response precedes its invocation included). *)
   val fold :
     in_channel ->
     init:'a ->

@@ -77,22 +77,9 @@ let external_reads t =
   go [] [] t.ops
 
 (** Last write per object, with the value written: the externally
-    visible writes of the m-operation, by ascending object.  The ops
-    are walked backwards, so the first write met for an object is its
-    last; it is inserted into the sorted result unless the object is
-    already there.  Writes in ascending object order — the
-    initializer, an epoch summary — each insert at the head in O(1). *)
-let final_writes t =
-  let rec insert x v = function
-    | (y, _) :: _ as l when x < y -> (x, v) :: l
-    | ((y, _) as p) :: rest when x > y -> p :: insert x v rest
-    | [] -> [ (x, v) ]
-    | l -> l
-  in
-  List.fold_left
-    (fun acc op ->
-      match op with Op.Write (x, v) -> insert x v acc | Op.Read _ -> acc)
-    [] (List.rev t.ops)
+    visible writes of the m-operation, by ascending object
+    ({!Op.final_writes}). *)
+let final_writes t = Op.final_writes t.ops
 
 (** Value of the final write of [t] to object [x], if any: one scan of
     [t.ops]. *)

@@ -31,6 +31,22 @@ let last_write ops x =
   in
   scan None ops
 
+(** Last write per object, with the value written, by ascending object.
+    The ops are walked backwards, so the first write met for an object
+    is its last; it is inserted into the sorted result unless the object
+    is already there.  Writes in ascending object order — the
+    initializer, an epoch summary — each insert at the head in O(1). *)
+let final_writes ops =
+  let rec insert x v = function
+    | (y, _) :: _ as l when x < y -> (x, v) :: l
+    | ((y, _) as p) :: rest when x > y -> p :: insert x v rest
+    | [] -> [ (x, v) ]
+    | l -> l
+  in
+  List.fold_left
+    (fun acc op -> match op with Write (x, v) -> insert x v acc | Read _ -> acc)
+    [] (List.rev ops)
+
 let pp ppf = function
   | Read (x, v) -> Fmt.pf ppf "r(x%d)%a" x Value.pp_compact v
   | Write (x, v) -> Fmt.pf ppf "w(x%d)%a" x Value.pp_compact v

@@ -23,5 +23,12 @@ val write : Types.obj_id -> Value.t -> t
     if any — one scan of the list, O(length). *)
 val last_write : t list -> Types.obj_id -> Value.t option
 
+(** Last write per object in a sequence of operations, with the value
+    written, in ascending object order: the externally visible writes
+    of an m-operation.  Builds no table and sorts nothing: O(length)
+    when the objects are written in ascending order, O(length × written
+    objects) at worst. *)
+val final_writes : t list -> (Types.obj_id * Value.t) list
+
 val pp : Format.formatter -> t -> unit
 val show : t -> string

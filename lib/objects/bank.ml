@@ -15,7 +15,8 @@ open Mmc_store
     transfer happened. *)
 let transfer ~from_ ~to_ amount =
   Prog.mprog
-    ~label:(Fmt.str "transfer(x%d->x%d,%d)" from_ to_ amount)
+    ~label:("transfer(x" ^ string_of_int from_ ^ "->x" ^ string_of_int to_ ^ ","
+       ^ string_of_int amount ^ ")")
     ~may_write:[ from_; to_ ]
     (Prog.read from_ (fun v_from ->
          if Value.to_int v_from < amount then Prog.return (Value.Bool false)
@@ -30,7 +31,7 @@ let transfer ~from_ ~to_ amount =
 (** Atomically observe the total balance over [accounts]. *)
 let audit accounts =
   Prog.mprog
-    ~label:(Fmt.str "audit(%d accounts)" (List.length accounts))
+    ~label:("audit(" ^ string_of_int (List.length accounts) ^ " accounts)")
     ~may_touch:accounts ~may_write:[]
     (Prog.read_all accounts (fun vs ->
          let total = List.fold_left (fun acc v -> acc + Value.to_int v) 0 vs in
@@ -39,7 +40,8 @@ let audit accounts =
 (** Deposit into one account (single-object update). *)
 let deposit account amount =
   Prog.mprog
-    ~label:(Fmt.str "deposit(x%d,%d)" account amount)
+    ~label:
+      ("deposit(x" ^ string_of_int account ^ "," ^ string_of_int amount ^ ")")
     ~may_write:[ account ]
     (Prog.read account (fun v ->
          Prog.write account
@@ -48,6 +50,6 @@ let deposit account amount =
 
 let balance account =
   Prog.mprog
-    ~label:(Fmt.str "balance(x%d)" account)
+    ~label:("balance(x" ^ string_of_int account ^ ")")
     ~may_touch:[ account ] ~may_write:[]
     (Prog.read account Prog.return)

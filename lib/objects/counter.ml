@@ -6,7 +6,9 @@ open Mmc_store
 (** Atomically add [delta] to the counter at [x], returning the old
     value (fetch-and-add). *)
 let fetch_and_add x delta =
-  Prog.mprog ~label:(Fmt.str "faa(x%d,%d)" x delta) ~may_write:[ x ]
+  Prog.mprog
+    ~label:("faa(x" ^ string_of_int x ^ "," ^ string_of_int delta ^ ")")
+    ~may_write:[ x ]
     (Prog.read x (fun v ->
          let n = Value.to_int v in
          Prog.write x (Value.Int (n + delta)) (Prog.return (Value.Int n))))
@@ -15,7 +17,8 @@ let incr x = fetch_and_add x 1
 
 (** Read the counter. *)
 let get x =
-  Prog.mprog ~label:(Fmt.str "get(x%d)" x) ~may_touch:[ x ] ~may_write:[]
+  Prog.mprog ~label:("get(x" ^ string_of_int x ^ ")") ~may_touch:[ x ]
+    ~may_write:[]
     (Prog.read x Prog.return)
 
 (** Atomically transfer [delta] between two counters (decrement one,
@@ -23,7 +26,8 @@ let get x =
     experiments check. *)
 let move ~src ~dst delta =
   Prog.mprog
-    ~label:(Fmt.str "move(x%d->x%d,%d)" src dst delta)
+    ~label:("move(x" ^ string_of_int src ^ "->x" ^ string_of_int dst ^ ","
+       ^ string_of_int delta ^ ")")
     ~may_write:[ src; dst ]
     (Prog.read src (fun vs ->
          Prog.read dst (fun vd ->

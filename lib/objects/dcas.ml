@@ -19,7 +19,9 @@ let dcas x1 x2 ~old1 ~old2 ~new1 ~new2 =
                 (Prog.write x2 new2 (Prog.return (Value.Bool true)))
             else Prog.return (Value.Bool false)))
   in
-  Prog.mprog ~label:(Fmt.str "dcas(x%d,x%d)" x1 x2) ~may_write:[ x1; x2 ] prog
+  Prog.mprog
+    ~label:("dcas(x" ^ string_of_int x1 ^ ",x" ^ string_of_int x2 ^ ")")
+    ~may_write:[ x1; x2 ] prog
 
 (** Single-object compare-and-swap, for comparison experiments. *)
 let cas x ~old_v ~new_v =
@@ -29,7 +31,7 @@ let cas x ~old_v ~new_v =
           Prog.write x new_v (Prog.return (Value.Bool true))
         else Prog.return (Value.Bool false))
   in
-  Prog.mprog ~label:(Fmt.str "cas(x%d)" x) ~may_write:[ x ] prog
+  Prog.mprog ~label:("cas(x" ^ string_of_int x ^ ")") ~may_write:[ x ] prog
 
 let succeeded = function
   | Value.Bool b -> b

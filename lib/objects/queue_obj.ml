@@ -10,7 +10,7 @@ open Mmc_core
 open Mmc_store
 
 let enqueue q v =
-  Prog.mprog ~label:(Fmt.str "enqueue(x%d)" q) ~may_write:[ q ]
+  Prog.mprog ~label:("enqueue(x" ^ string_of_int q ^ ")") ~may_write:[ q ]
     (Prog.read q (fun cur ->
          let items = Value.to_list cur in
          Prog.write q (Value.List (items @ [ v ])) (Prog.return Value.Unit)))
@@ -18,7 +18,7 @@ let enqueue q v =
 (** Dequeue; returns [Pair (Bool true, item)] or [Pair (Bool false,
     Unit)] when empty. *)
 let dequeue q =
-  Prog.mprog ~label:(Fmt.str "dequeue(x%d)" q) ~may_write:[ q ]
+  Prog.mprog ~label:("dequeue(x" ^ string_of_int q ^ ")") ~may_write:[ q ]
     (Prog.read q (fun cur ->
          match Value.to_list cur with
          | [] -> Prog.return (Value.Pair (Value.Bool false, Value.Unit))
@@ -29,7 +29,7 @@ let dequeue q =
 (** Atomically move the head of [src] to the back of [dst]. *)
 let transfer_front ~src ~dst =
   Prog.mprog
-    ~label:(Fmt.str "qmove(x%d->x%d)" src dst)
+    ~label:("qmove(x" ^ string_of_int src ^ "->x" ^ string_of_int dst ^ ")")
     ~may_write:[ src; dst ]
     (Prog.read src (fun s ->
          match Value.to_list s with
@@ -43,6 +43,7 @@ let transfer_front ~src ~dst =
                     (Prog.return (Value.Bool true))))))
 
 let length q =
-  Prog.mprog ~label:(Fmt.str "qlen(x%d)" q) ~may_touch:[ q ] ~may_write:[]
+  Prog.mprog ~label:("qlen(x" ^ string_of_int q ^ ")") ~may_touch:[ q ]
+    ~may_write:[]
     (Prog.read q (fun cur ->
          Prog.return (Value.Int (List.length (Value.to_list cur)))))

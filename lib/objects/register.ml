@@ -6,10 +6,11 @@ open Mmc_store
 
 (** [write x v] — a single-write m-operation. *)
 let write x v =
-  Prog.mprog ~label:(Fmt.str "write(x%d)" x) ~may_write:[ x ]
+  Prog.mprog ~label:("write(x" ^ string_of_int x ^ ")") ~may_write:[ x ]
     (Prog.write x v (Prog.return Value.Unit))
 
 (** [read x] — a single-read m-operation returning the value. *)
 let read x =
-  Prog.mprog ~label:(Fmt.str "read(x%d)" x) ~may_touch:[ x ] ~may_write:[]
+  Prog.mprog ~label:("read(x" ^ string_of_int x ^ ")") ~may_touch:[ x ]
+    ~may_write:[]
     (Prog.read x Prog.return)

@@ -22,7 +22,7 @@ let int_v n = Value.Int n
 (** Read both balances atomically; returns [Int (checking + savings)]. *)
 let balance c =
   Prog.mprog
-    ~label:(Fmt.str "balance(%d)" c)
+    ~label:("balance(" ^ string_of_int c ^ ")")
     ~may_touch:[ checking c; savings c ]
     ~may_write:[]
     (Prog.read (checking c) (fun chk ->
@@ -32,7 +32,7 @@ let balance c =
 (** Deposit [v >= 0] into checking. *)
 let deposit_checking c v =
   Prog.mprog
-    ~label:(Fmt.str "deposit_checking(%d,%d)" c v)
+    ~label:("deposit_checking(" ^ string_of_int c ^ "," ^ string_of_int v ^ ")")
     ~may_write:[ checking c ]
     (Prog.read (checking c) (fun chk ->
          Prog.write (checking c)
@@ -43,7 +43,7 @@ let deposit_checking c v =
     would be negative. *)
 let transact_savings c v =
   Prog.mprog
-    ~label:(Fmt.str "transact_savings(%d,%d)" c v)
+    ~label:("transact_savings(" ^ string_of_int c ^ "," ^ string_of_int v ^ ")")
     ~may_write:[ savings c ]
     (Prog.read (savings c) (fun sav ->
          let s = Value.to_int sav + v in
@@ -54,7 +54,7 @@ let transact_savings c v =
     checking; zeroes [c1]'s accounts.  A four-object update. *)
 let amalgamate c1 c2 =
   Prog.mprog
-    ~label:(Fmt.str "amalgamate(%d,%d)" c1 c2)
+    ~label:("amalgamate(" ^ string_of_int c1 ^ "," ^ string_of_int c2 ^ ")")
     ~may_write:[ checking c1; savings c1; checking c2 ]
     (Prog.read (checking c1) (fun chk1 ->
          Prog.read (savings c1) (fun sav1 ->
@@ -71,7 +71,7 @@ let amalgamate c1 c2 =
     [Bool true] iff no penalty. *)
 let write_check c v =
   Prog.mprog
-    ~label:(Fmt.str "write_check(%d,%d)" c v)
+    ~label:("write_check(" ^ string_of_int c ^ "," ^ string_of_int v ^ ")")
     ~may_touch:[ checking c; savings c ]
     ~may_write:[ checking c ]
     (Prog.read (checking c) (fun chk ->
@@ -90,7 +90,8 @@ let write_check c v =
     suffice.  Conserves money. *)
 let send_payment c1 c2 v =
   Prog.mprog
-    ~label:(Fmt.str "send_payment(%d,%d,%d)" c1 c2 v)
+    ~label:("send_payment(" ^ string_of_int c1 ^ "," ^ string_of_int c2 ^ ","
+       ^ string_of_int v ^ ")")
     ~may_write:[ checking c1; checking c2 ]
     (Prog.read (checking c1) (fun chk1 ->
          if Value.to_int chk1 < v then Prog.return (Value.Bool false)
@@ -106,7 +107,7 @@ let send_payment c1 c2 v =
 let audit ~customers =
   let xs = List.init (n_objects ~customers) Fun.id in
   Prog.mprog
-    ~label:(Fmt.str "audit(%d customers)" customers)
+    ~label:("audit(" ^ string_of_int customers ^ " customers)")
     ~may_touch:xs ~may_write:[]
     (Prog.read_all xs (fun vs ->
          Prog.return

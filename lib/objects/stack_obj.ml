@@ -5,7 +5,7 @@ open Mmc_core
 open Mmc_store
 
 let push s v =
-  Prog.mprog ~label:(Fmt.str "push(x%d)" s) ~may_write:[ s ]
+  Prog.mprog ~label:("push(x" ^ string_of_int s ^ ")") ~may_write:[ s ]
     (Prog.read s (fun cur ->
          let items = Value.to_list cur in
          Prog.write s (Value.List (v :: items)) (Prog.return Value.Unit)))
@@ -13,7 +13,7 @@ let push s v =
 (** Pop; returns [Pair (Bool true, item)] or [Pair (Bool false, Unit)]
     when empty. *)
 let pop s =
-  Prog.mprog ~label:(Fmt.str "pop(x%d)" s) ~may_write:[ s ]
+  Prog.mprog ~label:("pop(x" ^ string_of_int s ^ ")") ~may_write:[ s ]
     (Prog.read s (fun cur ->
          match Value.to_list cur with
          | [] -> Prog.return (Value.Pair (Value.Bool false, Value.Unit))
@@ -24,7 +24,7 @@ let pop s =
 (** Atomically pop from [src] and push onto [dst]. *)
 let move ~src ~dst =
   Prog.mprog
-    ~label:(Fmt.str "smove(x%d->x%d)" src dst)
+    ~label:("smove(x" ^ string_of_int src ^ "->x" ^ string_of_int dst ^ ")")
     ~may_write:[ src; dst ]
     (Prog.read src (fun s ->
          match Value.to_list s with
@@ -37,6 +37,7 @@ let move ~src ~dst =
                     (Prog.return (Value.Bool true))))))
 
 let depth s =
-  Prog.mprog ~label:(Fmt.str "sdepth(x%d)" s) ~may_touch:[ s ] ~may_write:[]
+  Prog.mprog ~label:("sdepth(x" ^ string_of_int s ^ ")") ~may_touch:[ s ]
+    ~may_write:[]
     (Prog.read s (fun cur ->
          Prog.return (Value.Int (List.length (Value.to_list cur)))))

@@ -69,7 +69,7 @@ let size t s = Array.length t.globals.(s)
 let objects_of t s = Array.to_list t.globals.(s)
 
 let shards_of t objs =
-  List.map (shard_of_obj t) objs |> List.sort_uniq compare
+  List.map (shard_of_obj t) objs |> List.sort_uniq Int.compare
 
 let pp ppf t =
   Fmt.pf ppf "@[<h>%d objects over %d shards:%a@]" t.n_objects t.n_shards

@@ -75,77 +75,101 @@ let remap_sync t f =
 
 exception Inconsistent_versions of string
 
+let n_objects t = t.n_objects
+
+(* Writers by (namespace, object, version), hashed and compared as
+   ints. *)
+module Writers = Hashtbl.Make (struct
+  type t = int * Types.obj_id * int
+
+  let equal ((a, b, c) : t) (d, e, f) = a = d && b = e && c = f
+  let hash ((ns, x, v) : t) = ((((ns * 65599) + x) * 65599) + v) land max_int
+end)
+
+(* Number the records in stable (invocation, response) order, map each
+   (namespace, object, version) to its writer's number and rank the
+   synchronized records by (position, number); then hand each record
+   to [f] in order, its reads named by writer number (0, the
+   initializer, for version 0) through [read reader obj writer]. *)
+let iter_numbered t ~read f =
+  let records = Array.of_list (List.rev t.records) in
+  Array.stable_sort
+    (fun a b ->
+      let c = Int.compare a.inv b.inv in
+      if c <> 0 then c else Int.compare a.resp b.resp)
+    records;
+  let n = Array.length records in
+  let writer_of = Writers.create (4 * n) in
+  Array.iteri
+    (fun i r ->
+      List.iter
+        (fun (x, ver, ns) ->
+          let key = (ns, x, ver) in
+          if Writers.mem writer_of key then
+            raise
+              (Inconsistent_versions
+                 (Fmt.str "two writers of version %d of x%d (ns %d)" ver x ns));
+          Writers.add writer_of key (i + 1))
+        r.writes)
+    records;
+  let pos = Array.make n (-1) and synced = ref [] in
+  for i = n - 1 downto 0 do
+    match records.(i).sync with
+    | Some p ->
+      pos.(i) <- p;
+      synced := i :: !synced
+    | None -> ()
+  done;
+  (* Stable: of two records at one position, the lower number first. *)
+  let synced = Array.of_list !synced in
+  Array.stable_sort (fun i j -> Int.compare pos.(i) pos.(j)) synced;
+  let rank = Array.make n (-1) in
+  Array.iteri (fun k i -> rank.(i) <- k) synced;
+  Array.iteri
+    (fun i r ->
+      let id = i + 1 in
+      let resolve (x, ver, ns) =
+        if ver = 0 then read id x Types.init_mop
+        else
+          match Writers.find_opt writer_of (ns, x, ver) with
+          | Some w -> read id x w
+          | None ->
+            raise
+              (Inconsistent_versions
+                 (Fmt.str
+                    "m-operation %d read version %d of x%d (ns %d) with no \
+                     recorded writer"
+                    id ver x ns))
+      in
+      let reads = List.map resolve r.reads in
+      f id r reads (if rank.(i) < 0 then None else Some rank.(i)))
+    records
+
 (** Build the history, the per-m-operation timestamp table for the
     P 5.x validators, and the synchronization order (m-operation ids of
     synchronized updates, in broadcast order) when the protocol
     recorded one.  M-operations are numbered in invocation order; reads
     of version 0 resolve to the initializer. *)
 let to_history_full t =
-  let records =
-    List.stable_sort
-      (fun a b -> compare (a.inv, a.resp) (b.inv, b.resp))
-      (List.rev t.records)
-  in
-  let n = List.length records in
-  let mops =
-    List.mapi
-      (fun i r -> Mop.make ~id:(i + 1) ~proc:r.proc ~ops:r.ops ~inv:r.inv ~resp:r.resp)
-      records
-  in
-  let writer_of : (int * Types.obj_id * int, Types.mop_id) Hashtbl.t =
-    Hashtbl.create (4 * n)
-  in
-  List.iteri
-    (fun i r ->
-      List.iter
-        (fun (x, ver, ns) ->
-          let key = (ns, x, ver) in
-          if Hashtbl.mem writer_of key then
-            raise
-              (Inconsistent_versions
-                 (Fmt.str "two writers of version %d of x%d (ns %d)" ver x ns));
-          Hashtbl.add writer_of key (i + 1))
-        r.writes)
-    records;
-  let rf =
-    List.concat
-      (List.mapi
-         (fun i r ->
-           List.map
-             (fun (x, ver, ns) ->
-               let writer =
-                 if ver = 0 then Types.init_mop
-                 else
-                   match Hashtbl.find_opt writer_of (ns, x, ver) with
-                   | Some w -> w
-                   | None ->
-                     raise
-                       (Inconsistent_versions
-                          (Fmt.str
-                             "m-operation %d read version %d of x%d (ns %d) \
-                              with no recorded writer"
-                             (i + 1) ver x ns))
-               in
-               { History.reader = i + 1; obj = x; writer })
-             r.reads)
-         records)
-  in
-  let history = History.create ~n_objects:t.n_objects mops ~rf in
+  let mops = ref [] and rf = ref [] and synced = ref [] in
   let stamps : (Types.mop_id, Version_vector.stamped) Hashtbl.t =
-    Hashtbl.create n
+    Hashtbl.create (List.length t.records)
   in
-  List.iteri
-    (fun i r ->
-      Hashtbl.replace stamps (i + 1)
-        { Version_vector.start_ts = r.start_ts; finish_ts = r.finish_ts })
-    records;
-  let sync_order =
-    List.mapi (fun i r -> (i + 1, r.sync)) records
-    |> List.filter_map (fun (id, s) -> Option.map (fun s -> (s, id)) s)
-    |> List.sort compare
-    |> List.map snd
+  iter_numbered t
+    ~read:(fun reader obj writer -> { History.reader; obj; writer })
+    (fun id r reads sync ->
+      mops :=
+        Mop.make ~id ~proc:r.proc ~ops:r.ops ~inv:r.inv ~resp:r.resp :: !mops;
+      rf := List.rev_append reads !rf;
+      Hashtbl.replace stamps id
+        { Version_vector.start_ts = r.start_ts; finish_ts = r.finish_ts };
+      Option.iter (fun k -> synced := (k, id) :: !synced) sync);
+  let history =
+    History.create ~n_objects:t.n_objects (List.rev !mops) ~rf:(List.rev !rf)
   in
-  (history, stamps, sync_order)
+  let order = Array.make (List.length !synced) 0 in
+  List.iter (fun (k, id) -> order.(k) <- id) !synced;
+  (history, stamps, Array.to_list order)
 
 let to_history t =
   let history, stamps, _ = to_history_full t in

@@ -49,6 +49,29 @@ val remap_sync : t -> (int -> int) -> unit
 
 exception Inconsistent_versions of string
 
+val n_objects : t -> int
+
+(** [iter_numbered t ~read f] — the numbering every history built from
+    [t] uses, without building one.  One pass over the records numbers
+    them 1, 2, … in stable (invocation, response) order, maps each
+    (namespace, object, version) to its writer's number and ranks the
+    synchronized records by (position, number).  Then [f id r reads
+    sync] is called for each record [r] in number order: [reads] holds
+    [read id x w] for each of [r.reads], in order, where [w] is the
+    number of the writer of that (namespace, object, version) — 0, the
+    initializer, for version 0 — and [sync] is the record's rank, 0 for
+    the first position, when it has one.  {!to_history_full} is built
+    on it.
+
+    Raises {!Inconsistent_versions} before calling [f] when two records
+    write one (namespace, object, version), and before calling [f] on a
+    record that reads a version no record wrote. *)
+val iter_numbered :
+  t ->
+  read:(Types.mop_id -> Types.obj_id -> Types.mop_id -> 'a) ->
+  (Types.mop_id -> record -> 'a list -> int option -> unit) ->
+  unit
+
 (** Build the history (m-operations numbered in invocation order;
     version-0 reads resolve to the initializer) and the timestamp
     table for the P 5.x validators. *)
@@ -58,7 +81,9 @@ val to_history : t -> History.t * (Types.mop_id, Version_vector.stamped) Hashtbl
     ids of synchronized updates in atomic-broadcast order.  Adding
     these as edges to the m-SC base relation installs the
     WW-constraint, enabling the polynomial Theorem 7 checker on
-    protocol traces. *)
+    protocol traces.  Numbers and resolves reads through
+    {!iter_numbered}, so it raises {!Inconsistent_versions} in the same
+    cases; raises {!History.Ill_formed} on a trace the history rejects. *)
 val to_history_full :
   t ->
   History.t

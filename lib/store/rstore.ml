@@ -60,6 +60,22 @@ type payload = {
 
 type snap = { sxs : Value.t array; stss : int array }
 
+(* One exact stamping of a position, with the replicas that have
+   acknowledged it as a bitset over replica ids. *)
+type stamping = { st_origin : int; st_oseq : int; st_acks : int array }
+
+let ack_bits = Sys.int_size
+
+let has_ack s v = s.st_acks.(v / ack_bits) land (1 lsl (v mod ack_bits)) <> 0
+
+let add_ack s v =
+  let i = v / ack_bits in
+  s.st_acks.(i) <- s.st_acks.(i) lor (1 lsl (v mod ack_bits))
+
+let n_acks s =
+  let rec pop n w = if w = 0 then n else pop (n + 1) (w land (w - 1)) in
+  Array.fold_left pop 0 s.st_acks
+
 type handle = {
   mode : mode;
   cursors : unit -> int array;
@@ -92,11 +108,29 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
   let pending : (int, int * payload option) Hashtbl.t array =
     Array.init n (fun _ -> Hashtbl.create 16)
   in
-  (* Stability bookkeeping (volatile): per exact stamping, the set of
-     replicas that acknowledged it; [forced] positions are stable by
-     provenance (peer WAL or own replay — applied somewhere already). *)
-  let ackers : (int * int * int, (int, unit) Hashtbl.t) Hashtbl.t array =
+  (* Stability bookkeeping (volatile): per position, each exact
+     stamping seen for it with its acknowledgers; [forced] positions
+     are stable by provenance (peer WAL or own replay — applied
+     somewhere already). *)
+  let stampings : (int, stamping list) Hashtbl.t array =
     Array.init n (fun _ -> Hashtbl.create 16)
+  in
+  let stampings_of node pos =
+    Option.value (Hashtbl.find_opt stampings.(node) pos) ~default:[]
+  in
+  let is ~origin ~oseq s = s.st_origin = origin && s.st_oseq = oseq in
+  (* [pos]'s stamping (origin, oseq) at [node], added unacked if new. *)
+  let stamping node ~pos ~origin ~oseq =
+    let l = stampings_of node pos in
+    match List.find_opt (is ~origin ~oseq) l with
+    | Some s -> s
+    | None ->
+      let s =
+        { st_origin = origin; st_oseq = oseq;
+          st_acks = Array.make (((n - 1) / ack_bits) + 1) 0 }
+      in
+      Hashtbl.replace stampings.(node) pos (s :: l);
+      s
   in
   let forced : (int, unit) Hashtbl.t array =
     Array.init n (fun _ -> Hashtbl.create 16)
@@ -120,12 +154,7 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
   in
   let purge_stability node pos =
     Hashtbl.remove forced.(node) pos;
-    let dead =
-      Hashtbl.fold
-        (fun ((p, _, _) as key) _ acc -> if p = pos then key :: acc else acc)
-        ackers.(node) []
-    in
-    List.iter (Hashtbl.remove ackers.(node)) dead
+    Hashtbl.remove stampings.(node) pos
   in
   let apply_one node ~replay ~pos ~origin (p : payload option) =
     (match p with
@@ -173,9 +202,9 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
     | None -> true
     | Some lp ->
       Hashtbl.mem forced.(node) pos
-      || (match Hashtbl.find_opt ackers.(node) (pos, lp.origin, lp.oseq) with
-         | Some s -> Hashtbl.length s >= quorum
-         | None -> false)
+      || List.exists
+           (fun s -> is ~origin:lp.origin ~oseq:lp.oseq s && n_acks s >= quorum)
+           (stampings_of node pos)
   in
   let rec drain node =
     match Hashtbl.find_opt pending.(node) cursors.(node) with
@@ -200,19 +229,12 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
   (* First local delivery of a stamping: record our own ack and tell
      everyone else. *)
   let announce node ~pos (lp : payload) =
-    let key = (pos, lp.origin, lp.oseq) in
-    let set =
-      match Hashtbl.find_opt ackers.(node) key with
-      | Some s -> s
-      | None ->
-        let s = Hashtbl.create 4 in
-        Hashtbl.replace ackers.(node) key s;
-        s
-    in
-    if not (Hashtbl.mem set node) then begin
-      Hashtbl.replace set node ();
+    let s = stamping node ~pos ~origin:lp.origin ~oseq:lp.oseq in
+    if not (has_ack s node) then begin
+      add_ack s node;
       for dst = 0 to n - 1 do
-        if dst <> node then Transport.send stab_net ~src:node ~dst key
+        if dst <> node then
+          Transport.send stab_net ~src:node ~dst (pos, lp.origin, lp.oseq)
       done
     end
   in
@@ -309,18 +331,9 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
     if Hashtbl.length pending.(node) > 0 then arm_poll node
   in
   for node = 0 to n - 1 do
-    Transport.set_handler stab_net node (fun src key ->
-        let pos, _, _ = key in
+    Transport.set_handler stab_net node (fun src (pos, origin, oseq) ->
         if pos >= cursors.(node) then begin
-          let set =
-            match Hashtbl.find_opt ackers.(node) key with
-            | Some s -> s
-            | None ->
-              let s = Hashtbl.create 4 in
-              Hashtbl.replace ackers.(node) key s;
-              s
-          in
-          Hashtbl.replace set src ();
+          add_ack (stamping node ~pos ~origin ~oseq) src;
           if pos = cursors.(node) then drain node;
           (* A peer acknowledged a position we do not hold: the
              broadcast's delivery to us may be gone for good (lost in
@@ -413,7 +426,7 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
           tss.(c.node) <- Array.make n_objects 0;
           cursors.(c.node) <- 0;
           Hashtbl.reset pending.(c.node);
-          Hashtbl.reset ackers.(c.node);
+          Hashtbl.reset stampings.(c.node);
           Hashtbl.reset forced.(c.node);
           (* The durable indexes are volatile too; the devices
              survive. *)

@@ -129,16 +129,12 @@ type pending = {
   pend_op : op_payload;
 }
 
+(* Each recorded write with the value its ops wrote last: one scan of
+   the ops per written object, no table. *)
 let final_writes (applied : Apply.applied) =
-  let last : (Types.obj_id, Value.t) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun op ->
-      match op with
-      | Op.Write (x, v) -> Hashtbl.replace last x v
-      | Op.Read _ -> ())
-    applied.Apply.ops;
   List.map
-    (fun (x, ver, ns) -> (x, Hashtbl.find last x, ver, ns))
+    (fun (x, ver, ns) ->
+      (x, Option.get (Op.last_write applied.Apply.ops x), ver, ns))
     applied.Apply.writes
 
 (* How [finalize] turns buffered/carried fast operations into
@@ -198,12 +194,17 @@ let create ?fault ?reliable ?batch ?(mode = Classify.Sound) ?(tail = Dense)
      and fast entries already retired into the prefix — their records
      are withheld from the recorder until [finalize] re-keys the whole
      order. *)
-  let first_seen : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let first_seen = ref (Array.make 64 (-1)) in  (* by position; -1: not yet *)
   let seq_positions : int list ref = ref [] in
   let retired : entry list ref = ref [] in
   let note_pos pos =
-    if not (Hashtbl.mem first_seen pos) then
-      Hashtbl.add first_seen pos (Engine.now engine)
+    let len = Array.length !first_seen in
+    if pos >= len then begin
+      let b = Array.make (max (pos + 1) (2 * len)) (-1) in
+      Array.blit !first_seen 0 b 0 len;
+      first_seen := b
+    end;
+    if !first_seen.(pos) < 0 then !first_seen.(pos) <- Engine.now engine
   in
   let stats =
     {
@@ -355,7 +356,7 @@ let create ?fault ?reliable ?batch ?(mode = Classify.Sound) ?(tail = Dense)
     let remote_owners =
       if query then []
       else
-        List.sort_uniq compare
+        List.sort_uniq Int.compare
           (List.filter_map
              (fun x ->
                let o = Ownership.owner ownership x in
@@ -537,9 +538,8 @@ let create ?fault ?reliable ?batch ?(mode = Classify.Sound) ?(tail = Dense)
         let s = Array.make (max n_real 1) 0 in
         let rm = ref 0 in
         for p = 0 to n_real - 1 do
-          (match Hashtbl.find_opt first_seen p with
-          | Some t -> if t > !rm then rm := t
-          | None -> ());
+          if p < Array.length !first_seen && !first_seen.(p) > !rm then
+            rm := !first_seen.(p);
           s.(p) <- !rm
         done;
         let fast = ref !retired in

@@ -362,12 +362,11 @@ let verify_sharded ?arena ~window ~settle ~flavour
   let verdicts =
     Array.map
       (fun r ->
-        let h, _, sync_order = Recorder.to_history_full r in
         let wc =
           Window_check.create ~arena ~window ~settle ~flavour
-            ~n_objects:(History.n_objects h) ()
+            ~n_objects:(Recorder.n_objects r) ()
         in
-        Window_check.feed_history wc h ~sync_order;
+        Window_check.feed_recorder wc r;
         let v = Window_check.finish wc in
         metrics := Window_check.metrics wc :: !metrics;
         v)

@@ -98,10 +98,16 @@ val run :
 
 (** [verify_sharded ~window ~settle ~flavour result] — stream each
     shard's local trace of a {!Mmc_shard.Shard_runner} run through its
-    own windowed checker, all sharing one arena.  The conjunction of
-    the per-shard verdicts is the sharded analogue of the single-store
-    windowed check; the global stitched condition stays an offline
-    check ({!Mmc_shard.Shard_runner.check}) — see DESIGN.md §14. *)
+    own windowed checker, all sharing one arena.  Each checker is fed
+    straight from the shard's recorder ({!Window_check.feed_recorder}):
+    the entries {!Window_check.feed_history} would feed for
+    {!Mmc_store.Recorder.to_history_full}, without building a history.
+    Raises {!Mmc_store.Recorder.Inconsistent_versions} where that
+    would; a trace it would reject as ill-formed verifies
+    [Inconclusive].  The conjunction of the per-shard verdicts is the
+    sharded analogue of the single-store windowed check; the global
+    stitched condition stays an offline check
+    ({!Mmc_shard.Shard_runner.check}) — see DESIGN.md §14. *)
 val verify_sharded :
   ?arena:Relation.Arena.arena ->
   window:int ->

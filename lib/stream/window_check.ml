@@ -770,27 +770,35 @@ let entry_of_record (r : Mmc_store.Recorder.record) =
   { proc = r.proc; inv = r.inv; resp = r.resp; ops = r.ops; reads; writes;
     sync = r.sync }
 
+(* The same entry from every source that names reads by writer id:
+   updates are versioned by synchronization position, shifted past 0
+   (the initial version), so versions are monotone in apply order. *)
+let make_entry ~proc ~inv ~resp ~ops ~reads ~sync =
+  let v = match sync with Some p -> p + 1 | None -> 0 in
+  let writes =
+    List.map (fun (x, value) -> (x, v, value)) (Op.final_writes ops)
+  in
+  { proc; inv; resp; ops; reads; writes; sync }
+
 let feed_history t h ~sync_order =
   let pos = Hashtbl.create 64 in
   List.iteri (fun i id -> Hashtbl.replace pos id i) sync_order;
   List.iter
     (fun (m : Mop.t) ->
-      let sync = Hashtbl.find_opt pos m.Mop.id in
       let reads =
         List.map
           (fun (e : History.rf_edge) -> (e.History.obj, Gid e.History.writer))
           (History.rf_of_reader h m.Mop.id)
       in
-      let writes =
-        List.map
-          (fun (x, value) ->
-            (* Versions must be monotone in apply order: the broadcast
-               position (shifted past 0, the initial version) is one. *)
-            let v = match sync with Some p -> p + 1 | None -> 0 in
-            (x, v, value))
-          (Mop.final_writes m)
-      in
       feed t
-        { proc = m.Mop.proc; inv = m.Mop.inv; resp = m.Mop.resp;
-          ops = m.Mop.ops; reads; writes; sync })
+        (make_entry ~proc:m.Mop.proc ~inv:m.Mop.inv ~resp:m.Mop.resp
+           ~ops:m.Mop.ops ~reads ~sync:(Hashtbl.find_opt pos m.Mop.id)))
     (History.real_mops h)
+
+let feed_recorder t recorder =
+  Mmc_store.Recorder.iter_numbered recorder
+    ~read:(fun _ x w -> (x, Gid w))
+    (fun _ (r : Mmc_store.Recorder.record) reads sync ->
+      feed t
+        (make_entry ~proc:r.proc ~inv:r.inv ~resp:r.resp ~ops:r.ops ~reads
+           ~sync))

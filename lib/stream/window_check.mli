@@ -13,7 +13,7 @@
     dropped as the frontier advances.
 
     {b Feed contract.}  Entries are fed in global (inv, resp) order —
-    the order {!Mmc_store.Recorder.to_history_full} numbers them — and
+    the order {!Mmc_store.Recorder.iter_numbered} numbers them — and
     invocation times must be non-decreasing.  Reads may reference
     writers not yet fed (a long-running reader can complete, and so be
     fed, before the writer whose version it read): such entries wait
@@ -141,8 +141,36 @@ val finish : t -> verdict
 val verdict : t -> verdict
 val metrics : t -> metrics
 
+(** [make_entry ~proc ~inv ~resp ~ops ~reads ~sync] — the entry of an
+    m-operation whose external reads name their writers by id ([reads],
+    each [Gid] in the order {!History.rf_of_reader} lists them) and
+    whose final writes, by ascending object ({!Op.final_writes}), are
+    versioned by synchronization position: version [sync + 1], past the
+    initial version 0 (0 without a position, which {!feed} rejects for
+    an update).  The one constructor behind {!feed_history},
+    {!feed_recorder} and NDJSON traces ([mmc check --stream]). *)
+val make_entry :
+  proc:Types.proc_id ->
+  inv:Types.time ->
+  resp:Types.time ->
+  ops:Op.t list ->
+  reads:(Types.obj_id * rref) list ->
+  sync:int option ->
+  entry
+
 (** [feed_history t h ~sync_order] — feed a complete in-memory history
-    (in id = (inv, resp) order), for cross-checking the windowed
+    (in id = (inv, resp) order), each m-operation's synchronization
+    position its index in [sync_order], for cross-checking the windowed
     verdict against {!Mmc_store.Runner.check_history} on tier-1-size
     traces.  Follow with {!finish}. *)
 val feed_history : t -> History.t -> sync_order:Types.mop_id list -> unit
+
+(** [feed_recorder t r] — feed a recorder's trace straight from its
+    records, numbered by {!Mmc_store.Recorder.iter_numbered}: exactly
+    the entries {!feed_history} feeds for
+    {!Mmc_store.Recorder.to_history_full}[ r], without building a
+    history.  Raises {!Mmc_store.Recorder.Inconsistent_versions} where
+    [to_history_full] does; a trace the history would reject as
+    ill-formed answers [Inconclusive] instead, with {!feed}'s message.
+    Follow with {!finish}. *)
+val feed_recorder : t -> Mmc_store.Recorder.t -> unit

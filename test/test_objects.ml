@@ -177,6 +177,61 @@ let test_bank_invariant_through_store () =
       Alcotest.(check int) "conserved total" (n_accounts * initial) total)
     !audits
 
+(* Labels are built by concatenation, byte for byte the strings the
+   old [Fmt.str] formats gave: [Classify]'s [Trust_labels] mode
+   matches on them and the router suffixes them.  Random arguments,
+   negatives included.  The list labels keep [Fmt.str], whose break
+   before the last element concatenation would lose. *)
+let test_labels () =
+  let rng = Random.State.make [| 23 |] in
+  let int () = Random.State.int rng 20001 - 10000 in
+  let ints () = List.init (Random.State.int rng 8) (fun _ -> int ()) in
+  let v = Value.Int 1 in
+  let comma = Fmt.(list ~sep:comma int) in
+  for _ = 1 to 500 do
+    let a = int () and b = int () and c = int () and xs = ints () in
+    List.iter
+      (fun (expected, (m : Prog.mprog)) ->
+        Alcotest.(check string) expected expected m.Prog.label)
+      [
+        (Fmt.str "faa(x%d,%d)" a b, Counter.fetch_and_add a b);
+        (Fmt.str "get(x%d)" a, Counter.get a);
+        (Fmt.str "move(x%d->x%d,%d)" a b c, Counter.move ~src:a ~dst:b c);
+        ( Fmt.str "massign(%a)" comma xs,
+          Massign.assign (List.map (fun x -> (x, v)) xs) );
+        (Fmt.str "snapshot(%a)" comma xs, Massign.snapshot xs);
+        (Fmt.str "sum(%a)" comma xs, Massign.sum xs);
+        (Fmt.str "swap(x%d,x%d)" a b, Massign.swap a b);
+        ( Fmt.str "dcas(x%d,x%d)" a b,
+          Dcas.dcas a b ~old1:v ~old2:v ~new1:v ~new2:v );
+        (Fmt.str "cas(x%d)" a, Dcas.cas a ~old_v:v ~new_v:v);
+        (Fmt.str "write(x%d)" a, Register.write a v);
+        (Fmt.str "read(x%d)" a, Register.read a);
+        ( Fmt.str "transfer(x%d->x%d,%d)" a b c,
+          Bank.transfer ~from_:a ~to_:b c );
+        (Fmt.str "audit(%d accounts)" (List.length xs), Bank.audit xs);
+        (Fmt.str "deposit(x%d,%d)" a b, Bank.deposit a b);
+        (Fmt.str "balance(x%d)" a, Bank.balance a);
+        (Fmt.str "enqueue(x%d)" a, Queue_obj.enqueue a v);
+        (Fmt.str "dequeue(x%d)" a, Queue_obj.dequeue a);
+        (Fmt.str "qmove(x%d->x%d)" a b, Queue_obj.transfer_front ~src:a ~dst:b);
+        (Fmt.str "qlen(x%d)" a, Queue_obj.length a);
+        (Fmt.str "push(x%d)" a, Stack_obj.push a v);
+        (Fmt.str "pop(x%d)" a, Stack_obj.pop a);
+        (Fmt.str "smove(x%d->x%d)" a b, Stack_obj.move ~src:a ~dst:b);
+        (Fmt.str "sdepth(x%d)" a, Stack_obj.depth a);
+        (Fmt.str "balance(%d)" a, Smallbank.balance a);
+        (Fmt.str "deposit_checking(%d,%d)" a b, Smallbank.deposit_checking a b);
+        (Fmt.str "transact_savings(%d,%d)" a b, Smallbank.transact_savings a b);
+        (Fmt.str "amalgamate(%d,%d)" a b, Smallbank.amalgamate a b);
+        (Fmt.str "write_check(%d,%d)" a b, Smallbank.write_check a b);
+        ( Fmt.str "send_payment(%d,%d,%d)" a b c,
+          Smallbank.send_payment a b c );
+        (let n = abs a mod 64 in
+         (Fmt.str "audit(%d customers)" n, Smallbank.audit ~customers:n));
+      ]
+  done
+
 let () =
   Alcotest.run "objects"
     [
@@ -191,6 +246,7 @@ let () =
           Alcotest.test_case "bank" `Quick test_bank_transfer;
           Alcotest.test_case "queue" `Quick test_queue;
           Alcotest.test_case "stack" `Quick test_stack;
+          Alcotest.test_case "labels = old formats" `Quick test_labels;
         ] );
       ( "through-store",
         [

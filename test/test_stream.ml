@@ -548,6 +548,175 @@ let test_ill_formed () =
       | v -> Alcotest.failf "well-formed control: %a" pp_verdict v)
     [ 1; 4; 256 ]
 
+(* Record path = feed_history: [Soak.verify_sharded] feeds each
+   shard's checker straight from its recorder; [feed_history] over
+   [Recorder.to_history_full] of the same recorders, shard by shard
+   over one shared arena, must give the same verdict text and the same
+   metrics, arena words included.  Sharded traces of every broadcast
+   store, seg under the sound and the label-trusting classifier (whose
+   fast writes use per-replica version namespaces), fault-free and
+   lossy, at 1, 2 and 4 shards. *)
+let test_record_path () =
+  let module W = Mmc_stream.Window_check in
+  let n_procs = 8 and n_objects = 16 in
+  let spec =
+    { Mmc_workload.Spec.default with n_objects; read_ratio = 0.4 }
+  in
+  let show_metrics (m : W.metrics) =
+    Fmt.str "fed=%d pending=%d live=%d max_live=%d checks=%d retired=%d \
+             frontier=%d resident=%d max_resident=%d recycled=%d hits=%d \
+             misses=%d"
+      m.W.fed m.W.pending m.W.live m.W.max_live m.W.checks m.W.retired
+      m.W.frontier_objects m.W.resident_words m.W.max_resident_words
+      m.W.recycled_words m.W.arena_hits m.W.arena_misses
+  in
+  let wrong = Mmc_fastpath.Classify.Trust_labels [ "transfer"; "move" ] in
+  let fails = ref 0 and checked = ref 0 in
+  List.iter
+    (fun (name, kind, fastpath) ->
+      List.iter
+        (fun (plan_name, fault) ->
+          List.iter
+            (fun shards ->
+              let placement =
+                Mmc_shard.Placement.hash ~n_shards:shards ~n_objects
+              in
+              let cfg =
+                { Runner.default_config with
+                  n_procs; n_objects; ops_per_proc = 24; kind; fault;
+                  fastpath }
+              in
+              let workload =
+                if kind = Store.Seg then
+                  Mmc_workload.Generator.sharded_counter_commute
+                    ~commute_ratio:0.5 ~n_procs placement spec
+                else Mmc_workload.Generator.sharded placement spec
+              in
+              let res =
+                Mmc_shard.Shard_runner.run ~seed:3 ~placement cfg ~workload
+              in
+              let flavour = Store.flavour kind in
+              List.iter
+                (fun (window, settle) ->
+                  let verdicts, ms =
+                    Mmc_stream.Soak.verify_sharded ~window ~settle ~flavour res
+                  in
+                  let arena = Relation.Arena.create () in
+                  Array.iteri
+                    (fun i recorder ->
+                      let h, _, sync_order =
+                        Recorder.to_history_full recorder
+                      in
+                      let wc =
+                        W.create ~arena ~window ~settle ~flavour
+                          ~n_objects:(History.n_objects h) ()
+                      in
+                      W.feed_history wc h ~sync_order;
+                      let v = W.finish wc in
+                      let ctx =
+                        Fmt.str "%s %s shards=%d shard %d w=%d s=%d" name
+                          plan_name shards i window settle
+                      in
+                      (match v with W.Fail _ -> incr fails | _ -> ());
+                      incr checked;
+                      Alcotest.(check string)
+                        (ctx ^ ": verdict")
+                        (Fmt.str "%a" pp_verdict v)
+                        (Fmt.str "%a" pp_verdict verdicts.(i));
+                      Alcotest.(check string)
+                        (ctx ^ ": metrics")
+                        (show_metrics (W.metrics wc))
+                        (show_metrics (List.nth ms i)))
+                    res.Mmc_shard.Shard_runner.recorders)
+                [ (1, 0); (4, 0); (256, 0); (1, W.default_settle);
+                  (4, W.default_settle); (256, W.default_settle) ])
+            [ 1; 2; 4 ])
+        [ ("none", Mmc_sim.Fault.none); ("lossy", lossy_plan) ])
+    [ ("msc", Store.Msc, Mmc_fastpath.Classify.Sound);
+      ("mlin", Store.Mlin, Mmc_fastpath.Classify.Sound);
+      ("rmsc", Store.Rmsc, Mmc_fastpath.Classify.Sound);
+      ("seg", Store.Seg, Mmc_fastpath.Classify.Sound);
+      ("seg wrong", Store.Seg, wrong) ];
+  Alcotest.(check bool)
+    (Fmt.str "the sweep reaches FAILs (%d of %d shard checks)" !fails
+       !checked)
+    true (!fails > 0)
+
+(* Hand-built recorders: the record path ranks synchronization
+   positions with gaps as [to_history_full]'s order does, raises the
+   same [Inconsistent_versions], and answers a trace the history
+   rejects as ill-formed INCONCLUSIVE with [feed]'s message. *)
+let test_record_path_hand_built () =
+  let module W = Mmc_stream.Window_check in
+  let i = Value.int in
+  let record ?(reads = []) ?(writes = []) ?sync proc inv resp ops =
+    { Recorder.proc; inv; resp; ops; reads; writes; start_ts = [| 0 |];
+      finish_ts = [| 0 |]; sync }
+  in
+  let raised f =
+    match f () with
+    | exception Recorder.Inconsistent_versions m -> Some m
+    | () -> None
+  in
+  let same name records =
+    let r = Recorder.of_records ~n_objects:1 records in
+    let via_history =
+      raised (fun () -> ignore (Recorder.to_history_full r))
+    in
+    let via_records =
+      raised (fun () ->
+          W.feed_recorder (W.create ~flavour:History.Msc ~n_objects:1 ()) r)
+    in
+    Alcotest.(check bool) (name ^ ": raises") true (via_history <> None);
+    Alcotest.(check (option string)) name via_history via_records
+  in
+  same "two writers of one version"
+    [ record ~writes:[ (0, 1, 0) ] ~sync:0 0 0 1 [ Op.write 0 (i 1) ];
+      record ~writes:[ (0, 1, 0) ] ~sync:1 1 2 3 [ Op.write 0 (i 2) ] ];
+  same "a read of a version no record wrote"
+    [ record ~writes:[ (0, 1, 0) ] ~sync:0 0 0 1 [ Op.write 0 (i 1) ];
+      record ~reads:[ (0, 2, 0) ] 1 2 3 [ Op.read 0 (i 2) ] ];
+  (* Positions 4 and 9 (a fence hole, a remapped order) feed as 0 and
+     1: at window 1 with no settle grace both retire. *)
+  let gaps =
+    Recorder.of_records ~n_objects:1
+      [ record ~writes:[ (0, 1, 0) ] ~sync:4 0 0 1 [ Op.write 0 (i 1) ];
+        record ~reads:[ (0, 1, 0) ] ~writes:[ (0, 2, 0) ] ~sync:9 1 2 3
+          [ Op.read 0 (i 1); Op.write 0 (i 2) ];
+        record ~reads:[ (0, 2, 0) ] 0 4 5 [ Op.read 0 (i 2) ] ]
+  in
+  let h, _, sync_order = Recorder.to_history_full gaps in
+  let tight () =
+    W.create ~window:1 ~settle:0 ~flavour:History.Msc ~n_objects:1 ()
+  in
+  let by_history = tight () and by_records = tight () in
+  W.feed_history by_history h ~sync_order;
+  W.feed_recorder by_records gaps;
+  List.iter
+    (fun wc ->
+      Alcotest.(check string) "gaps: PASS" "PASS"
+        (Fmt.str "%a" pp_verdict (W.finish wc)))
+    [ by_history; by_records ];
+  Alcotest.(check int) "gaps: the same retired prefix"
+    (W.metrics by_history).W.retired (W.metrics by_records).W.retired;
+  Alcotest.(check bool) "gaps: the updates retire" true
+    ((W.metrics by_records).W.retired >= 2);
+  let overlap =
+    Recorder.of_records ~n_objects:1
+      [ record ~reads:[ (0, 0, 0) ] 0 0 10 [ Op.read 0 Value.initial ];
+        record ~reads:[ (0, 0, 0) ] 0 5 6 [ Op.read 0 Value.initial ] ]
+  in
+  (match Recorder.to_history_full overlap with
+  | exception History.Ill_formed _ -> ()
+  | _ -> Alcotest.fail "the history accepts an overlapping process");
+  let wc = W.create ~flavour:History.Msc ~n_objects:1 () in
+  W.feed_recorder wc overlap;
+  match W.finish wc with
+  | W.Inconclusive m ->
+    Alcotest.(check string) "feed's message"
+      "process P0 not sequential: #1 [0,10] overlaps #2 [5,6]" m
+  | v -> Alcotest.failf "expected INCONCLUSIVE, got %a" pp_verdict v
+
 let () =
   Alcotest.run "stream"
     [
@@ -572,6 +741,10 @@ let () =
           Alcotest.test_case "sharded per-shard windows" `Quick
             test_sharded_per_shard;
           Alcotest.test_case "outcomes pinned" `Quick test_outcomes_pinned;
+          Alcotest.test_case "record path = feed_history" `Quick
+            test_record_path;
+          Alcotest.test_case "record path, hand-built recorders" `Quick
+            test_record_path_hand_built;
           Alcotest.test_case "ill-formed feeds" `Quick test_ill_formed;
         ] );
       ( "arena",
