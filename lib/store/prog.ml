@@ -28,20 +28,12 @@ type mprog = {
   label : string;
 }
 
-(* Sorted, without duplicates; the one- and two-object lists most
-   m-operations declare skip the general sort. *)
-let sort_objs = function
-  | ([] | [ _ ]) as l -> l
-  | [ (a : Types.obj_id); b ] ->
-    if a < b then [ a; b ] else if a > b then [ b; a ] else [ a ]
-  | l -> List.sort_uniq Int.compare l
-
 let mprog ?(label = "") ?may_touch ~may_write prog =
-  let may_write = sort_objs may_write in
+  let may_write = List.sort_uniq Int.compare may_write in
   let may_touch =
     match may_touch with
     | None -> may_write
-    | Some t -> sort_objs (t @ may_write)
+    | Some t -> List.sort_uniq Int.compare (t @ may_write)
   in
   { prog; may_write; may_touch; label }
 

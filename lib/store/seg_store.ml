@@ -129,8 +129,7 @@ type pending = {
   pend_op : op_payload;
 }
 
-(* Each recorded write with the value its ops wrote last: one scan of
-   the ops per written object, no table. *)
+(* Each recorded write with the value its ops wrote last. *)
 let final_writes (applied : Apply.applied) =
   List.map
     (fun (x, ver, ns) ->
@@ -194,17 +193,12 @@ let create ?fault ?reliable ?batch ?(mode = Classify.Sound) ?(tail = Dense)
      and fast entries already retired into the prefix — their records
      are withheld from the recorder until [finalize] re-keys the whole
      order. *)
-  let first_seen = ref (Array.make 64 (-1)) in  (* by position; -1: not yet *)
+  let first_seen : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let seq_positions : int list ref = ref [] in
   let retired : entry list ref = ref [] in
   let note_pos pos =
-    let len = Array.length !first_seen in
-    if pos >= len then begin
-      let b = Array.make (max (pos + 1) (2 * len)) (-1) in
-      Array.blit !first_seen 0 b 0 len;
-      first_seen := b
-    end;
-    if !first_seen.(pos) < 0 then !first_seen.(pos) <- Engine.now engine
+    if not (Hashtbl.mem first_seen pos) then
+      Hashtbl.add first_seen pos (Engine.now engine)
   in
   let stats =
     {
@@ -538,8 +532,9 @@ let create ?fault ?reliable ?batch ?(mode = Classify.Sound) ?(tail = Dense)
         let s = Array.make (max n_real 1) 0 in
         let rm = ref 0 in
         for p = 0 to n_real - 1 do
-          if p < Array.length !first_seen && !first_seen.(p) > !rm then
-            rm := !first_seen.(p);
+          (match Hashtbl.find_opt first_seen p with
+          | Some t -> if t > !rm then rm := t
+          | None -> ());
           s.(p) <- !rm
         done;
         let fast = ref !retired in
