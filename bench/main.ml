@@ -1,7 +1,7 @@
 (* Benchmark harness: one Bechamel test (or group) per experiment id of
    DESIGN.md / EXPERIMENTS.md, measuring the CPU cost of the kernels
-   behind each table, followed by the experiment tables themselves
-   (simulated-time metrics).
+   behind each table.  The tables themselves are `mmc experiments`;
+   the end-to-end soak runs are soakbench's.
 
    Groups:
      checker/T1-*  exhaustive vs Theorem-7 admissibility checking
@@ -21,19 +21,13 @@
      objects/P5    DCAS contention loop
      figures/F1-F2 paper-figure checking
 
-     shard/*       sharded-store runs and per-shard verification,
-                   S in {1,2,4,8}; with --json also records
-                   messages/op, latency percentiles and
-                   verified-ops-per-sec per shard count
-
-     stream/*      streaming verification: windowed Theorem-7 checker
-                   (two window sizes) vs the full-trace
-                   chain-decomposed check on one closed-loop trace; with --json also
-                   records one-shot soak metrics (throughput, p99,
-                   resident/recycled checker words, retired count)
-                   and asserts the flat-memory ceiling, the PASS
-                   verdict and the seeded-corruption FAIL
-
+     shard/*       per-shard verification of one trace of the same
+                   total size at S in {1,2,4,8}
+     recovery/*    recoverable-store runs under wipe-crashes and
+                   storage faults; with --json also records wall-ms
+                   run/verify costs and replay volumes
+     chaos/*       stable vs optimistic delivery on lossy and
+                   sequencer-wipe plans
      sim/*         simulator kernels: engine schedule+run with 8, 256
                    and 4096 events queued, and a WAL scrub pass over
                    80 frames, every frame read vs an unchanged repeat
@@ -42,8 +36,7 @@
    Usage: main.exe [--only GROUP]... [--json FILE] [--seed S]
                    [--compare OLD.json] [--compare-warn] [--quick]
      --only GROUP   run the named group(s) only (repeatable, e.g.
-                    `--only core --only shard`), skip the experiment
-                    tables
+                    `--only core --only shard`)
      --json FILE    also write the estimates as JSON (name -> ns/run),
                     the machine-readable perf trajectory tracked across
                     PRs (BENCH_core.json at the repo root)
@@ -69,7 +62,7 @@ open Mmc_core
 
 let group_names =
   [ "T1"; "T2"; "T7"; "core"; "protocol"; "P4"; "P5"; "figures"; "shard";
-    "fastpath"; "stream"; "recovery"; "chaos"; "sim" ]
+    "recovery"; "chaos"; "sim" ]
 
 let only, json_file, cli_seed, compare_file, compare_warn, cli_quick =
   let only = ref [] and json = ref None in
@@ -130,9 +123,9 @@ let only, json_file, cli_seed, compare_file, compare_warn, cli_quick =
     !quick )
 
 (* Assertions the metric passes make about this run (chain-vs-dense
-   verdict equality, batched-vs-unbatched verdict equality, the
-   flat-memory ceiling): collected here, reported and turned into a
-   non-zero exit at the end so one failure doesn't hide the rest. *)
+   verdict equality and speedup, the storage-fault repairs): collected
+   here, reported and turned into a non-zero exit at the end so one
+   failure doesn't hide the rest. *)
 let hard_failures : string list ref = ref []
 
 let fail_check fmt = Fmt.kstr (fun s -> hard_failures := !hard_failures @ [ s ]) fmt
@@ -393,438 +386,42 @@ let bench_figures =
              ignore (Check_constrained.check_relation h base Constraints.WW)));
     ]
 
-(* --- sharded store: runs and per-shard verification --- *)
+(* --- sharded store: per-shard verification --- *)
 
 let shard_counts = [ 1; 2; 4; 8 ]
 
 let shard_spec =
   { Mmc_workload.Spec.default with n_objects = 32; read_ratio = 0.5 }
 
-let shard_cfg ?(batch = Mmc_broadcast.Batch.unbatched) ~ops () =
-  {
-    Mmc_store.Runner.default_config with
-    n_procs = 6;
-    n_objects = 32;
-    ops_per_proc = ops;
-    batch;
-  }
-
-let run_sharded ?batch ?(spec = shard_spec) ~n_shards ~ops () =
-  let placement = Mmc_shard.Placement.hash ~n_shards ~n_objects:32 in
-  Mmc_shard.Shard_runner.run ~seed:(11 + soff) ~placement
-    (shard_cfg ?batch ~ops ())
-    ~workload:(Mmc_workload.Generator.sharded placement spec)
-
 let shard_ops = if cli_quick then 40 else 100
 
-(* A larger single-shard-workload trace per shard count, built once:
-   the verification input.  Same total size at every S, so the
-   per-shard closure cost (~(n/S)^3 each) is the only variable. *)
-let shard_inputs =
-  List.map (fun s -> (s, run_sharded ~n_shards:s ~ops:shard_ops ())) shard_counts
+let run_sharded n_shards =
+  let placement = Mmc_shard.Placement.hash ~n_shards ~n_objects:32 in
+  Mmc_shard.Shard_runner.run ~seed:(11 + soff) ~placement
+    {
+      Mmc_store.Runner.default_config with
+      n_procs = 6;
+      n_objects = 32;
+      ops_per_proc = shard_ops;
+    }
+    ~workload:(Mmc_workload.Generator.sharded placement shard_spec)
+
+(* A single-shard-workload trace per shard count, built once: the
+   verification input.  Same total size at every S, so the per-shard
+   closure cost (~(n/S)^3 each) is the only variable. *)
+let shard_inputs = List.map (fun s -> (s, run_sharded s)) shard_counts
 
 let bench_shard =
   Test.make_grouped ~name:"shard"
     (List.map
-       (fun s ->
+       (fun (s, res) ->
          Test.make
-           ~name:(Fmt.str "run-S%d" s)
-           (Staged.stage (fun () -> ignore (run_sharded ~n_shards:s ~ops:20 ()))))
-       shard_counts
-    @ List.map
-        (fun (s, res) ->
-          Test.make
-            ~name:(Fmt.str "verify-S%d" s)
-            (Staged.stage (fun () ->
-                 ignore
-                   (Mmc_shard.Check_sharded.check_shards
-                      res.Mmc_shard.Shard_runner.recorders ~flavour:History.Msc))))
-        shard_inputs)
-
-(* One-shot simulated-time and throughput metrics per shard count,
-   recorded next to the ns/run estimates when --json is given: the
-   machine-readable form of the tentpole claim (verification throughput
-   on a single-shard workload grows with S while messages/op and
-   latency stay honest about the partitioning price). *)
-let shard_metrics () =
-  (* The batched counterpart of every unbatched run: same seed, same
-     workload, size-8 batches flushed every 120 units.  Batching
-     reframes the wire traffic, so msgs-per-op drops; the per-shard
-     Theorem-7 verdicts must not move at all and are asserted equal to
-     the unbatched run's.  The stitched (cross-shard) verdict is only
-     recorded: the two runs are different executions, and composition
-     anomalies are a legitimate property of a run, not of the checker
-     — batching widens the window in which a client can see one shard
-     fresh and another stale, so anomalies get likelier, which is
-     exactly the kind of honesty this metric set exists for. *)
-  let b8 = Mmc_broadcast.Batch.make ~size:8 ~flush_every:120 () in
-  let verdicts r =
-    let c = Mmc_shard.Shard_runner.check ~oracle:false r ~flavour:History.Msc in
-    ( Mmc_shard.Check_sharded.all_shards_admissible c,
-      Mmc_shard.Check_sharded.admissible c )
-  in
-  let msgs_per_op r =
-    float_of_int r.Mmc_shard.Shard_runner.messages
-    /. float_of_int (max 1 r.Mmc_shard.Shard_runner.completed)
-  in
-  let check_pair ~what s res res_b =
-    let v_plain = verdicts res and v_b = verdicts res_b in
-    if fst v_plain <> fst v_b then
-      fail_check
-        "shard S%d (%s): batched (size 8) per-shard Theorem-7 verdicts \
-         differ from unbatched (all-shards admissible: %b vs %b)"
-        s what (fst v_plain) (fst v_b);
-    ( (if fst v_plain = fst v_b then 1. else 0.),
-      if snd v_plain = snd v_b then 1. else 0. )
-  in
-  (* Uniform object selection caps what batching can do at high shard
-     counts: 6 closed-loop clients leave ~1 update in flight per shard
-     at S8, so batches rarely exceed 2.  A Zipf-skewed workload
-     (hot objects, as real traffic is) concentrates updates and lets
-     the batch actually fill — the skewed pair below is the
-     apples-to-apples demonstration, both runs on the same workload. *)
-  let skewed = { shard_spec with Mmc_workload.Spec.skew = 2.5 } in
-  let s8_skew_metrics =
-    let res_u = run_sharded ~spec:skewed ~n_shards:8 ~ops:shard_ops () in
-    let res_b = run_sharded ~batch:b8 ~spec:skewed ~n_shards:8 ~ops:shard_ops () in
-    let per_shard_eq, stitched_eq = check_pair ~what:"skew" 8 res_u res_b in
-    let m_b = msgs_per_op res_b in
-    if (not cli_quick) && m_b >= 2. then
-      fail_check
-        "shard S8 (skew 1.5): batched msgs-per-op %.2f, target < 2.0" m_b;
-    [
-      ("metrics/shard/S8/msgs-per-op-skew", msgs_per_op res_u);
-      ("metrics/shard/S8/msgs-per-op-b8-skew", m_b);
-      ("metrics/shard/S8/verdict-equal-b8-skew", per_shard_eq);
-      ("metrics/shard/S8/stitched-equal-b8-skew", stitched_eq);
-    ]
-  in
-  List.concat_map
-    (fun (s, res) ->
-      let completed = res.Mmc_shard.Shard_runner.completed in
-      let verify_runs = if cli_quick then 5 else 20 in
-      let t0 = Sys.time () in
-      for _ = 1 to verify_runs do
-        ignore
-          (Mmc_shard.Check_sharded.check_shards
-             res.Mmc_shard.Shard_runner.recorders ~flavour:History.Msc)
-      done;
-      let dt = (Sys.time () -. t0) /. float_of_int verify_runs in
-      let u = res.Mmc_shard.Shard_runner.update_latency in
-      let res_b8 = run_sharded ~batch:b8 ~n_shards:s ~ops:shard_ops () in
-      let per_shard_eq, stitched_eq = check_pair ~what:"uniform" s res res_b8 in
-      let m_plain = msgs_per_op res and m_b8 = msgs_per_op res_b8 in
-      (* Batching must pay on the wire at every shard count, even where
-         the closed loop keeps batches small. *)
-      if (not cli_quick) && m_b8 > 0.85 *. m_plain then
-        fail_check
-          "shard S%d: batched msgs-per-op %.2f saves less than 15%% over \
-           unbatched %.2f"
-          s m_b8 m_plain;
-      [
-        (Fmt.str "metrics/shard/S%d/msgs-per-op" s, m_plain);
-        (Fmt.str "metrics/shard/S%d/msgs-per-op-b8" s, m_b8);
-        (Fmt.str "metrics/shard/S%d/verdict-equal-b8" s, per_shard_eq);
-        (Fmt.str "metrics/shard/S%d/stitched-equal-b8" s, stitched_eq);
-        (Fmt.str "metrics/shard/S%d/update-p50" s, float_of_int u.Mmc_sim.Stats.p50);
-        (Fmt.str "metrics/shard/S%d/update-p95" s, float_of_int u.Mmc_sim.Stats.p95);
-        (Fmt.str "metrics/shard/S%d/update-p99" s, float_of_int u.Mmc_sim.Stats.p99);
-        ( Fmt.str "metrics/shard/S%d/verified-ops-per-sec" s,
-          float_of_int completed /. dt );
-      ])
-    shard_inputs
-  @ s8_skew_metrics
-
-(* --- coordination-avoidance fast path: the `fastpath` group --- *)
-
-(* The seg store against msc on the sharded counter workload, sweeping
-   the commuting-op ratio 0 -> 1 at S8.  Built once per (ratio, kind);
-   the bench kernels re-run small instances, the metrics read the big
-   ones. *)
-
-let fastpath_ratios = [ 0.0; 0.5; 0.9; 1.0 ]
-
-let run_fastpath ~kind ~commute_ratio ~ops () =
-  let placement = Mmc_shard.Placement.hash ~n_shards:8 ~n_objects:32 in
-  let cfg = { (shard_cfg ~ops ()) with Mmc_store.Runner.kind } in
-  Mmc_shard.Shard_runner.run ~seed:(12 + soff) ~placement cfg
-    ~workload:
-      (Mmc_workload.Generator.sharded_counter_commute ~commute_ratio ~n_procs:6
-         placement shard_spec)
-
-let fastpath_inputs =
-  List.map
-    (fun r ->
-      ( r,
-        run_fastpath ~kind:Mmc_store.Store.Seg ~commute_ratio:r ~ops:shard_ops
-          (),
-        run_fastpath ~kind:Mmc_store.Store.Msc ~commute_ratio:r ~ops:shard_ops
-          () ))
-    fastpath_ratios
-
-let bench_fastpath =
-  Test.make_grouped ~name:"fastpath"
-    (List.concat_map
-       (fun r ->
-         [
-           Test.make
-             ~name:(Fmt.str "run-seg-r%.1f" r)
-             (Staged.stage (fun () ->
-                  ignore
-                    (run_fastpath ~kind:Mmc_store.Store.Seg ~commute_ratio:r
-                       ~ops:20 ())));
-           Test.make
-             ~name:(Fmt.str "run-msc-r%.1f" r)
-             (Staged.stage (fun () ->
-                  ignore
-                    (run_fastpath ~kind:Mmc_store.Store.Msc ~commute_ratio:r
-                       ~ops:20 ())));
-         ])
-       fastpath_ratios
-    @ List.map
-        (fun (r, seg, _) ->
-          Test.make
-            ~name:(Fmt.str "verify-seg-r%.1f" r)
-            (Staged.stage (fun () ->
-                 ignore
-                   (Mmc_shard.Check_sharded.check_shards
-                      seg.Mmc_shard.Shard_runner.recorders
-                      ~flavour:History.Msc))))
-        fastpath_inputs)
-
-(* Simulated-time metrics of the sweep, with the tentpole assertions at
-   the 90%-commuting point.  Two throughput lenses, both recorded:
-
-   - [speedup]: completed ops per unit of virtual time, seg over msc.
-     The closed loop caps this well below the wire savings — each
-     client is latency-bound, an msc update costs ~2 latencies and a
-     seg escalation ~4 (flush + barrier + broadcast), so even at 90%
-     commuting the ratio converges to the per-client latency quotient
-     (~2-5x), not to the message quotient.  Asserted > 1.5x, i.e. the
-     fast path must win end-to-end, not only on the wire.
-   - [coordination-reduction]: sequencer rounds per completed op, msc
-     over seg.  This is the coordination-avoidance claim itself —
-     every avoided round is sequencer capacity another client could
-     use, which is what ">= 10x verified-ops/sec" means once the
-     sequencer (not the closed loop) is the bottleneck.  Asserted
-     >= 10x at ratio 0.9, alongside msgs-per-op < 0.5.
-
-   Theorem-7 verdict equality (seg vs msc, per-shard) is asserted at
-   every ratio; the stitched verdict is recorded (composition
-   anomalies are a property of an execution, not of the checker). *)
-let fastpath_metrics () =
-  let verdicts res =
-    let c =
-      Mmc_shard.Shard_runner.check ~oracle:false res ~flavour:History.Msc
-    in
-    ( Mmc_shard.Check_sharded.all_shards_admissible c,
-      Mmc_shard.Check_sharded.admissible c )
-  in
-  let per_op res n =
-    float_of_int n /. float_of_int (max 1 res.Mmc_shard.Shard_runner.completed)
-  in
-  let throughput res =
-    float_of_int res.Mmc_shard.Shard_runner.completed
-    /. float_of_int (max 1 res.Mmc_shard.Shard_runner.duration)
-  in
-  (* msc coordinates once per update: one sequencer round per record
-     with a broadcast position.  seg coordinates only on escalation. *)
-  let msc_rounds res =
-    Array.fold_left
-      (fun acc rec_ ->
-        List.fold_left
-          (fun acc (r : Mmc_store.Recorder.record) ->
-            if r.Mmc_store.Recorder.sync <> None then acc + 1 else acc)
-          acc
-          (Mmc_store.Recorder.records rec_))
-      0 res.Mmc_shard.Shard_runner.recorders
-  in
-  let seg_rounds res =
-    Array.fold_left
-      (fun acc h ->
-        match h with
-        | Some (h : Mmc_store.Seg_store.handle) ->
-          acc + h.Mmc_store.Seg_store.stats.Mmc_store.Seg_store.escalated
-        | None -> acc)
-      0 res.Mmc_shard.Shard_runner.fastpath
-  in
-  List.concat_map
-    (fun (r, seg, msc) ->
-      let seg_ok, seg_stitched = verdicts seg in
-      let msc_ok, msc_stitched = verdicts msc in
-      if seg_ok <> msc_ok then
-        fail_check
-          "fastpath r=%.1f: per-shard Theorem-7 verdicts differ (seg %b vs \
-           msc %b)"
-          r seg_ok msc_ok;
-      if not seg_ok then
-        fail_check "fastpath r=%.1f: seg per-shard Theorem-7 verdict is FAIL" r;
-      let m_seg = per_op seg seg.Mmc_shard.Shard_runner.messages in
-      let m_msc = per_op msc msc.Mmc_shard.Shard_runner.messages in
-      let esc = per_op seg (seg_rounds seg) in
-      (* At ratio 1.0 seg never coordinates; report "N rounds down to
-         zero" as Nx rather than a division by epsilon. *)
-      let coord =
-        if seg_rounds seg = 0 then float_of_int (msc_rounds msc)
-        else per_op msc (msc_rounds msc) /. per_op seg (seg_rounds seg)
-      in
-      let speedup = throughput seg /. Float.max 1e-9 (throughput msc) in
-      if (not cli_quick) && r = 0.9 then begin
-        if coord < 10. then
-          fail_check
-            "fastpath r=0.9: coordination reduction %.1fx (sequencer rounds \
-             per op, msc/seg), target >= 10x"
-            coord;
-        if m_seg >= 0.5 then
-          fail_check "fastpath r=0.9: seg msgs-per-op %.3f, target < 0.5" m_seg;
-        if speedup < 1.5 then
-          fail_check
-            "fastpath r=0.9: closed-loop virtual-time speedup %.2fx, target \
-             > 1.5x"
-            speedup
-      end;
-      [
-        (Fmt.str "metrics/fastpath/r%.1f/throughput-seg" r, throughput seg);
-        (Fmt.str "metrics/fastpath/r%.1f/throughput-msc" r, throughput msc);
-        (Fmt.str "metrics/fastpath/r%.1f/speedup" r, speedup);
-        (Fmt.str "metrics/fastpath/r%.1f/msgs-per-op-seg" r, m_seg);
-        (Fmt.str "metrics/fastpath/r%.1f/msgs-per-op-msc" r, m_msc);
-        (Fmt.str "metrics/fastpath/r%.1f/escalations-per-op" r, esc);
-        (Fmt.str "metrics/fastpath/r%.1f/coordination-reduction" r, coord);
-        ( Fmt.str "metrics/fastpath/r%.1f/verdict-equal" r,
-          if seg_ok = msc_ok then 1. else 0. );
-        ( Fmt.str "metrics/fastpath/r%.1f/stitched-equal" r,
-          if seg_stitched = msc_stitched then 1. else 0. );
-      ])
-    fastpath_inputs
-
-(* --- streaming verification: the `stream` group --- *)
-
-(* One closed-loop msc trace, built once; the kernels compare the
-   windowed checker (feed + epoch checks + retirement, at two window
-   sizes) against the full-trace chain-decomposed check on the same
-   trace — the streaming overhead is the price of O(window) residency. *)
-
-let stream_spec =
-  { Mmc_workload.Spec.default with n_objects = 16; read_ratio = 0.5 }
-
-let stream_ops = if cli_quick then 50 else 150
-
-let stream_input =
-  Mmc_store.Runner.run
-    ~seed:(13 + soff)
-    {
-      Mmc_store.Runner.default_config with
-      n_procs = 4;
-      n_objects = 16;
-      ops_per_proc = stream_ops;
-    }
-    ~workload:(Mmc_workload.Generator.mixed stream_spec)
-
-let windowed_check window (res : Mmc_store.Runner.result) =
-  let wc =
-    Mmc_stream.Window_check.create ~window ~flavour:History.Msc
-      ~n_objects:(History.n_objects res.Mmc_store.Runner.history)
-      ()
-  in
-  Mmc_stream.Window_check.feed_history wc res.Mmc_store.Runner.history
-    ~sync_order:res.Mmc_store.Runner.sync_order;
-  Mmc_stream.Window_check.finish wc
-
-let bench_stream =
-  let n = stream_input.Mmc_store.Runner.completed in
-  Test.make_grouped ~name:"stream"
-    [
-      Test.make
-        ~name:(Fmt.str "windowed-%d-w128" n)
-        (Staged.stage (fun () -> ignore (windowed_check 128 stream_input)));
-      Test.make
-        ~name:(Fmt.str "windowed-%d-w512" n)
-        (Staged.stage (fun () -> ignore (windowed_check 512 stream_input)));
-      Test.make
-        ~name:(Fmt.str "full-%d" n)
-        (Staged.stage (fun () ->
-             ignore
-               (Mmc_store.Runner.check_trace stream_input
-                  ~flavour:History.Msc)));
-    ]
-
-(* One-shot soak metrics recorded next to the ns/run estimates: the
-   flat-memory claim as numbers (max resident checker words for a
-   window-256 checker must be O(window), asserted under a generous
-   ceiling), the verdict (asserted PASS — a failing soak is a checker
-   bug, not a slow run), and the seeded-corruption counterpart
-   (asserted FAIL — a passing corrupted soak is a worse one). *)
-let stream_metrics () =
-  let soak_ops = if cli_quick then 2_000 else 20_000 in
-  let cfg =
-    {
-      Mmc_stream.Soak.default_config with
-      runner =
-        {
-          Mmc_store.Runner.default_config with
-          n_procs = 4;
-          n_objects = 16;
-        };
-      rate = 3;
-      max_ops = soak_ops;
-      window = 256;
-    }
-  in
-  let r =
-    Mmc_stream.Soak.run ~seed:(11 + soff)
-      ~workload:(Mmc_workload.Generator.mixed stream_spec)
-      cfg
-  in
-  let m = r.Mmc_stream.Soak.wc in
-  let pass =
-    match r.Mmc_stream.Soak.verdict with
-    | Mmc_stream.Window_check.Pass -> true
-    | _ -> false
-  in
-  if not pass then
-    fail_check "stream soak (%d ops): windowed verdict is not PASS" soak_ops;
-  let resident = m.Mmc_stream.Window_check.max_resident_words in
-  if resident > 40_000 then
-    fail_check
-      "stream soak: %d resident checker words for window 256 (flat-memory \
-       claim: O(window), ceiling 40000)"
-      resident;
-  let corrupt_res =
-    Mmc_stream.Soak.run ~seed:(7 + soff)
-      ~workload:(Mmc_workload.Generator.mixed stream_spec)
-      {
-        cfg with
-        Mmc_stream.Soak.max_ops = 4_000;
-        corrupt = Some 1_500;
-        runner = { cfg.Mmc_stream.Soak.runner with kind = Mmc_store.Store.Mlin };
-      }
-  in
-  let corrupt_fail =
-    match corrupt_res.Mmc_stream.Soak.verdict with
-    | Mmc_stream.Window_check.Fail _ -> true
-    | _ -> false
-  in
-  if not corrupt_fail then
-    fail_check
-      "stream soak: seeded stale-read corruption did not FAIL the windowed \
-       checker";
-  [
-    ("metrics/stream/msc/ops", float_of_int r.Mmc_stream.Soak.completed);
-    ( "metrics/stream/msc/throughput-per-kt",
-      1000.
-      *. float_of_int r.Mmc_stream.Soak.completed
-      /. float_of_int (max 1 r.Mmc_stream.Soak.duration) );
-    ( "metrics/stream/msc/latency-p99",
-      r.Mmc_stream.Soak.latency.Mmc_sim.Stats.q99 );
-    ("metrics/stream/msc/resident-words", float_of_int resident);
-    ( "metrics/stream/msc/recycled-words",
-      float_of_int m.Mmc_stream.Window_check.recycled_words );
-    ("metrics/stream/msc/retired", float_of_int m.Mmc_stream.Window_check.retired);
-    ("metrics/stream/msc/max-live", float_of_int m.Mmc_stream.Window_check.max_live);
-    ("metrics/stream/msc/verdict-pass", if pass then 1. else 0.);
-    ("metrics/stream/mlin/corrupt-fail", if corrupt_fail then 1. else 0.);
-  ]
+           ~name:(Fmt.str "verify-S%d" s)
+           (Staged.stage (fun () ->
+                ignore
+                  (Mmc_shard.Check_sharded.check_shards
+                     res.Mmc_shard.Shard_runner.recorders ~flavour:History.Msc))))
+       shard_inputs)
 
 (* --- crash recovery: the `recovery` group --- *)
 
@@ -1124,8 +721,6 @@ let groups =
     ("P5", bench_objects);
     ("figures", bench_figures);
     ("shard", bench_shard);
-    ("fastpath", bench_fastpath);
-    ("stream", bench_stream);
     ("recovery", bench_recovery);
     ("chaos", bench_chaos);
     ("sim", bench_sim);
@@ -1177,9 +772,6 @@ let collect_metrics () =
     (fun (g, metrics) -> if selected g then metrics () else [])
     [
       ("core", core_metrics);
-      ("shard", shard_metrics);
-      ("fastpath", fastpath_metrics);
-      ("stream", stream_metrics);
       ("recovery", recovery_metrics);
       ("chaos", chaos_metrics);
     ]
@@ -1341,12 +933,4 @@ let () =
       exit 4
     end;
     Option.iter (fun old_file -> compare_against old_file entries) compare_file
-  end;
-  if only = [] then begin
-    Fmt.pr "@.=== Experiment tables (simulated-time metrics) ===@.";
-    List.iter
-      (fun (e : Mmc_experiments.Registry.entry) ->
-        Mmc_experiments.Table.print (e.quick ());
-        print_newline ())
-      Mmc_experiments.Registry.all
   end

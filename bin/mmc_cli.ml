@@ -25,11 +25,25 @@ module Store = Mmc_store.Store
 
 (* --- shared argument converters --- *)
 
-let store_kind_conv =
+(* With [~synced:true], only the stores whose records carry
+   synchronization positions ([Store.records_sync]): the others'
+   traces violate Theorem 7's WW constraint by construction. *)
+let store_kind_conv ~synced =
+  let names =
+    if synced then "msc|rmsc|seg|mlin|central"
+    else "msc|rmsc|seg|mlin|central|local|causal|lock|aw"
+  in
   let parse s =
     match Store.kind_of_string s with
+    | Some k when synced && not (Store.records_sync k) ->
+      Error
+        (`Msg
+          (Fmt.str
+             "store %S records no synchronization positions for Theorem 7 \
+              to order its updates by (%s)"
+             s names))
     | Some k -> Ok k
-    | None -> Error (`Msg (Fmt.str "unknown store %S (msc|rmsc|seg|mlin|central|local|causal|lock|aw)" s))
+    | None -> Error (`Msg (Fmt.str "unknown store %S (%s)" s names))
   in
   Arg.conv (parse, Store.pp_kind)
 
@@ -267,9 +281,9 @@ let base ?procs_doc ?abcast_doc objects_default =
 
 let store
     ?(doc = "Store protocol: msc, rmsc, seg, mlin, central, local, causal, lock or aw.")
-    () =
-  field "store" ~docv:"STORE" ~doc store_kind_conv Store.Msc (fun kind c ->
-      { c with Runner.kind })
+    ?(synced = false) () =
+  field "store" ~docv:"STORE" ~doc (store_kind_conv ~synced) Store.Msc
+    (fun kind c -> { c with Runner.kind })
 
 (* recover and chaos always run the recoverable store. *)
 let rmsc : setting = Term.const (fun c -> { c with Runner.kind = Store.Rmsc })
@@ -947,8 +961,11 @@ let faults_cmd =
     Term.(
       const faults
       $ config
-          (base 8 +> ops 20 +> store () +> fastpath +> plan
-         +> reliable ~cmd:"faults")
+          (base 8 +> ops 20
+          +> store ~synced:true
+               ~doc:"Store protocol: msc, rmsc, seg, mlin or central."
+               ()
+          +> fastpath +> plan +> reliable ~cmd:"faults")
       $ seed $ save ())
 
 (* --- recover --- *)
@@ -1440,7 +1457,9 @@ let shard_cmd =
           (base ~abcast_doc:"Per-shard atomic broadcast: sequencer or lamport."
              16
           +> ops 20
-          +> store ~doc:"Per-shard store protocol: msc, seg, mlin, central, lock, aw, ..." ()
+          +> store ~synced:true
+               ~doc:"Per-shard store protocol: msc, rmsc, seg, mlin or central."
+               ()
           +> fastpath
           +> plan ~default:Mmc_sim.Fault.none
                ~doc:"Applied under every shard's transport; default none.")

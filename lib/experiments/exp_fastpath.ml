@@ -57,9 +57,25 @@ let sequencer_rounds (res : Shard_runner.result) =
         acc + h.Seg_store.stats.Seg_store.escalated)
       0 handles
 
-let f1 ?(ratios = [ 0.0; 0.25; 0.5; 0.75; 0.9; 1.0 ]) ?(n_shards = 8)
-    ?(procs = 6) ?(ops = 60) ?(seed = 12) () =
-  let flavour = History.Msc in
+(* One sweep point: the numbers of an F1 row, unrounded.  The table
+   rows and the test gating the coordination-avoidance claims both
+   read them from here. *)
+type point = {
+  ratio : float;
+  seg_throughput : float;  (* completed ops per 1000 virtual time units *)
+  msc_throughput : float;
+  speedup : float;  (* seg over msc throughput *)
+  seg_msgs_per_op : float;
+  msc_msgs_per_op : float;
+  escalations_per_op : float;
+  coordination : float;  (* sequencer rounds per op, msc over seg *)
+  seg_pass : bool;  (* per-shard Theorem-7 verdicts *)
+  msc_pass : bool;
+}
+
+let ratios = [ 0.0; 0.25; 0.5; 0.75; 0.9; 1.0 ]
+
+let point ?(n_shards = 8) ?(procs = 6) ?(ops = 60) ?(seed = 12) ratio =
   let per_op res n =
     float_of_int n /. float_of_int (max 1 res.Shard_runner.completed)
   in
@@ -68,40 +84,55 @@ let f1 ?(ratios = [ 0.0; 0.25; 0.5; 0.75; 0.9; 1.0 ]) ?(n_shards = 8)
     /. float_of_int (max 1 res.Shard_runner.duration)
   in
   let verdict res =
-    let c = Shard_runner.check ~oracle:false res ~flavour in
+    let c = Shard_runner.check ~oracle:false res ~flavour:History.Msc in
     Check_sharded.all_shards_admissible c
   in
+  let seg =
+    run ~kind:Store.Seg ~n_shards ~procs ~ops ~commute_ratio:ratio ~seed
+  in
+  let msc =
+    run ~kind:Store.Msc ~n_shards ~procs ~ops ~commute_ratio:ratio ~seed
+  in
+  let rounds_seg = sequencer_rounds seg
+  and rounds_msc = sequencer_rounds msc in
+  {
+    ratio;
+    seg_throughput = throughput seg;
+    msc_throughput = throughput msc;
+    speedup = throughput seg /. Float.max 1e-9 (throughput msc);
+    seg_msgs_per_op = per_op seg seg.Shard_runner.messages;
+    msc_msgs_per_op = per_op msc msc.Shard_runner.messages;
+    escalations_per_op = per_op seg rounds_seg;
+    (* At ratio 1.0 seg never coordinates: "N rounds down to zero"
+       reads as Nx, not as a division by zero. *)
+    coordination =
+      (if rounds_seg = 0 then float_of_int rounds_msc
+       else per_op msc rounds_msc /. per_op seg rounds_seg);
+    seg_pass = verdict seg;
+    msc_pass = verdict msc;
+  }
+
+let f1 ?(ratios = ratios) ?n_shards ?procs ?ops ?seed () =
   let rows =
     List.map
       (fun ratio ->
-        let seg =
-          run ~kind:Store.Seg ~n_shards ~procs ~ops ~commute_ratio:ratio ~seed
-        in
-        let msc =
-          run ~kind:Store.Msc ~n_shards ~procs ~ops ~commute_ratio:ratio ~seed
-        in
-        let v_seg = verdict seg and v_msc = verdict msc in
-        if v_seg <> v_msc then
+        let p = point ?n_shards ?procs ?ops ?seed ratio in
+        if p.seg_pass <> p.msc_pass then
           invalid_arg
             (Fmt.str
                "F1: per-shard Theorem-7 verdicts diverge at ratio %.2f (seg \
                 %b, msc %b)"
-               ratio v_seg v_msc);
-        let rounds_seg = sequencer_rounds seg in
-        let coord =
-          if rounds_seg = 0 then float_of_int (sequencer_rounds msc)
-          else per_op msc (sequencer_rounds msc) /. per_op seg rounds_seg
-        in
+               ratio p.seg_pass p.msc_pass);
         [
           Table.f2 ratio;
-          Table.f1 (throughput seg);
-          Table.f1 (throughput msc);
-          Table.f2 (throughput seg /. Float.max 1e-9 (throughput msc));
-          Table.f2 (per_op seg seg.Shard_runner.messages);
-          Table.f2 (per_op msc msc.Shard_runner.messages);
-          Table.f2 (per_op seg rounds_seg);
-          Table.f1 coord;
-          (if v_seg then "PASS" else "FAIL");
+          Table.f1 p.seg_throughput;
+          Table.f1 p.msc_throughput;
+          Table.f2 p.speedup;
+          Table.f2 p.seg_msgs_per_op;
+          Table.f2 p.msc_msgs_per_op;
+          Table.f2 p.escalations_per_op;
+          Table.f1 p.coordination;
+          (if p.seg_pass then "PASS" else "FAIL");
         ])
       ratios
   in

@@ -50,7 +50,7 @@ let pp_verdict ppf = function
 let pp_mode ppf = function
   | Sound -> Fmt.string ppf "sound"
   | Off -> Fmt.string ppf "off"
-  | Trust_labels ps -> Fmt.pf ppf "trust-labels[%a]" Fmt.(list ~sep:comma string) ps
+  | Trust_labels ps -> Fmt.pf ppf "trust-labels[%s]" (String.concat "," ps)
 
 let mode_of_string = function
   | "sound" | "on" -> Some Sound

@@ -12,7 +12,6 @@ type storage_fault = { node : int; at : int }
 
 type plan = {
   drop : float;
-  link_drop : ((int * int) * float) list;
   spike_prob : float;
   spike_delay : int;
   partitions : partition list;
@@ -25,7 +24,6 @@ type plan = {
 let none =
   {
     drop = 0.0;
-    link_drop = [];
     spike_prob = 0.0;
     spike_delay = 0;
     partitions = [];
@@ -51,12 +49,6 @@ let check_node ?n what id =
 
 let validate ?n plan =
   check_prob "drop" plan.drop;
-  List.iter
-    (fun ((src, dst), p) ->
-      check_node ?n "link" src;
-      check_node ?n "link" dst;
-      check_prob (Fmt.str "link_drop(%d,%d)" src dst) p)
-    plan.link_drop;
   check_prob "spike_prob" plan.spike_prob;
   if plan.spike_delay < 0 then
     invalid_arg "Fault.validate: spike_delay must be non-negative";
@@ -214,8 +206,6 @@ let exact_float f =
   go 15
 
 let to_spec p =
-  if p.link_drop <> [] then
-    invalid_arg "Fault.to_spec: per-link loss has no spec syntax";
   (* Lists print last-first: the parser conses each field on. *)
   let each f l = List.rev_map f l in
   let storage key (f : storage_fault) = Fmt.str "%s=%d:%d" key f.node f.at in
@@ -303,7 +293,6 @@ let fuzz ~rng ~n =
   in
   {
     drop;
-    link_drop = [];
     spike_prob;
     spike_delay;
     partitions;
@@ -385,11 +374,6 @@ let severed t ~now ~src ~dst =
          && List.mem src w.island <> List.mem dst w.island)
        t.plan.partitions
 
-let drop_prob t ~src ~dst =
-  match List.assoc_opt (src, dst) t.plan.link_drop with
-  | Some p -> p
-  | None -> t.plan.drop
-
 let note_drop t reason =
   t.c <-
     (match reason with
@@ -402,7 +386,7 @@ let judge t ~now ~src ~dst =
     if not (node_up t ~now ~node:src) then Drop Crashed_src
     else if severed t ~now ~src ~dst then Drop Partitioned
     else begin
-      let p = drop_prob t ~src ~dst in
+      let p = t.plan.drop in
       if p > 0.0 && Rng.bernoulli t.rng ~p then Drop Loss
       else if
         t.plan.spike_prob > 0.0 && Rng.bernoulli t.rng ~p:t.plan.spike_prob

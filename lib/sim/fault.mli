@@ -44,8 +44,6 @@ type storage_fault = { node : int; at : int }
 
 type plan = {
   drop : float;  (** per-message loss probability, every link *)
-  link_drop : ((int * int) * float) list;
-      (** per-link [(src, dst)] overrides of [drop] *)
   spike_prob : float;  (** probability of a latency spike *)
   spike_delay : int;  (** extra delay a spiked message pays *)
   partitions : partition list;
@@ -76,15 +74,13 @@ val wipes : plan -> crash list
     [stale=NODE:AT] — and {!validate} it (node ids are not
     range-checked).  All but [drop] and [spike] may repeat; each
     repeat is added to the front of its list.  The empty string is
-    {!none}.  There is no field for [link_drop].  An error names the
-    bad field and repeats the grammar. *)
+    {!none}.  An error names the bad field and repeats the grammar. *)
 val of_spec : string -> (plan, string) result
 
 (** The plan in {!of_spec} syntax, with floats printed exactly and
     each list in the order the parser rebuilds it, so
-    [of_spec (to_spec p) = Ok p] for every valid plan without
-    per-link loss ({!fuzz} plans included).  Raises [Invalid_argument]
-    on a non-empty [link_drop]. *)
+    [of_spec (to_spec p) = Ok p] for every valid plan ({!fuzz} plans
+    included). *)
 val to_spec : plan -> string
 
 (** Deterministic random fault plan for chaos testing, drawn entirely

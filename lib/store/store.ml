@@ -60,3 +60,7 @@ let kind_of_string = function
 let flavour = function
   | Msc | Rmsc | Seg | Local -> History.Msc
   | Mlin | Central | Causal | Lock | Aw -> History.Mlin
+
+let records_sync = function
+  | Msc | Mlin | Rmsc | Seg | Central -> true
+  | Local | Causal | Lock | Aw -> false

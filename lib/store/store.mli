@@ -39,3 +39,10 @@ val kind_of_string : string -> kind option
     This is the one store→condition table; every driver and checker
     caller takes its flavour from here. *)
 val flavour : kind -> History.flavour
+
+(** Whether a store's update records carry synchronization positions:
+    the broadcast stores' and [Central]'s serial order.  Theorem 7's
+    WW constraint orders updates by these positions, so the
+    [Runner.check_trace] and [Shard_runner.check] verdict of any other
+    store's trace is a constraint violation, whatever the run did. *)
+val records_sync : kind -> bool

@@ -73,7 +73,6 @@ type ostate = {
 (* A process: its last fed entry, and its chain in the current epoch. *)
 type pstate = {
   mutable last : row option;
-  mutable retired : bool;  (* some entry of it retired *)
   mutable epoch : int;  (* last epoch it had a live entry in *)
   mutable chain : int;
   mutable len : int;  (* its entries on [chain] so far *)
@@ -169,8 +168,9 @@ let grow a len fill =
     Array.blit a 0 b 0 (Array.length a);
     b
 
-(* Room in the epoch input for [nodes] nodes (and twice as many extra
-   edges), [rfs] reads-from edges and [objs] pooled objects. *)
+(* Room in the epoch input for [nodes] nodes (and as many extra edges:
+   the sync chain's), [rfs] reads-from edges and [objs] pooled
+   objects. *)
 let reserve t ~nodes ~rfs ~objs =
   let c = t.input and g len a = grow a len 0 in
   if Array.length c.inv < nodes || Array.length c.rf_obj < rfs
@@ -181,8 +181,8 @@ let reserve t ~nodes ~rfs ~objs =
         inv = g nodes c.inv; resp = g nodes c.resp; row = g nodes c.row;
         wend = g nodes c.wend; tend = g nodes c.tend; objs = g objs c.objs;
         rf_reader = g rfs c.rf_reader; rf_obj = g rfs c.rf_obj;
-        rf_writer = g rfs c.rf_writer; extra_src = g (2 * nodes) c.extra_src;
-        extra_dst = g (2 * nodes) c.extra_dst }
+        rf_writer = g rfs c.rf_writer; extra_src = g nodes c.extra_src;
+        extra_dst = g nodes c.extra_dst }
 
 let create ?arena ?(window = default_window) ?(settle = default_settle)
     ~flavour ~n_objects () =
@@ -260,7 +260,7 @@ let admit t (e : entry) =
   let p =
     try Hashtbl.find t.procs e.proc
     with Not_found ->
-      let p = { last = None; retired = false; epoch = 0; chain = 0; len = 0 } in
+      let p = { last = None; epoch = 0; chain = 0; len = 0 } in
       Hashtbl.add t.procs e.proc p;
       p
   in
@@ -542,7 +542,6 @@ let retire t =
        object are the lowest ones, up to u(x). *)
     for i = 0 to e do
       let r = t.rows.(i) in
-      r.r_proc.retired <- true;
       for j = 0 to Array.length r.r_objs - 1 do
         t.objs.(r.r_objs.(j)).touched_retired <- true
       done
@@ -627,17 +626,16 @@ let run_check t ~final =
       c.chain.(1) <- 1;
       c.idx.(1) <- 0
     end;
-    (* Chains in order of first appearance.  Process-order
-       continuation: the summary stands for the retired prefix of each
-       process that has one. *)
+    (* Chains in order of first appearance.  No process-order edge
+       joins the summary to a process's first live entry: it would
+       change no verdict (DESIGN.md §14). *)
     for i = 0 to k - 1 do
       let p = t.rows.(i).r_proc and v = off + i in
       if p.epoch <> t.epoch then begin
         p.epoch <- t.epoch;
         p.chain <- !nc;
         p.len <- 0;
-        incr nc;
-        if with_summary && p.retired then extra 1 v
+        incr nc
       end;
       c.chain.(v) <- p.chain;
       c.idx.(v) <- p.len;

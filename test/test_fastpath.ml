@@ -261,6 +261,38 @@ let test_sharded_seg () =
   Alcotest.(check bool) "fast path used across shards" true (fast > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Experiment F1's claims                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The commute-ratio sweep at F1's own configuration (8 shards, 6
+   clients, 60 m-operations each, seed 12): the numbers of README's F1
+   table.  At every ratio both stores' per-shard verdicts PASS; at 90%
+   commuting ops the fast path needs >= 10x fewer sequencer rounds per
+   op, sends < 0.5 messages per op and still wins the closed loop by
+   > 1.5x. *)
+let test_f1_claims () =
+  let module F = Mmc_experiments.Exp_fastpath in
+  let points = List.map (fun ratio -> F.point ratio) F.ratios in
+  List.iter
+    (fun (p : F.point) ->
+      Alcotest.(check bool) (Fmt.str "seg PASS at ratio %.2f" p.ratio) true
+        p.seg_pass;
+      Alcotest.(check bool) (Fmt.str "msc PASS at ratio %.2f" p.ratio) true
+        p.msc_pass)
+    points;
+  let p = List.find (fun (p : F.point) -> p.ratio = 0.9) points in
+  let claim what holds = Alcotest.(check bool) what true holds in
+  claim
+    (Fmt.str "coordination reduction %.1fx >= 10x" p.coordination)
+    (p.coordination >= 10.);
+  claim
+    (Fmt.str "seg msgs-per-op %.3f < 0.5" p.seg_msgs_per_op)
+    (p.seg_msgs_per_op < 0.5);
+  claim
+    (Fmt.str "closed-loop speedup %.2fx > 1.5x" p.speedup)
+    (p.speedup > 1.5)
+
+(* ------------------------------------------------------------------ *)
 (* QCheck: seg == msc across the whole grid                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -306,6 +338,9 @@ let () =
           Alcotest.test_case "wrong classifier caught" `Quick
             test_wrong_classifier_caught;
         ] );
+      ( "experiment F1",
+        [ Alcotest.test_case "verdicts and ratio-0.9 claims" `Quick
+          test_f1_claims ] );
       ( "qcheck",
         [ QCheck_alcotest.to_alcotest qcheck_equivalence ] );
     ]

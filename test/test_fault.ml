@@ -8,8 +8,6 @@ open Mmc_core
 open Mmc_sim
 open Mmc_broadcast
 
-let ( ==> ) a b = (a, b)
-
 (* --- plan validation --- *)
 
 let test_validate_rejects () =
@@ -22,7 +20,6 @@ let test_validate_rejects () =
   invalid { Fault.none with Fault.drop = Float.nan };
   invalid { Fault.none with Fault.spike_prob = 2.0 };
   invalid { Fault.none with Fault.spike_delay = -1 };
-  invalid { Fault.none with Fault.link_drop = [ (0, 1) ==> 1.01 ] };
   invalid
     { Fault.none with Fault.partitions = [ { Fault.from_ = 10; until = 10; island = [ 0 ] } ] };
   invalid
@@ -36,7 +33,6 @@ let test_validate_rejects () =
   Fault.validate ~n:4
     {
       Fault.drop = 0.3;
-      link_drop = [ (0, 1) ==> 0.9 ];
       spike_prob = 0.1;
       spike_delay = 50;
       partitions = [ { Fault.from_ = 10; until = 90; island = [ 0; 1 ] } ];
@@ -432,12 +428,7 @@ let test_spec_grammar () =
   in
   List.iter (rejected ~grammar:true)
     [ "drop"; "drop=x"; "part=1:2"; "bogus=1"; "link=0:1:0.5" ];
-  List.iter (rejected ~grammar:false) [ "drop=2.0"; "crash=0:5:5" ];
-  Alcotest.check_raises "per-link loss does not print"
-    (Invalid_argument "Fault.to_spec: per-link loss has no spec syntax")
-    (fun () ->
-      ignore
-        (Fault.to_spec { Fault.none with Fault.link_drop = [ ((0, 1), 0.5) ] }))
+  List.iter (rejected ~grammar:false) [ "drop=2.0"; "crash=0:5:5" ]
 
 let () =
   Alcotest.run "fault"
