@@ -59,8 +59,8 @@ smoke: build
 	  --ops 8 --seed 1
 
 # Sharded-store smoke: four shards, cross-shard traffic; exits
-# non-zero unless the stitched history passes the Theorem-7 check and
-# the decomposed and batch verdicts agree.
+# non-zero unless every shard's history and the stitched one pass the
+# Theorem-7 chain check.
 shard-smoke: build
 	$(DUNE) exec bin/mmc_cli.exe -- shard --shards 4 --ops 10 \
 	  --cross 0.2 --seed 3
@@ -167,13 +167,15 @@ fastpath-smoke: build
 experiments: build
 	$(DUNE) exec bin/mmc_cli.exe -- experiments all --quick
 
-# Perf-trajectory snapshot: the large-history checker kernels, per-shard
-# verification and the chaos group, written as machine-readable JSON
-# (name -> ns/run, plus each group's metrics), plus the recovery
-# group's wall-ms run/verify costs and replay volumes.  The file also
-# carries the pre-packed-relation baseline numbers for comparison.
+# Perf-trajectory snapshot: the large-history checker kernels, the
+# simulator kernels, per-shard verification and the chaos group,
+# written as machine-readable JSON (name -> ns/run, plus each group's
+# metrics), plus the recovery group's wall-ms run/verify costs and
+# replay volumes.  These are the groups `bench-smoke` compares against
+# (core, sim, shard) and the rest of the recorded trajectory.  The file
+# also carries the pre-packed-relation baseline numbers for comparison.
 bench-json: build
-	$(DUNE) exec bench/main.exe -- --only core --only shard \
+	$(DUNE) exec bench/main.exe -- --only core --only sim --only shard \
 	  --only recovery --only chaos --json BENCH_core.json
 
 clean:

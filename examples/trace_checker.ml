@@ -64,13 +64,7 @@ let () =
     |> List.filter Mop.is_update
     |> List.map (fun (m : Mop.t) -> m.Mop.id)
   in
-  let rec link = function
-    | a :: (b :: _ as rest) ->
-      Relation.add base a b;
-      link rest
-    | [ _ ] | [] -> ()
-  in
-  link updates;
+  Relation.add_edges base (Check_constrained.sync_edges [ updates ]);
   let t0 = Sys.time () in
   (match Check_constrained.check_relation h base Constraints.WW with
   | Check_constrained.Admissible _ ->

@@ -32,6 +32,28 @@ let pp_result ppf = function
   | Cyclic -> Fmt.string ppf "~H cyclic"
   | Extended_cyclic -> Fmt.string ppf "extended relation cyclic"
 
+(* Verdicts compared by constructor: the chain and dense pipelines
+   decide over the same closure but may pick different witnesses and
+   name different violating triples. *)
+let same_verdict a b =
+  match (a, b) with
+  | Admissible _, Admissible _
+  | Not_legal _, Not_legal _
+  | Constraint_violated, Constraint_violated
+  | Cyclic, Cyclic
+  | Extended_cyclic, Extended_cyclic ->
+    true
+  | _ -> false
+
+(* Each synchronization order's consecutive pairs: the one definition
+   of how a total order becomes edges of [~H]. *)
+let sync_edges sync =
+  let rec link acc = function
+    | a :: (b :: _ as rest) -> link ((a, b) :: acc) rest
+    | [ _ ] | [] -> acc
+  in
+  List.rev (List.fold_left link [] sync)
+
 (** [check_closed h closed kind] — like {!check_relation} but over an
     already transitively closed relation (a cyclic [~H] shows up as
     reflexive entries of the closure).  This is the entry point for
@@ -386,9 +408,10 @@ type chain_fill = {
 (* The input of [h]: chains in order of first appearance (the
    initializer's first), members by invocation, stably; each
    m-operation's written objects, then the others it touches;
-   reads-from in [History.rf] order.  One walk over the m-operations
+   reads-from in [History.rf] order; the consecutive pairs of each
+   [sync] order as the extra edges.  One walk over the m-operations
    and their ops builds all but the edges. *)
-let check_chain ?arena h ~flavour ~extra kind =
+let check_chain ?arena h ~flavour ~sync kind =
   let n = History.n_mops h and nx = History.n_objects h in
   let mops = History.mops h in
   let chain = Array.make n 0 and idx = Array.make n 0 in
@@ -466,7 +489,7 @@ let check_chain ?arena h ~flavour ~extra kind =
       end)
     !chains;
   let objs = !objs in
-  let rf = History.rf h in
+  let rf = History.rf h and extra = sync_edges sync in
   let n_rf = List.length rf and n_extra = List.length extra in
   let rf_reader = Array.make n_rf 0 and rf_obj = Array.make n_rf 0 in
   let rf_writer = Array.make n_rf 0 in

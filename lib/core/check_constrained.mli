@@ -17,6 +17,19 @@ type result =
 
 val pp_result : Format.formatter -> result -> unit
 
+(** [same_verdict a b] — [a] and [b] are the same verdict constructor.
+    The chain and dense pipelines decide over the same closure but may
+    pick different witnesses and name different violating triples, so
+    this is how their agreement is compared. *)
+val same_verdict : result -> result -> bool
+
+(** [sync_edges sync] — the consecutive pairs of each synchronization
+    order in [sync] (e.g. the atomic broadcast order, or one per shard),
+    in order: the edges those orders add to [~H].  {!check_chain} adds
+    the same edges itself; this is for building a dense relation for
+    {!check_relation}. *)
+val sync_edges : Types.mop_id list list -> (Types.mop_id * Types.mop_id) list
+
 (** [check_closed h closed kind] — like {!check_relation} over an
     already transitively closed relation; a cyclic [~H] is recognized
     by reflexive entries of the closure.  Entry point for callers that
@@ -93,16 +106,16 @@ val check_chains :
   Constraints.kind ->
   result
 
-(** [check_chain h ~flavour ~extra kind] — {!check_chains} on the
-    input of [h] plus the [extra] edges: chains in order of first
-    appearance (the initializer's first), members by invocation, each
-    m-operation's written objects before the others it touches, and
-    reads-from in {!History.rf} order. *)
+(** [check_chain h ~flavour ~sync kind] — {!check_chains} on the
+    input of [h] plus the {!sync_edges} of [sync] as its extra edges:
+    chains in order of first appearance (the initializer's first),
+    members by invocation, each m-operation's written objects before
+    the others it touches, and reads-from in {!History.rf} order. *)
 val check_chain :
   ?arena:Relation.Arena.arena ->
   History.t ->
   flavour:History.flavour ->
-  extra:(Types.mop_id * Types.mop_id) list ->
+  sync:Types.mop_id list list ->
   Constraints.kind ->
   result
 

@@ -13,13 +13,7 @@ let ww_base h =
     |> List.map (fun (m : Mop.t) -> m.Mop.id)
   in
   let base = History.base_relation h History.Msc in
-  let rec link = function
-    | a :: (b :: _ as rest) ->
-      Relation.add base a b;
-      link rest
-    | [ _ ] | [] -> ()
-  in
-  link updates;
+  Relation.add_edges base (Check_constrained.sync_edges [ updates ]);
   base
 
 (* The hard corpus for a given size: near-consistent histories —
@@ -253,13 +247,8 @@ let v2 ?(sizes = [ 30; 60; 120; 240 ]) () =
         in
         let h = res.Mmc_store.Runner.history in
         let base = History.base_relation h History.Msc in
-        let rec link = function
-          | a :: (b :: _ as rest) ->
-            Relation.add base a b;
-            link rest
-          | [ _ ] | [] -> ()
-        in
-        link res.Mmc_store.Runner.sync_order;
+        Relation.add_edges base
+          (Check_constrained.sync_edges [ res.Mmc_store.Runner.sync_order ]);
         let poly_ok, poly_ms =
           Table.time_ms (fun () ->
               match Check_constrained.check_relation h base Constraints.WW with

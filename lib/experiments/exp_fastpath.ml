@@ -84,7 +84,7 @@ let point ?(n_shards = 8) ?(procs = 6) ?(ops = 60) ?(seed = 12) ratio =
     /. float_of_int (max 1 res.Shard_runner.duration)
   in
   let verdict res =
-    let c = Shard_runner.check ~oracle:false res ~flavour:History.Msc in
+    let c = Shard_runner.check res ~flavour:History.Msc in
     Check_sharded.all_shards_admissible c
   in
   let seg =

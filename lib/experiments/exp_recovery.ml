@@ -221,13 +221,67 @@ let storage_mixes =
     ("tear+rot+stale", { base with Fault.tears; rots; stales });
   ]
 
+(** The checkpoint intervals R5 sweeps. *)
+let r5_intervals = [ 4; 16 ]
+
+(** One R5 cell: the storage-fault [plan] at checkpoint interval
+    [checkpoint_every], summed over seeds [0 .. seeds - 1].  The table
+    rows and the test gating R5's claims both read it from here. *)
+let storage_cell ?(seeds = 3) ?(procs = 4) ?(ops = 12) ~plan checkpoint_every =
+  (* retain tightened so segment retirement actually fires at this
+     trace length (the truncated/reclaimed columns) *)
+  let policy = { Rlog.default_policy with checkpoint_every; retain = 16 } in
+  let acc =
+    ref
+      {
+        s_ok = 0;
+        s_conv = 0;
+        s_of = seeds;
+        torn = 0;
+        corrupt = 0;
+        repaired = 0;
+        truncated = 0;
+        transferred = 0;
+        scrubbed = 0;
+        fallbacks = 0;
+      }
+  in
+  for seed = 0 to seeds - 1 do
+    let res =
+      run_recovery ~procs ~ops ~seed ~policy ~plan
+        ~impl:Mmc_broadcast.Abcast.Sequencer_impl ()
+    in
+    let a = !acc in
+    let a = if admissible res then { a with s_ok = a.s_ok + 1 } else a in
+    acc :=
+      (match res.Runner.recovery with
+      | None -> a
+      | Some h ->
+        let logs = h.Rstore.log_stats () in
+        let sum f = Array.fold_left (fun t s -> t + f s) 0 logs in
+        {
+          a with
+          s_conv = (a.s_conv + if h.Rstore.converged () then 1 else 0);
+          torn = a.torn + sum (fun s -> s.Rlog.torn);
+          corrupt = a.corrupt + sum (fun s -> s.Rlog.corrupt);
+          repaired = a.repaired + sum (fun s -> s.Rlog.repaired);
+          truncated = a.truncated + sum (fun s -> s.Rlog.truncated);
+          transferred =
+            a.transferred + h.Rstore.entries_pushed ()
+            + h.Rstore.snapshots_pushed ();
+          scrubbed = a.scrubbed + sum (fun s -> s.Rlog.scrubbed);
+          fallbacks = a.fallbacks + sum (fun s -> s.Rlog.ckpt_fallbacks);
+        })
+  done;
+  !acc
+
 (** R5 — storage-fault mix x checkpoint interval.  Convergence and
     admissibility must survive every mix: CRC framing detects the
     damage, the torn tail is refetched via catch-up, quarantined and
     rotted records are repaired from peers (scrub), and a corrupted
     checkpoint falls back to the previous slot.  The counters show
     where each fault's bill lands. *)
-let r5 ?(intervals = [ 4; 16 ]) ?(seeds = 3) ?(procs = 4) ?(ops = 12)
+let r5 ?(intervals = r5_intervals) ?seeds ?procs ?ops
     ?(mix_names = [ "none"; "tear"; "rot"; "tear+rot+stale" ]) () =
   let mixes = List.filter (fun (n, _) -> List.mem n mix_names) storage_mixes in
   let rows =
@@ -235,56 +289,7 @@ let r5 ?(intervals = [ 4; 16 ]) ?(seeds = 3) ?(procs = 4) ?(ops = 12)
       (fun (mname, plan) ->
         List.map
           (fun checkpoint_every ->
-            (* retain tightened so segment retirement actually fires at
-               this trace length (the truncated/reclaimed columns) *)
-            let policy =
-              { Rlog.default_policy with checkpoint_every; retain = 16 }
-            in
-            let acc =
-              ref
-                {
-                  s_ok = 0;
-                  s_conv = 0;
-                  s_of = seeds;
-                  torn = 0;
-                  corrupt = 0;
-                  repaired = 0;
-                  truncated = 0;
-                  transferred = 0;
-                  scrubbed = 0;
-                  fallbacks = 0;
-                }
-            in
-            for seed = 0 to seeds - 1 do
-              let res = run_recovery ~procs ~ops ~seed ~policy ~plan
-                  ~impl:Mmc_broadcast.Abcast.Sequencer_impl ()
-              in
-              let a = !acc in
-              let a =
-                if admissible res then { a with s_ok = a.s_ok + 1 } else a
-              in
-              acc :=
-                (match res.Runner.recovery with
-                | None -> a
-                | Some h ->
-                  let logs = h.Rstore.log_stats () in
-                  let sum f = Array.fold_left (fun t s -> t + f s) 0 logs in
-                  {
-                    a with
-                    s_conv = (a.s_conv + if h.Rstore.converged () then 1 else 0);
-                    torn = a.torn + sum (fun s -> s.Rlog.torn);
-                    corrupt = a.corrupt + sum (fun s -> s.Rlog.corrupt);
-                    repaired = a.repaired + sum (fun s -> s.Rlog.repaired);
-                    truncated = a.truncated + sum (fun s -> s.Rlog.truncated);
-                    transferred =
-                      a.transferred + h.Rstore.entries_pushed ()
-                      + h.Rstore.snapshots_pushed ();
-                    scrubbed = a.scrubbed + sum (fun s -> s.Rlog.scrubbed);
-                    fallbacks =
-                      a.fallbacks + sum (fun s -> s.Rlog.ckpt_fallbacks);
-                  })
-            done;
-            let c = !acc in
+            let c = storage_cell ?seeds ?procs ?ops ~plan checkpoint_every in
             [
               mname;
               Table.i checkpoint_every;

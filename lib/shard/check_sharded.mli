@@ -14,24 +14,21 @@
       WW-constraint.
 
     Both go through the chain-decomposed check
-    ({!Mmc_core.Check_constrained.check_chain}); only the batch oracle
-    builds the dense closure.
+    ({!Mmc_core.Check_constrained.check_chain}), the one Theorem-7
+    engine of every run path; {!stitched_relation} builds the same
+    stitched relation densely for tests and experiments that compare
+    the chain check against {!Mmc_core.Check_constrained.check_relation}.
 
-    Two distinct comparisons come out of this:
-
-    - [agree] — the decomposed chain pipeline reaches the same
-      verdict as the plain batch {!Mmc_core.Check_constrained}
-      ("unsharded") run on the very same stitched history and relation.
-      This must always hold; a disagreement is a checker bug.
-    - [composes] — (every shard admissible) <=> (stitched history
-      admissible).  This can legitimately fail: sequential-consistency-
-      style conditions are not compositional (cf. Gotsman et al.,
-      "Consistency models with global operation sequencing and their
-      composition").  A client that observes shard B's fresh state and
-      then reads stale state from shard A produces a stitched history
-      that no global Msc order explains, even though every shard is
-      perfectly Msc on its own.  Such runs are composition anomalies,
-      counted and reported by the [shard] experiment. *)
+    The stitched verdict answers a question the per-shard ones do not:
+    [composes] — (every shard admissible) <=> (stitched history
+    admissible).  This can legitimately fail: sequential-consistency-
+    style conditions are not compositional (cf. Gotsman et al.,
+    "Consistency models with global operation sequencing and their
+    composition").  A client that observes shard B's fresh state and
+    then reads stale state from shard A produces a stitched history
+    that no global Msc order explains, even though every shard is
+    perfectly Msc on its own.  Such runs are composition anomalies,
+    counted and reported by the [shard] experiment. *)
 
 open Mmc_core
 
@@ -44,14 +41,7 @@ type shard_verdict = {
 type t = {
   per_shard : shard_verdict array;
   stitched : Check_constrained.result;
-      (** verdict of the decomposed pipeline on the stitched history *)
-  batch : Check_constrained.result option;
-      (** the unsharded batch {!Mmc_core.Check_constrained} verdict on
-          the same stitched history and relation; [None] when the
-          oracle pass was skipped ([~oracle:false]) *)
-  agree : bool;
-      (** [stitched] and [batch] reach the same verdict (vacuously
-          true when the oracle pass was skipped) *)
+      (** verdict of the chain check on the stitched history *)
   composes : bool;
       (** (every shard admissible) <=> (stitched history admissible) *)
 }
@@ -62,9 +52,11 @@ val admissible : t -> bool  (** the stitched verdict *)
 val pp : Format.formatter -> t -> unit
 
 (** [stitched_relation st ~flavour] — the constrained relation of the
-    stitched history: the flavour's base relation, every per-shard
-    chain, and the merged global update order (which makes the update
-    order total, as the WW-constraint requires). *)
+    stitched history, dense: the flavour's base relation, every
+    per-shard chain, and the merged global update order (which makes
+    the update order total, as the WW-constraint requires).  The
+    reference input for {!Mmc_core.Check_constrained.check_relation};
+    {!check_stitched} decides over the same edges. *)
 val stitched_relation :
   Shard_recorder.t -> flavour:History.flavour -> Relation.t
 
@@ -78,24 +70,24 @@ val check_stitched :
   Check_constrained.result
 
 (** [check_shards recorders ~flavour ~kind] — just the per-shard
-    Theorem-7 verdicts (each shard's own history, base relation plus
-    that shard's broadcast order), index = shard. *)
+    Theorem-7 verdicts, index = shard: each is
+    {!Mmc_store.Runner.check_history} on the shard's own history and
+    broadcast order. *)
 val check_shards :
   ?kind:Constraints.kind ->
   Mmc_store.Recorder.t array ->
   flavour:History.flavour ->
   shard_verdict array
 
-(** [check ?oracle ?kind placement recorders ~flavour] —
-    per-shard Theorem-7 checks, the stitched chain check, the
-    batch cross-check and the [agree] / [composes] bits.  [kind]
+(** [of_verdicts per_shard stitched] — the result of those verdicts,
+    [composes] included. *)
+val of_verdicts : shard_verdict array -> Check_constrained.result -> t
+
+(** [check ?kind placement recorders ~flavour] — per-shard Theorem-7
+    checks, the stitched chain check and the [composes] bit.  [kind]
     defaults to WW (each shard's broadcast totally orders its updates,
-    and the merged order extends them globally).  [~oracle:false]
-    skips the O(n^3) batch cross-check (then [batch = None] and
-    [agree] is vacuously true) — for bench loops that only want the
-    decomposed pipeline. *)
+    and the merged order extends them globally). *)
 val check :
-  ?oracle:bool ->
   ?kind:Constraints.kind ->
   Placement.t ->
   Mmc_store.Recorder.t array ->

@@ -6,7 +6,6 @@ open Mmc_store
 
 type t = {
   history : History.t;
-  stamps : (Types.mop_id, Version_vector.stamped) Hashtbl.t;
   chains : Types.mop_id list array;
   sync_order : Types.mop_id list;
   shard_of_mop : (Types.mop_id, int) Hashtbl.t;
@@ -16,17 +15,12 @@ type t = {
     namespaces stay disjoint across shards ([ns * n_shards + shard]):
     objects are already globally unique after remapping, but replica
     namespaces of unsynchronized stores must not collide between
-    shards. *)
+    shards.  The timestamps stay shard-local: nothing reads them from
+    the stitched history. *)
 let remap placement shard (r : Recorder.record) =
   let n_shards = Placement.n_shards placement in
-  let n_objects = Placement.n_objects placement in
   let glob l = Placement.to_global placement shard l in
   let ns' ns = (ns * n_shards) + shard in
-  let scatter (v : Version_vector.t) =
-    let out = Array.make n_objects 0 in
-    Array.iteri (fun l ver -> out.(glob l) <- ver) v;
-    out
-  in
   {
     r with
     Recorder.ops =
@@ -38,8 +32,6 @@ let remap placement shard (r : Recorder.record) =
         r.Recorder.ops;
     reads = List.map (fun (x, ver, ns) -> (glob x, ver, ns' ns)) r.Recorder.reads;
     writes = List.map (fun (x, ver, ns) -> (glob x, ver, ns' ns)) r.Recorder.writes;
-    start_ts = scatter r.Recorder.start_ts;
-    finish_ts = scatter r.Recorder.finish_ts;
     (* Shard-local broadcast positions collide across shards; the
        chains below carry them instead. *)
     sync = None;
@@ -64,14 +56,16 @@ let stitch placement recorders =
   let tagged =
     List.stable_sort
       (fun (_, _, (a : Recorder.record)) (_, _, (b : Recorder.record)) ->
-        compare (a.Recorder.inv, a.Recorder.resp) (b.Recorder.inv, b.Recorder.resp))
+        match Int.compare a.Recorder.inv b.Recorder.inv with
+        | 0 -> Int.compare a.Recorder.resp b.Recorder.resp
+        | c -> c)
       tagged
   in
   let records = List.map (fun (_, _, r) -> r) tagged in
   let merged =
     Recorder.of_records ~n_objects:(Placement.n_objects placement) records
   in
-  let history, stamps, _ = Recorder.to_history_full merged in
+  let history, _, _ = Recorder.to_history_full merged in
   let shard_of_mop = Hashtbl.create (List.length records) in
   List.iteri (fun i (s, _, _) -> Hashtbl.add shard_of_mop (i + 1) s) tagged;
   (* Per-shard chains: ids of shard [s]'s synchronized updates in
@@ -83,23 +77,19 @@ let stitch placement recorders =
                match sync with
                | Some p when s' = s -> Some (p, id)
                | _ -> None)
-        |> List.sort compare |> List.map snd)
+        |> List.sort (fun (p, id) (p', id') ->
+               match Int.compare p p' with 0 -> Int.compare id id' | c -> c)
+        |> List.map snd)
   in
   (* Merged global update order: a deterministic linear extension of
      process order, reads-from and every per-shard chain, over
      adjacency lists (O(n + e) words, not a dense n×n matrix). *)
   let n = History.n_mops history in
-  let edges = ref (History.base_edges history History.Msc) in
-  Array.iter
-    (fun chain ->
-      let rec link = function
-        | a :: (b :: _ as rest) ->
-          edges := (a, b) :: !edges;
-          link rest
-        | [ _ ] | [] -> ()
-      in
-      link chain)
-    chains;
+  let edges =
+    ref
+      (Check_constrained.sync_edges (Array.to_list chains)
+      @ History.base_edges history History.Msc)
+  in
   let synchronized = Array.make n false in
   Array.iter (List.iter (fun id -> synchronized.(id) <- true)) chains;
   (* Anti-dependency edges: a reader of version [k] of an object
@@ -146,4 +136,4 @@ let stitch placement recorders =
     | Some order ->
       Array.to_list order |> List.filter (fun id -> synchronized.(id))
   in
-  { history; stamps; chains; sync_order; shard_of_mop }
+  { history; chains; sync_order; shard_of_mop }

@@ -21,9 +21,6 @@ open Mmc_store
 
 type t = {
   history : History.t;  (** the stitched global history *)
-  stamps : (Types.mop_id, Version_vector.stamped) Hashtbl.t;
-      (** per-m-operation timestamps, scattered into global-width
-          version vectors *)
   chains : Types.mop_id list array;
       (** index = shard; that shard's synchronized updates in its
           broadcast order, as global m-operation ids *)

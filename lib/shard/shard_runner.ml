@@ -57,5 +57,5 @@ let run ~seed ?placement (cfg : Runner.config) ~workload =
     fastpath;
   }
 
-let check ?oracle ?(kind = Constraints.WW) res ~flavour =
-  Check_sharded.check ?oracle ~kind res.placement res.recorders ~flavour
+let check ?(kind = Constraints.WW) res ~flavour =
+  Check_sharded.check ~kind res.placement res.recorders ~flavour

@@ -50,9 +50,8 @@ val run :
 
 (** [check result ~flavour] — per-shard Theorem-7 checks plus the
     stitched global check ({!Check_sharded.check}); [kind] defaults
-    to WW.  [~oracle:false] skips the batch cross-check. *)
+    to WW. *)
 val check :
-  ?oracle:bool ->
   ?kind:Constraints.kind ->
   result ->
   flavour:History.flavour ->

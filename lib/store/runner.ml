@@ -133,11 +133,7 @@ let make_store ?fault ?sink ?tail ?ownership ?fsink cfg engine ~rng ~recorder =
     per-process frontier vectors over a sparse edge list, no n×n
     closure. *)
 let check_history ?(kind = Constraints.WW) h ~sync_order ~flavour =
-  let rec link acc = function
-    | a :: (b :: _ as rest) -> link ((a, b) :: acc) rest
-    | [ _ ] | [] -> acc
-  in
-  Check_constrained.check_chain h ~flavour ~extra:(link [] sync_order) kind
+  Check_constrained.check_chain h ~flavour ~sync:[ sync_order ] kind
 
 let check_trace ?kind (res : result) ~flavour =
   check_history ?kind res.history ~sync_order:res.sync_order ~flavour

@@ -226,7 +226,10 @@ let create ?fault ?reliable ?batch ?(mode = Classify.Sound) ?(tail = Dense)
   let broadcast_barrier p id carried op =
     let carried =
       List.sort
-        (fun a b -> compare (a.e_origin, a.e_seq) (b.e_origin, b.e_seq))
+        (fun a b ->
+          match Int.compare a.e_origin b.e_origin with
+          | 0 -> Int.compare a.e_seq b.e_seq
+          | c -> c)
         carried
     in
     stats.carried <- stats.carried + List.length carried;
@@ -548,7 +551,17 @@ let create ?fault ?reliable ?batch ?(mode = Classify.Sound) ?(tail = Dense)
                 ((e.e_rec.Recorder.resp, 1, e.e_origin, e.e_seq), `Fast e))
               !fast
         in
-        let keyed = List.sort (fun (a, _) (b, _) -> compare a b) keyed in
+        let keyed =
+          List.sort
+            (fun ((a1, a2, a3, a4), _) ((b1, b2, b3, b4), _) ->
+              let c = Int.compare a1 b1 in
+              if c <> 0 then c else
+              let c = Int.compare a2 b2 in
+              if c <> 0 then c else
+              let c = Int.compare a3 b3 in
+              if c <> 0 then c else Int.compare a4 b4)
+            keyed
+        in
         let remap = Array.make (max n_real 1) 0 in
         List.iteri
           (fun i (_, slot) ->

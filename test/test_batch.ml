@@ -331,7 +331,7 @@ let msgs_per_op (r : Mmc_shard.Shard_runner.result) =
 
 let all_shards_pass r =
   Mmc_shard.Check_sharded.all_shards_admissible
-    (Mmc_shard.Shard_runner.check ~oracle:false r ~flavour:History.Msc)
+    (Mmc_shard.Shard_runner.check r ~flavour:History.Msc)
 
 (* Batching must pay on the wire at every shard count (>= 15% fewer
    messages per op), even where the closed loop keeps batches small,

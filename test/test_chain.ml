@@ -2,8 +2,9 @@
    dense reference pipeline.
 
    For every input, `Check_constrained.check_chain` over a flavour plus
-   extra edges must give the verdict constructor `check_relation` gives
-   over the dense base relation with the same edges; an `Admissible`
+   synchronization orders must give the verdict constructor
+   `check_relation` gives over the dense base relation plus the same
+   orders' edges; an `Admissible`
    witness must validate against that dense base, a `Not_legal` triple
    must violate its dense closure, and the same check over a recycled
    arena must return the identical result.  Inputs: the random history
@@ -29,14 +30,14 @@ let comparisons = ref 0
    from earlier, differently sized histories. *)
 let arena = Relation.Arena.create ()
 
-(* Compare one (history, flavour, extra, kind) case; [Error msg] on a
+(* Compare one (history, flavour, sync, kind) case; [Error msg] on a
    mismatch. *)
-let compare_case h ~flavour ~extra kind =
+let compare_case h ~flavour ~sync kind =
   let base = History.base_relation h flavour in
-  Relation.add_edges base extra;
+  Relation.add_edges base (Check_constrained.sync_edges sync);
   let dense = Check_constrained.check_relation h base kind in
-  let chain = Check_constrained.check_chain h ~flavour ~extra kind in
-  let recycled = Check_constrained.check_chain ~arena h ~flavour ~extra kind in
+  let chain = Check_constrained.check_chain h ~flavour ~sync kind in
+  let recycled = Check_constrained.check_chain ~arena h ~flavour ~sync kind in
   incr comparisons;
   let k = kind_name chain in
   Hashtbl.replace seen k (1 + Option.value ~default:0 (Hashtbl.find_opt seen k));
@@ -61,23 +62,16 @@ let compare_case h ~flavour ~extra kind =
       else Error (Fmt.str "chain triple %a is not a violation" Legality.pp_triple t)
     | _ -> Ok ()
 
-let ctx h ~flavour ~extra kind =
-  Fmt.str "%a@.flavour=%a kind=%a extra=[%a]" History.pp h History.pp_flavour
+let ctx h ~flavour ~sync kind =
+  Fmt.str "%a@.flavour=%a kind=%a sync=[%a]" History.pp h History.pp_flavour
     flavour Constraints.pp_kind kind
-    Fmt.(list ~sep:comma (pair ~sep:(any "->") int int))
-    extra
+    Fmt.(list ~sep:semi (list ~sep:(any "<") int))
+    sync
 
-let expect_same h ~flavour ~extra kind =
-  match compare_case h ~flavour ~extra kind with
+let expect_same h ~flavour ~sync kind =
+  match compare_case h ~flavour ~sync kind with
   | Ok () -> ()
-  | Error msg -> Alcotest.failf "%s@.%s" msg (ctx h ~flavour ~extra kind)
-
-let link ids =
-  let rec go acc = function
-    | a :: (b :: _ as rest) -> go ((a, b) :: acc) rest
-    | [ _ ] | [] -> List.rev acc
-  in
-  go [] ids
+  | Error msg -> Alcotest.failf "%s@.%s" msg (ctx h ~flavour ~sync kind)
 
 let flavours = [ History.Msc; History.Mnorm; History.Mlin ]
 let kinds = [ Constraints.WW; Constraints.OO; Constraints.WO ]
@@ -107,14 +101,14 @@ let sync_chains ~seed h =
     subset.(i) <- subset.(j);
     subset.(j) <- t
   done;
-  [ []; link updates; link (Array.to_list subset) ]
+  [ []; [ updates ]; [ Array.to_list subset ] ]
 
 let all_cases ~seed h =
   List.iter
-    (fun extra ->
+    (fun sync ->
       List.iter
         (fun flavour ->
-          List.iter (fun kind -> expect_same h ~flavour ~extra kind) kinds)
+          List.iter (fun kind -> expect_same h ~flavour ~sync kind) kinds)
         flavours)
     (sync_chains ~seed h)
 
@@ -180,7 +174,7 @@ let test_golden () =
       "stale_read.trace";
     ]
 
-(* Protocol traces: the recorded broadcast order is the extra chain. *)
+(* Protocol traces: the recorded broadcast order is the sync order. *)
 let test_protocol_runs () =
   let plan =
     {
@@ -214,10 +208,10 @@ let test_protocol_runs () =
               ~workload:(Mmc_workload.Generator.mixed spec)
           in
           let h = res.Mmc_store.Runner.history in
-          let extra = link res.Mmc_store.Runner.sync_order in
+          let sync = [ res.Mmc_store.Runner.sync_order ] in
           List.iter
             (fun flavour ->
-              List.iter (fun k -> expect_same h ~flavour ~extra k) kinds)
+              List.iter (fun k -> expect_same h ~flavour ~sync k) kinds)
             flavours)
         [ 1; 2; 3 ])
     [ Mmc_store.Store.Msc; Mmc_store.Store.Mlin; Mmc_store.Store.Rmsc ]

@@ -83,13 +83,7 @@ let ww_base h =
     |> List.map (fun (m : Mop.t) -> m.Mop.id)
   in
   let base = History.base_relation h History.Msc in
-  let rec link = function
-    | a :: (b :: _ as rest) ->
-      Relation.add base a b;
-      link rest
-    | [ _ ] | [] -> ()
-  in
-  link updates;
+  Relation.add_edges base (Check_constrained.sync_edges [ updates ]);
   base
 
 let prop_accepts_consistent_ww =

@@ -88,13 +88,7 @@ let prop_lemma4 =
         |> List.map (fun (m : Mop.t) -> m.Mop.id)
       in
       let base = History.base_relation h History.Msc in
-      let rec link = function
-        | a :: (b :: _ as rest) ->
-          Relation.add base a b;
-          link rest
-        | [ _ ] | [] -> ()
-      in
-      link updates;
+      Relation.add_edges base (Check_constrained.sync_edges [ updates ]);
       let closed = Relation.transitive_closure base in
       if not (Relation.is_irreflexive closed) then
         QCheck.Test.fail_report "base relation cyclic";

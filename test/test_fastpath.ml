@@ -250,7 +250,15 @@ let test_sharded_seg () =
   let v = Mmc_shard.Shard_runner.check res ~flavour:History.Msc in
   Alcotest.(check bool) "stitched admissible" true
     (Mmc_shard.Check_sharded.admissible v);
-  Alcotest.(check bool) "oracle agrees" true v.Mmc_shard.Check_sharded.agree;
+  let st =
+    Mmc_shard.Shard_recorder.stitch res.Mmc_shard.Shard_runner.placement
+      res.Mmc_shard.Shard_runner.recorders
+  in
+  Alcotest.(check bool) "dense checker agrees" true
+    (Check_constrained.same_verdict v.Mmc_shard.Check_sharded.stitched
+       (Check_constrained.check_relation st.Mmc_shard.Shard_recorder.history
+          (Mmc_shard.Check_sharded.stitched_relation st ~flavour:History.Msc)
+          Constraints.WW));
   let handles =
     Array.to_list res.Mmc_shard.Shard_runner.fastpath |> List.filter_map Fun.id
   in

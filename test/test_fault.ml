@@ -332,13 +332,8 @@ let run_lossy ~seed ~kind ~plan =
 let theorem7_admissible (res : Mmc_store.Runner.result) flavour =
   let h = res.Mmc_store.Runner.history in
   let base = History.base_relation h flavour in
-  let rec link = function
-    | a :: (b :: _ as rest) ->
-      Relation.add base a b;
-      link rest
-    | [ _ ] | [] -> ()
-  in
-  link res.Mmc_store.Runner.sync_order;
+  Relation.add_edges base
+    (Check_constrained.sync_edges [ res.Mmc_store.Runner.sync_order ]);
   match Check_constrained.check_relation h base Constraints.WW with
   | Check_constrained.Admissible _ -> true
   | _ -> false

@@ -7,18 +7,8 @@
 open Mmc_core
 open Mmc_store
 
-let same_verdict a b =
-  match (a, b) with
-  | Check_constrained.Admissible _, Check_constrained.Admissible _
-  | Check_constrained.Not_legal _, Check_constrained.Not_legal _
-  | Check_constrained.Constraint_violated, Check_constrained.Constraint_violated
-  | Check_constrained.Cyclic, Check_constrained.Cyclic
-  | Check_constrained.Extended_cyclic, Check_constrained.Extended_cyclic ->
-    true
-  | _ -> false
-
 let verdict =
-  Alcotest.testable Check_constrained.pp_result same_verdict
+  Alcotest.testable Check_constrained.pp_result Check_constrained.same_verdict
 
 (* The batch relation `check_trace` streams: flavour base edges plus
    the recorded broadcast order. *)
@@ -26,13 +16,7 @@ let batch_check (res : Runner.result) ~flavour ~kind =
   let h = res.Runner.history in
   let rel = Relation.create (History.n_mops h) in
   Relation.add_edges rel (History.base_edges h flavour);
-  let rec link = function
-    | a :: (b :: _ as rest) ->
-      Relation.add rel a b;
-      link rest
-    | [ _ ] | [] -> ()
-  in
-  link res.Runner.sync_order;
+  Relation.add_edges rel (Check_constrained.sync_edges [ res.Runner.sync_order ]);
   Check_constrained.check_relation h rel kind
 
 let run_one ~seed ~kind ~read_ratio =

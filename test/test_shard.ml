@@ -1,8 +1,10 @@
 (* Tests for the sharded store layer: placement algebra, router
-   classification, per-shard + stitched verification agreement (WW and
-   OO workloads, with and without faults, with and without the batch
-   oracle), codec round-trips of stitched histories, and a seeded
-   constraint-violation fixture that must be flagged. *)
+   classification, per-shard + stitched verification, with the
+   stitched chain verdict compared against the dense checker over the
+   same stitched relation (WW and OO workloads, with and without
+   faults, and the runs the CLI smoke rules make), codec round-trips of
+   stitched histories, and a seeded constraint-violation fixture that
+   must be flagged. *)
 
 open Mmc_core
 open Mmc_shard
@@ -115,8 +117,28 @@ let test_router_classification () =
     (r.Router.single_shard + r.Router.cross_shard)
     res.Shard_runner.completed
 
+let verdict =
+  Alcotest.testable Check_constrained.pp_result Check_constrained.same_verdict
+
+(* [Shard_runner.check], with its stitched chain verdict compared
+   against the dense checker over the same stitched history and
+   relation: the same verdict constructor, or a checker bug. *)
+let check_against_dense ?(kind = Constraints.WW) ~flavour name
+    (res : Shard_runner.result) =
+  let v = Shard_runner.check ~kind res ~flavour in
+  let st =
+    Shard_recorder.stitch res.Shard_runner.placement res.Shard_runner.recorders
+  in
+  Alcotest.check verdict
+    (name ^ ": stitched chain verdict = dense")
+    (Check_constrained.check_relation st.Shard_recorder.history
+       (Check_sharded.stitched_relation st ~flavour)
+       kind)
+    v.Check_sharded.stitched;
+  v
+
 let assert_verified ?kind ~flavour name (res : Shard_runner.result) =
-  let v = Shard_runner.check ?kind res ~flavour in
+  let v = check_against_dense ?kind ~flavour name res in
   Array.iter
     (fun (s : Check_sharded.shard_verdict) ->
       Alcotest.(check bool)
@@ -126,15 +148,12 @@ let assert_verified ?kind ~flavour name (res : Shard_runner.result) =
         | Check_constrained.Admissible _ -> true
         | _ -> false))
     v.Check_sharded.per_shard;
-  Alcotest.(check bool)
-    (Fmt.str "%s: incremental/batch agree" name)
-    true v.Check_sharded.agree;
   v
 
 (* WW workloads (mixed reads and updates): each shard must be
-   admissible on its own and the decomposed pipeline must match the
-   batch checker on the stitched history, across shard counts,
-   cross-shard ratios and seeds. *)
+   admissible on its own and the chain check must match the dense
+   checker on the stitched history, across shard counts, cross-shard
+   ratios and seeds. *)
 let test_agreement_ww () =
   List.iter
     (fun n_shards ->
@@ -207,55 +226,6 @@ let test_agreement_under_faults () =
         [ 1; 2 ])
     [ 2; 4 ]
 
-(* Skipping the batch oracle leaves every other verdict alone: the
-   per-shard and stitched verdicts and [composes] match the full check,
-   [batch] is absent and [agree] vacuously true — across shard counts,
-   seeds and a reliable and a lossy, partitioned fault plan. *)
-let test_oracle_skip_matches_full () =
-  let result = Alcotest.testable Check_constrained.pp_result ( = ) in
-  let plans =
-    [
-      ("reliable", Mmc_sim.Fault.none);
-      ( "lossy+partition",
-        {
-          Mmc_sim.Fault.none with
-          Mmc_sim.Fault.drop = 0.2;
-          partitions =
-            [ { Mmc_sim.Fault.from_ = 100; until = 300; island = [ 0 ] } ];
-        } );
-    ]
-  in
-  List.iter
-    (fun (plan, fault) ->
-      List.iter
-        (fun n_shards ->
-          List.iter
-            (fun seed ->
-              let res = run ~fault ~ops:8 ~seed ~n_shards ~cross:0.15 () in
-              let name = Fmt.str "%s S=%d seed=%d" plan n_shards seed in
-              let full = Shard_runner.check res ~flavour:History.Msc in
-              let lean =
-                Shard_runner.check ~oracle:false res ~flavour:History.Msc
-              in
-              Array.iter2
-                (fun (f : Check_sharded.shard_verdict)
-                     (l : Check_sharded.shard_verdict) ->
-                  Alcotest.check result
-                    (Fmt.str "%s: shard %d verdict" name f.Check_sharded.shard)
-                    f.Check_sharded.result l.Check_sharded.result)
-                full.Check_sharded.per_shard lean.Check_sharded.per_shard;
-              Alcotest.check result (name ^ ": stitched")
-                full.Check_sharded.stitched lean.Check_sharded.stitched;
-              Alcotest.(check bool) (name ^ ": composes")
-                full.Check_sharded.composes lean.Check_sharded.composes;
-              Alcotest.(check bool)
-                (name ^ ": oracle skipped")
-                true
-                (lean.Check_sharded.batch = None && lean.Check_sharded.agree))
-            [ 1; 2 ])
-        [ 1; 2; 4 ])
-    plans
-
 (* Other per-shard protocols behind the same router.  Mlin records a
    broadcast order per shard, so per-shard admissibility holds like for
    msc; the lock store records no synchronization order, so both
@@ -264,9 +234,120 @@ let test_other_store_kinds () =
   let res = run ~kind:Store.Mlin ~seed:5 ~n_shards:4 ~cross:0.2 () in
   ignore (assert_verified ~flavour:History.Mlin "mlin sharded" res);
   let res = run ~kind:Store.Lock ~seed:5 ~n_shards:4 ~cross:0.2 () in
-  let v = Shard_runner.check res ~flavour:History.Mlin in
-  Alcotest.(check bool) "lock: incremental/batch agree" true
-    v.Check_sharded.agree
+  ignore (check_against_dense ~flavour:History.Mlin "lock sharded" res)
+
+(* [mmc shard ARGV]'s run, rebuilt from the CLI's defaults (4
+   processes, 16 objects, 20 ops, 4 shards, cross ratio 0.1, read
+   ratio 0.5, no skew, hash placement, seed 1) and the [--flag value]
+   pairs of [argv]; the same seed gives the CLI's run, message counts
+   included. *)
+let cli_run argv =
+  let rec pairs = function k :: v :: rest -> (k, v) :: pairs rest | _ -> [] in
+  let args = pairs (String.split_on_char ' ' argv) in
+  let opt flag ~default parse =
+    Option.fold ~none:default ~some:parse (List.assoc_opt flag args)
+  in
+  let int flag default = opt flag ~default int_of_string in
+  let float flag default = opt flag ~default float_of_string in
+  let procs = int "--procs" 4 and objects = int "--objects" 16 in
+  let kind =
+    opt "--store" ~default:Store.Msc (fun s ->
+        Option.get (Store.kind_of_string s))
+  in
+  let placement =
+    (match List.assoc_opt "--placement" args with
+    | Some "rr" -> Placement.round_robin
+    | _ -> Placement.hash)
+      ~n_shards:(int "--shards" 4) ~n_objects:objects
+  in
+  let cfg =
+    {
+      Runner.default_config with
+      n_procs = procs;
+      n_objects = objects;
+      ops_per_proc = int "--ops" 20;
+      kind;
+      fastpath =
+        opt "--fastpath" ~default:Mmc_fastpath.Classify.Sound (fun s ->
+            Option.get (Mmc_fastpath.Classify.mode_of_string s));
+      fault =
+        opt "--plan" ~default:Mmc_sim.Fault.none (fun s ->
+            Result.get_ok (Mmc_sim.Fault.of_spec s));
+    }
+  in
+  let spec =
+    {
+      Mmc_workload.Spec.default with
+      n_objects = objects;
+      read_ratio = 0.5;
+      skew = float "--skew" 0.0;
+    }
+  in
+  let workload =
+    match List.assoc_opt "--commute-ratio" args with
+    | None ->
+      Mmc_workload.Generator.sharded
+        ~cross_shard_ratio:(float "--cross" 0.1)
+        placement spec
+    | Some r ->
+      Mmc_workload.Generator.sharded_counter_commute
+        ~commute_ratio:(float_of_string r) ~n_procs:procs placement spec
+  in
+  (kind, Shard_runner.run ~seed:(int "--seed" 1) ~placement cfg ~workload)
+
+(* The runs `mmc shard` makes in the `test/dune` rules, `make
+   shard-smoke`, `make fastpath-smoke` and the canary: the stitched
+   chain verdict must be the dense one, and admissible exactly where
+   the rule pins exit 0. *)
+let test_cli_runs () =
+  List.iter
+    (fun (argv, admissible) ->
+      let kind, res = cli_run argv in
+      let v = check_against_dense ~flavour:(Store.flavour kind) argv res in
+      Alcotest.(check bool)
+        (argv ^ ": stitched admissible")
+        admissible (Check_sharded.admissible v))
+    ([
+      ("--shards 4 --ops 10 --cross 0.2 --seed 3", true);
+      ( "--shards 2 --store mlin --ops 8 --cross 0.15 --plan \
+         drop=0.2,part=100:300:0 --seed 1",
+        true );
+      ( "--shards 2 --store mlin --ops 8 --cross 0.15 --plan \
+         drop=0.2,part=100:300:0 --placement rr --seed 1",
+        true );
+      ("--store rmsc --shards 2 --ops 20 --seed 1", true);
+      ( "--shards 4 --procs 8 --objects 32 --ops 100 --skew 0.99 --cross 0.1 \
+         --seed 2",
+        true );
+      ( "--store seg --shards 4 --procs 8 --objects 32 --ops 100 --cross 0.0 \
+         --seed 4",
+        false );
+      ( "--store seg --shards 4 --procs 8 --objects 32 --ops 100 --cross 0.0 \
+         --seed 4 --fastpath off",
+        true );
+      ("--store seg --shards 4 --ops 12 --commute-ratio 0.0 --seed 2", true);
+      ("--store seg --shards 4 --ops 12 --commute-ratio 1.0 --seed 2", true);
+      ( "--store seg --shards 4 --ops 12 --commute-ratio 0.9 --fastpath off \
+         --seed 2",
+        true );
+      ( "--store seg --shards 4 --ops 20 --commute-ratio 0.9 --fastpath wrong \
+         --seed 2",
+        false );
+    ]
+    @ List.map
+        (fun ratio ->
+          ( "--store seg --shards 4 --procs 6 --objects 32 --ops 12 \
+             --commute-ratio " ^ ratio ^ " --seed 2",
+            true ))
+        [ "0.0"; "0.5"; "0.9"; "1.0" ]
+    @ [
+        ( "--store seg --shards 4 --procs 6 --objects 32 --ops 12 \
+           --commute-ratio 0.9 --fastpath off --seed 2",
+          true );
+        ( "--store seg --shards 4 --procs 6 --objects 32 --ops 20 \
+           --commute-ratio 0.9 --fastpath wrong --seed 2",
+          false );
+      ])
 
 (* --- stitched history structure --- *)
 
@@ -444,13 +525,13 @@ let test_recovery_stitching_across_crash () =
       (* Stitched (global) admissibility is not compared: m-s.c. does
          not compose across shards even crash-free, and recovery can
          widen the stale-read windows that trigger that.  What recovery
-         must preserve is the per-shard verdict and checker agreement. *)
+         must preserve is the per-shard verdict and checker agreement
+         (asserted for both runs above). *)
       Alcotest.(check bool)
         (Fmt.str "per-shard verdicts match the crash-free run (seed %d)" seed)
         true
         (Check_sharded.all_shards_admissible v
-        = Check_sharded.all_shards_admissible v'
-        && v.Check_sharded.agree = v'.Check_sharded.agree))
+        = Check_sharded.all_shards_admissible v'))
     [ 0; 1; 2 ]
 
 let test_config_validation () =
@@ -485,9 +566,8 @@ let () =
           Alcotest.test_case "OO agreement" `Quick test_agreement_oo;
           Alcotest.test_case "agreement under faults" `Quick
             test_agreement_under_faults;
-          Alcotest.test_case "oracle skip = full check" `Quick
-            test_oracle_skip_matches_full;
           Alcotest.test_case "other store kinds" `Quick test_other_store_kinds;
+          Alcotest.test_case "CLI runs: chain = dense" `Quick test_cli_runs;
         ] );
       ( "stitching",
         [

@@ -765,6 +765,29 @@ let test_checkpoint_crash_reload () =
   Alcotest.(check (option (pair int string))) "device scan finds the newest"
     (Some (9, "b")) (Checkpoint.load c)
 
+(* --- experiment R5's claims --- *)
+
+(* R5 at its own size (3 seeds, 4 clients, 12 m-operations each): every
+   (fault mix, checkpoint interval) row admissible and converged 3/3,
+   and every mix with bit-rot repairs at least one record (the repair
+   path is live, not just the detection). *)
+let test_r5_claims () =
+  let module R = Mmc_experiments.Exp_recovery in
+  List.iter
+    (fun (mix, (plan : Fault.plan)) ->
+      List.iter
+        (fun ckpt ->
+          let c = R.storage_cell ~plan ckpt in
+          let row = Fmt.str "%s ckpt=%d" mix ckpt in
+          Alcotest.(check int) (row ^ ": admissible") c.R.s_of c.R.s_ok;
+          Alcotest.(check int) (row ^ ": converged") c.R.s_of c.R.s_conv;
+          if plan.Fault.rots <> [] then
+            Alcotest.(check bool)
+              (Fmt.str "%s: %d records repaired >= 1" row c.R.repaired)
+              true (c.R.repaired >= 1))
+        R.r5_intervals)
+    R.storage_mixes
+
 let () =
   Alcotest.run "storage"
     [
@@ -805,5 +828,10 @@ let () =
           Alcotest.test_case "fallback to genesis" `Quick
             test_checkpoint_fallback_genesis;
           Alcotest.test_case "crash/reload" `Quick test_checkpoint_crash_reload;
+        ] );
+      ( "experiment R5",
+        [
+          Alcotest.test_case "admissible, converged, rot repaired" `Quick
+            test_r5_claims;
         ] );
     ]

@@ -191,13 +191,7 @@ let test_theorem7_pipeline () =
       (* ...and chaining them installs the WW-constraint: Theorem 7
          verifies the trace in polynomial time. *)
       let base = History.base_relation h History.Msc in
-      let rec link = function
-        | a :: (b :: _ as rest) ->
-          Relation.add base a b;
-          link rest
-        | [ _ ] | [] -> ()
-      in
-      link sync_order;
+      Relation.add_edges base (Check_constrained.sync_edges [ sync_order ]);
       match Check_constrained.check_relation h base Constraints.WW with
       | Check_constrained.Admissible wt ->
         Alcotest.(check bool)
