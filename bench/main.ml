@@ -446,20 +446,20 @@ let recovery_storage_plan =
     stales = [ { Mmc_sim.Fault.node = 2; at = 400 } ];
   }
 
-let run_recovery ~impl ~plan ~checkpoint_every ~scrub_every () =
-  let cfg =
-    {
-      Mmc_store.Runner.default_config with
-      n_procs = 4;
-      n_objects = 8;
-      ops_per_proc = 12;
-      kind = Mmc_store.Store.Rmsc;
-      abcast_impl = impl;
-      fault = plan;
-      recovery =
-        { Mmc_recovery.Rlog.default_policy with checkpoint_every; scrub_every };
-    }
-  in
+let recovery_config ~impl ~plan ~checkpoint_every ~scrub_every =
+  {
+    Mmc_store.Runner.default_config with
+    n_procs = 4;
+    n_objects = 8;
+    ops_per_proc = 12;
+    kind = Mmc_store.Store.Rmsc;
+    abcast_impl = impl;
+    fault = plan;
+    recovery =
+      { Mmc_recovery.Rlog.default_policy with checkpoint_every; scrub_every };
+  }
+
+let run_recovery cfg =
   Mmc_store.Runner.run ~seed:(17 + soff) cfg
     ~workload:(Mmc_workload.Generator.mixed recovery_spec)
 
@@ -485,9 +485,9 @@ let bench_recovery =
   Test.make_grouped ~name:"recovery"
     (List.map
        (fun (name, impl, plan, checkpoint_every, scrub_every) ->
+         let cfg = recovery_config ~impl ~plan ~checkpoint_every ~scrub_every in
          Test.make ~name:(Fmt.str "run-%s" name)
-           (Staged.stage (fun () ->
-                ignore (run_recovery ~impl ~plan ~checkpoint_every ~scrub_every ()))))
+           (Staged.stage (fun () -> ignore (run_recovery cfg))))
        recovery_variants)
 
 (* Wall-ms per variant (run + Theorem-7 verification of the stitched
@@ -508,45 +508,35 @@ let recovery_metrics () =
   let rows =
     List.concat_map
       (fun (name, impl, plan, checkpoint_every, scrub_every) ->
-        let run () = run_recovery ~impl ~plan ~checkpoint_every ~scrub_every () in
-        let ms_run = wall_ms (if cli_quick then 3 else 10)(fun () -> ignore (run ())) in
-        let res = run () in
+        let cfg = recovery_config ~impl ~plan ~checkpoint_every ~scrub_every in
+        let ms_run =
+          wall_ms (if cli_quick then 3 else 10) (fun () -> ignore (run_recovery cfg))
+        in
+        let res = run_recovery cfg in
         let ms_verify =
           wall_ms (if cli_quick then 3 else 10)(fun () ->
               ignore
                 (Mmc_store.Runner.check_trace res ~flavour:History.Msc))
         in
-        let log_sum f =
-          match res.Mmc_store.Runner.recovery with
-          | None -> 0
-          | Some h ->
-            Array.fold_left (fun t s -> t + f s) 0 (h.Mmc_store.Rstore.log_stats ())
-        in
-        let replayed = log_sum (fun s -> s.Mmc_recovery.Rlog.replayed) in
-        let pulls =
-          match res.Mmc_store.Runner.recovery with
-          | None -> 0
-          | Some h -> h.Mmc_store.Rstore.pulls ()
+        let j = Mmc_store.Runner.judge cfg res in
+        let metric what n =
+          (Fmt.str "metrics/recovery/%s/%s" name what, float_of_int n)
         in
         let base =
           [
             (Fmt.str "metrics/recovery/%s/ms-run" name, ms_run);
             (Fmt.str "metrics/recovery/%s/ms-verify" name, ms_verify);
-            (Fmt.str "metrics/recovery/%s/replayed" name, float_of_int replayed);
-            (Fmt.str "metrics/recovery/%s/pulls" name, float_of_int pulls);
+            metric "replayed" j.wal.Mmc_recovery.Rlog.replayed;
+            metric "pulls" (j.handle.Mmc_store.Rstore.pulls ());
           ]
         in
         if name <> "wipe2-seq-storage" then base
-        else begin
-          let repaired = log_sum (fun s -> s.Mmc_recovery.Rlog.repaired) in
-          let corrupt = log_sum (fun s -> s.Mmc_recovery.Rlog.corrupt) in
+        else
           base
           @ [
-              (Fmt.str "metrics/recovery/%s/repaired" name,
-               float_of_int repaired);
-              (Fmt.str "metrics/recovery/%s/corrupt" name, float_of_int corrupt);
-            ]
-        end)
+              metric "repaired" j.wal.Mmc_recovery.Rlog.repaired;
+              metric "corrupt" j.wal.Mmc_recovery.Rlog.corrupt;
+            ])
       recovery_variants
   in
   let ms name = try List.assoc (Fmt.str "metrics/recovery/%s/ms-run" name) rows with Not_found -> 0. in

@@ -464,73 +464,13 @@ let pp_detector_stats ppf (s : Mmc_sim.Detector.stats) =
     s.Mmc_sim.Detector.suspicions s.Mmc_sim.Detector.false_suspicions
     s.Mmc_sim.Detector.refutations s.Mmc_sim.Detector.doubts
 
-(* One run of the recoverable store (recover, chaos) with its three
-   oracles applied. *)
-type rmsc_run = {
-  res : Runner.result;
-  handle : Mmc_store.Rstore.handle;
-  wal : (Mmc_recovery.Rlog.stats -> int) -> int;
-      (* one WAL counter, summed over the replicas *)
-  restarts : int;  (* wipe-crash restarts *)
-  given_up : int;  (* messages the reliable layer abandoned *)
-  converged : bool;  (* every replica reached identical state *)
-  check : Check_constrained.result;
-      (* Theorem 7 on the history stitched across crash epochs *)
-  problems : string list;  (* the counter oracle's complaints *)
-}
-
-(* Raises what the run raises: unchecked corruption reaching replay can
+(* One run of the recoverable store (recover, chaos) and its judgement.
+   Raises what the run raises: unchecked corruption reaching replay can
    make the recorder see two writers of one version, and the callers
    report that as divergence. *)
-let run_rmsc ~cmd ~seed (cfg : Runner.config) =
+let run_judged ~seed (cfg : Runner.config) =
   let res = Runner.run ~seed cfg ~workload:(mixed cfg) in
-  let handle =
-    match res.recovery with
-    | Some h -> h
-    | None ->
-      Fmt.epr "mmc: %s: internal error: no recovery handle@." cmd;
-      exit 124
-  in
-  let logs = handle.log_stats () in
-  let given_up, restarts =
-    match res.fault with
-    | None -> (0, 0)
-    | Some f ->
-      let c = Mmc_sim.Fault.counts f in
-      (c.Mmc_sim.Fault.abandoned, c.Mmc_sim.Fault.restarts)
-  in
-  (* The counter oracle, one message per failed check: no operation
-     lost, every wipe-crash restarted and completed its recovery. *)
-  let expected = cfg.n_procs * cfg.ops_per_proc in
-  let wipes = List.length (Mmc_sim.Fault.wipes cfg.fault) in
-  let recoveries = handle.recoveries () in
-  let problems =
-    List.filter_map Fun.id
-      [
-        (if res.completed <> expected then
-           Some (Fmt.str "completed %d ops, expected %d" res.completed expected)
-         else None);
-        (if recoveries <> wipes then
-           Some
-             (Fmt.str "%d recoveries completed for %d wipe-crashes" recoveries
-                wipes)
-         else None);
-        (if restarts <> wipes then
-           Some
-             (Fmt.str "%d restarts recorded for %d wipe-crashes" restarts wipes)
-         else None);
-      ]
-  in
-  {
-    res;
-    handle;
-    wal = (fun f -> Array.fold_left (fun acc s -> acc + f s) 0 logs);
-    restarts;
-    given_up;
-    converged = handle.converged ();
-    check = Runner.check_trace res ~flavour:(Store.flavour cfg.kind);
-    problems;
-  }
+  (res, Runner.judge cfg res)
 
 (* --- simulate --- *)
 
@@ -978,11 +918,11 @@ let recover (cfg : Runner.config) seed json save =
       "mmc: recover: note: plan has no wipe crashes; nothing exercises the \
        WAL/checkpoint restart path@.";
   let expected = cfg.n_procs * cfg.ops_per_proc in
-  let r =
+  let res, (j : Runner.judgement) =
     (* A run blowing up (e.g. the recorder detecting two writers of one
        version, as unchecked corruption reaching replay will cause) is
        divergence-grade evidence, reported like the chaos driver does. *)
-    match run_rmsc ~cmd:"recover" ~seed cfg with
+    match run_judged ~seed cfg with
     | r -> r
     | exception e ->
       (* No result, so no completion is counted: every op is lost. *)
@@ -998,7 +938,7 @@ let recover (cfg : Runner.config) seed json save =
           seed expected;
       exit 2
   in
-  let res = r.res and h = r.handle and sum = r.wal in
+  let h = j.handle and w = j.wal in
   Fmt.pr "store           %a over %a (%a delivery)@." Store.pp_kind
     Store.Rmsc Mmc_broadcast.Abcast.pp_impl cfg.abcast_impl
     Mmc_store.Rstore.pp_mode cfg.delivery;
@@ -1019,19 +959,11 @@ let recover (cfg : Runner.config) seed json save =
   Fmt.pr "recoveries      %d@." (h.Mmc_store.Rstore.recoveries ());
   Fmt.pr "wal             %d appends, %d checkpoints, %d replayed, %d \
           truncated@."
-    (sum (fun s -> s.Mmc_recovery.Rlog.appends))
-    (sum (fun s -> s.Mmc_recovery.Rlog.checkpoints))
-    (sum (fun s -> s.Mmc_recovery.Rlog.replayed))
-    (sum (fun s -> s.Mmc_recovery.Rlog.truncated));
+    w.appends w.checkpoints w.replayed w.truncated;
   Fmt.pr "storage         %d torn sectors, %d corrupt, %d silent, %d \
           repaired, %d scrubbed, %d ckpt-fallbacks, %d reclaimed@."
-    (sum (fun s -> s.Mmc_recovery.Rlog.torn))
-    (sum (fun s -> s.Mmc_recovery.Rlog.corrupt))
-    (sum (fun s -> s.Mmc_recovery.Rlog.silent))
-    (sum (fun s -> s.Mmc_recovery.Rlog.repaired))
-    (sum (fun s -> s.Mmc_recovery.Rlog.scrubbed))
-    (sum (fun s -> s.Mmc_recovery.Rlog.ckpt_fallbacks))
-    (sum (fun s -> s.Mmc_recovery.Rlog.reclaimed_sectors));
+    w.torn w.corrupt w.silent w.repaired w.scrubbed w.ckpt_fallbacks
+    w.reclaimed_sectors;
   Fmt.pr "catch-up        %d pulls, %d pushes (%d entries, %d snapshots)@."
     (h.Mmc_store.Rstore.pulls ())
     (h.Mmc_store.Rstore.pushes ())
@@ -1043,35 +975,27 @@ let recover (cfg : Runner.config) seed json save =
   | Some d -> Fmt.pr "detector        %a@." pp_detector_stats d
   | None -> ());
   Fmt.pr "stability acks  %d@." (h.Mmc_store.Rstore.stability_acks ());
-  Fmt.pr "replicas        %s@." (if r.converged then "converged" else "DIVERGED");
+  Fmt.pr "replicas        %s@." (if j.converged then "converged" else "DIVERGED");
   save_history save (lazy res.history);
-  let admissible = check_line "msc" r.check in
+  let admissible = check_line "msc" j.check in
   (* One greppable line with the run's verdicts and the retry-budget
      exhaustion counters: [given-up] is messages the reliable layer
      abandoned after its retry budget, the usual first suspect when a
      run fails to converge under an aggressive plan. *)
-  let given_up = r.given_up and restarts = r.restarts in
   let completed = res.completed in
-  List.iter (Fmt.pr "note            %s@.") r.problems;
+  List.iter (Fmt.pr "note            %s@.") j.problems;
   Fmt.pr "summary         converged=%s admissible=%s given-up=%d restarts=%d \
           repaired=%d lost=%d@."
-    (if r.converged then "yes" else "NO")
+    (if j.converged then "yes" else "NO")
     (if admissible then "yes" else "NO")
-    given_up restarts
-    (sum (fun s -> s.Mmc_recovery.Rlog.repaired))
-    (expected - completed);
+    j.given_up j.restarts w.repaired (expected - completed);
   if json then
     Fmt.pr
       "{\"cmd\":\"recover\",\"seed\":%d,\"converged\":%b,\"admissible\":%b,\"completed\":%d,\"expected\":%d,\"restarts\":%d,\"given_up\":%d,\"repaired\":%d,\"torn\":%d,\"corrupt\":%d,\"silent\":%d,\"scrubbed\":%d,\"ckpt_fallbacks\":%d}@."
-      seed r.converged admissible completed expected restarts given_up
-      (sum (fun s -> s.Mmc_recovery.Rlog.repaired))
-      (sum (fun s -> s.Mmc_recovery.Rlog.torn))
-      (sum (fun s -> s.Mmc_recovery.Rlog.corrupt))
-      (sum (fun s -> s.Mmc_recovery.Rlog.silent))
-      (sum (fun s -> s.Mmc_recovery.Rlog.scrubbed))
-      (sum (fun s -> s.Mmc_recovery.Rlog.ckpt_fallbacks));
-  if not r.converged then 2
-  else if (not admissible) || r.problems <> [] then 1
+      seed j.converged admissible completed expected j.restarts j.given_up
+      w.repaired w.torn w.corrupt w.silent w.scrubbed w.ckpt_fallbacks;
+  if not j.converged then 2
+  else if (not admissible) || j.problems <> [] then 1
   else 0
 
 let summary_json =
@@ -1177,7 +1101,7 @@ let chaos (cfg : Runner.config) seed plans json verbose =
       Mmc_sim.Fault.fuzz ~rng:(Mmc_sim.Rng.create run_seed) ~n:cfg.n_procs
     in
     let run =
-      try Ok (run_rmsc ~cmd:"chaos" ~seed:run_seed { cfg with fault = plan })
+      try Ok (run_judged ~seed:run_seed { cfg with fault = plan })
       with e -> Error e
     in
     (* The three oracles: replicas converged, the stitched history is
@@ -1190,25 +1114,25 @@ let chaos (cfg : Runner.config) seed plans json verbose =
       | Error e ->
         incr diverged;
         [ "run raised " ^ Printexc.to_string e ]
-      | Ok r ->
-        let sum = r.wal in
-        torn := !torn + sum (fun s -> s.Mmc_recovery.Rlog.torn);
-        corrupt := !corrupt + sum (fun s -> s.Mmc_recovery.Rlog.corrupt);
-        silent := !silent + sum (fun s -> s.Mmc_recovery.Rlog.silent);
-        repaired := !repaired + sum (fun s -> s.Mmc_recovery.Rlog.repaired);
-        restarts := !restarts + r.restarts;
-        if not r.converged then incr diverged;
-        (if r.converged then [] else [ "replicas DIVERGED" ])
-        @ (match r.check with
+      | Ok (_, (j : Runner.judgement)) ->
+        let w = j.wal in
+        torn := !torn + w.torn;
+        corrupt := !corrupt + w.corrupt;
+        silent := !silent + w.silent;
+        repaired := !repaired + w.repaired;
+        restarts := !restarts + j.restarts;
+        if not j.converged then incr diverged;
+        (if j.converged then [] else [ "replicas DIVERGED" ])
+        @ (match j.check with
           | Check_constrained.Admissible _ -> []
           | c ->
             [ Fmt.str "trace not admissible (%a)" Check_constrained.pp_result c ])
-        @ r.problems
+        @ j.problems
     in
     match run with
-    | Ok r when problems = [] ->
+    | Ok (res, _) when problems = [] ->
       if verbose then
-        Fmt.pr "seed %-6d ok    t=%-6d plan: %a@." run_seed r.res.duration
+        Fmt.pr "seed %-6d ok    t=%-6d plan: %a@." run_seed res.duration
           Mmc_sim.Fault.pp_plan plan
     | _ -> (
       incr failed;
@@ -1216,7 +1140,7 @@ let chaos (cfg : Runner.config) seed plans json verbose =
       List.iter (fun p -> Fmt.pr "            - %s@." p) problems;
       Fmt.pr "            replay: %a@." (pp_replay cfg ~seed:run_seed) plan;
       match run with
-      | Ok { handle; res; _ } when verbose -> (
+      | Ok (res, { handle; _ }) when verbose -> (
         Fmt.pr "            cursors: %a@."
           Fmt.(array ~sep:sp int)
           (handle.Mmc_store.Rstore.cursors ());

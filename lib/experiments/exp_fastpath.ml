@@ -84,8 +84,9 @@ let point ?(n_shards = 8) ?(procs = 6) ?(ops = 60) ?(seed = 12) ratio =
     /. float_of_int (max 1 res.Shard_runner.duration)
   in
   let verdict res =
-    let c = Shard_runner.check res ~flavour:History.Msc in
-    Check_sharded.all_shards_admissible c
+    Check_sharded.(
+      shards_admissible
+        (check_shards res.Shard_runner.recorders ~flavour:History.Msc))
   in
   let seg =
     run ~kind:Store.Seg ~n_shards ~procs ~ops ~commute_ratio:ratio ~seed

@@ -39,70 +39,32 @@ let admissible (res : Runner.result) flavour =
   | Check_constrained.Admissible _ -> true
   | _ -> false
 
-(** One (store, plan) cell aggregated over seeds. *)
-type cell = {
-  ok : int;  (** admissible traces *)
-  of_ : int;
-  retrans : int;
-  dropped : int;
-  dups : int;
-  abandoned : int;
-  u_p50 : int;  (** worst update latency percentiles over the seeds *)
-  u_p95 : int;
-  u_p99 : int;
-  dd_p95 : int;  (** worst first-delivery delay p95 *)
-  recovery : int;  (** worst post-heal catch-up time *)
-}
+(** The runs of one (store, plan) cell, one per seed [0 .. seeds - 1]. *)
+let runs ?procs ?ops ~seeds ~kind ~plan () =
+  List.init seeds (fun seed -> run_faulty ?procs ?ops ~seed ~kind ~plan ())
 
-let measure ?procs ?ops ~seeds ~kind ~plan () =
-  let acc =
-    ref
-      {
-        ok = 0;
-        of_ = seeds;
-        retrans = 0;
-        dropped = 0;
-        dups = 0;
-        abandoned = 0;
-        u_p50 = 0;
-        u_p95 = 0;
-        u_p99 = 0;
-        dd_p95 = 0;
-        recovery = 0;
-      }
-  in
-  for seed = 0 to seeds - 1 do
-    let res = run_faulty ?procs ?ops ~seed ~kind ~plan () in
-    let a = !acc in
-    let a =
-      if admissible res (Store.flavour kind) then { a with ok = a.ok + 1 } else a
-    in
-    let a =
-      {
-        a with
-        u_p50 = max a.u_p50 res.Runner.update_latency.Stats.p50;
-        u_p95 = max a.u_p95 res.Runner.update_latency.Stats.p95;
-        u_p99 = max a.u_p99 res.Runner.update_latency.Stats.p99;
-      }
-    in
-    acc :=
-      (match res.Runner.fault with
-      | None -> a
-      | Some f ->
-        let c = Fault.counts f in
-        {
-          a with
-          retrans = a.retrans + c.Fault.retransmissions;
-          dropped = a.dropped + Fault.dropped f;
-          dups = a.dups + c.Fault.duplicates;
-          abandoned = a.abandoned + c.Fault.abandoned;
-          dd_p95 = max a.dd_p95 (Fault.delivery_delay f).Stats.p95;
-          recovery = max a.recovery (Fault.recovery_time f);
-        })
-  done;
-  !acc
+(* One reading of a run's fault injector (0 when it has none), and one
+   of its counters. *)
+let injected f (res : Runner.result) = Option.fold ~none:0 ~some:f res.fault
+let counted f = injected (fun fl -> f (Fault.counts fl))
 
-let adm c = Fmt.str "%d/%d" c.ok c.of_
+(* The cells of a row over its runs [rs]: admissible runs, a counter
+   totalled, a reading at its worst. *)
+let adm kind rs = Table.frac (fun r -> admissible r (Store.flavour kind)) rs
+let total rs f = Table.i (Table.sum f rs)
+let worst rs f = Table.i (Table.worst f rs)
+
+(* The columns R1 and R2 end on: the worst update-latency percentiles,
+   first-delivery delay p95 and post-heal catch-up time. *)
+let latency_cells rs =
+  let worst = worst rs in
+  [
+    worst (fun (r : Runner.result) -> r.update_latency.Stats.p50);
+    worst (fun (r : Runner.result) -> r.update_latency.Stats.p95);
+    worst (fun (r : Runner.result) -> r.update_latency.Stats.p99);
+    worst (injected (fun f -> (Fault.delivery_delay f).Stats.p95));
+    worst (injected Fault.recovery_time);
+  ]
 
 (** R1 — drop-rate sweep under a fixed partition window: loss up to 30%
     plus a 250-unit partition isolating node 0 (the sequencer — the
@@ -124,21 +86,18 @@ let f1 ?(drops = [ 0.0; 0.1; 0.2; 0.3 ]) ?(seeds = 3) ?(procs = 4) ?(ops = 12)
       (fun kind ->
         List.map
           (fun drop ->
-            let c = measure ~procs ~ops ~seeds ~kind ~plan:(plan_of drop) () in
+            let rs = runs ~procs ~ops ~seeds ~kind ~plan:(plan_of drop) () in
+            let total = total rs in
             [
               Fmt.str "%a" Store.pp_kind kind;
               Table.f2 drop;
-              adm c;
-              Table.i c.retrans;
-              Table.i c.dropped;
-              Table.i c.dups;
-              Table.i c.abandoned;
-              Table.i c.u_p50;
-              Table.i c.u_p95;
-              Table.i c.u_p99;
-              Table.i c.dd_p95;
-              Table.i c.recovery;
-            ])
+              adm kind rs;
+              total (counted (fun c -> c.Fault.retransmissions));
+              total (injected Fault.dropped);
+              total (counted (fun c -> c.Fault.duplicates));
+              total (counted (fun c -> c.Fault.abandoned));
+            ]
+            @ latency_cells rs)
           drops)
       [ Store.Msc; Store.Mlin ]
   in
@@ -193,19 +152,16 @@ let f2 ?(lengths = [ 0; 100; 250; 500 ]) ?(seeds = 3) ?(procs = 4) ?(ops = 12)
       (fun kind ->
         List.map
           (fun len ->
-            let c = measure ~procs ~ops ~seeds ~kind ~plan:(plan_of len) () in
+            let rs = runs ~procs ~ops ~seeds ~kind ~plan:(plan_of len) () in
+            let total = total rs in
             [
               Fmt.str "%a" Store.pp_kind kind;
               Table.i len;
-              adm c;
-              Table.i c.retrans;
-              Table.i c.dropped;
-              Table.i c.u_p50;
-              Table.i c.u_p95;
-              Table.i c.u_p99;
-              Table.i c.dd_p95;
-              Table.i c.recovery;
-            ])
+              adm kind rs;
+              total (counted (fun c -> c.Fault.retransmissions));
+              total (injected Fault.dropped);
+            ]
+            @ latency_cells rs)
           lengths)
       [ Store.Msc; Store.Mlin ]
   in

@@ -18,87 +18,50 @@ open Mmc_recovery
 
 let spec = { Mmc_workload.Spec.default with n_objects = 8 }
 
-let run_recovery ?(procs = 4) ?(ops = 12) ~seed ~impl ~policy ~plan () =
-  let cfg =
-    {
-      Runner.default_config with
-      n_procs = procs;
-      n_objects = spec.Mmc_workload.Spec.n_objects;
-      ops_per_proc = ops;
-      kind = Store.Rmsc;
-      abcast_impl = impl;
-      fault = plan;
-      recovery = policy;
-    }
-  in
-  Runner.run ~seed cfg ~workload:(Mmc_workload.Generator.mixed spec)
-
-let admissible (res : Runner.result) =
-  match Runner.check_trace res ~flavour:History.Msc with
-  | Check_constrained.Admissible _ -> true
-  | _ -> false
-
-(** One (impl, schedule, interval) cell aggregated over seeds. *)
-type cell = {
-  ok : int;  (** admissible stitched histories *)
-  conv : int;  (** runs where every replica converged *)
-  of_ : int;
-  recoveries : int;
-  replayed : int;  (** WAL entries replayed across restarts *)
-  checkpoints : int;
-  pulls : int;  (** anti-entropy pull rounds *)
-  pushed : int;  (** catch-up entries + snapshots shipped *)
-  epochs : int;  (** sequencer view changes (0 under lamport) *)
-  holes : int;
-  resubmits : int;
-}
-
-let zero ~seeds =
-  {
-    ok = 0;
-    conv = 0;
-    of_ = seeds;
-    recoveries = 0;
-    replayed = 0;
-    checkpoints = 0;
-    pulls = 0;
-    pushed = 0;
-    epochs = 0;
-    holes = 0;
-    resubmits = 0;
-  }
-
-let measure ?procs ?ops ~seeds ~impl ~policy ~plan () =
-  let acc = ref (zero ~seeds) in
-  for seed = 0 to seeds - 1 do
-    let res = run_recovery ?procs ?ops ~seed ~impl ~policy ~plan () in
-    let a = !acc in
-    let a = if admissible res then { a with ok = a.ok + 1 } else a in
-    acc :=
-      (match res.Runner.recovery with
-      | None -> a
-      | Some h ->
-        let logs = h.Rstore.log_stats () in
-        let sum f = Array.fold_left (fun t s -> t + f s) 0 logs in
-        let b = h.Rstore.broadcast_stats () in
+(** The runs of one cell, one per seed [0 .. seeds - 1], each with its
+    {!Runner.judge}ment: the rmsc store under [plan], broadcast [impl]
+    (default sequencer), WAL [policy] and [detector] tuning. *)
+let runs ?(procs = 4) ?(ops = 12) ?(impl = Mmc_broadcast.Abcast.Sequencer_impl)
+    ?(policy = Rlog.default_policy) ?detector ~seeds plan =
+  List.init seeds (fun seed ->
+      let cfg =
         {
-          a with
-          conv = (a.conv + if h.Rstore.converged () then 1 else 0);
-          recoveries = a.recoveries + h.Rstore.recoveries ();
-          replayed = a.replayed + sum (fun s -> s.Rlog.replayed);
-          checkpoints = a.checkpoints + sum (fun s -> s.Rlog.checkpoints);
-          pulls = a.pulls + h.Rstore.pulls ();
-          pushed =
-            a.pushed + h.Rstore.entries_pushed ()
-            + h.Rstore.snapshots_pushed ();
-          epochs = a.epochs + b.Mmc_broadcast.Rbcast.epochs;
-          holes = a.holes + b.Mmc_broadcast.Rbcast.holes;
-          resubmits = a.resubmits + b.Mmc_broadcast.Rbcast.resubmits;
-        })
-  done;
-  !acc
+          Runner.default_config with
+          n_procs = procs;
+          n_objects = spec.Mmc_workload.Spec.n_objects;
+          ops_per_proc = ops;
+          kind = Store.Rmsc;
+          abcast_impl = impl;
+          fault = plan;
+          recovery = policy;
+          detector;
+        }
+      in
+      let res =
+        Runner.run ~seed cfg ~workload:(Mmc_workload.Generator.mixed spec)
+      in
+      (res, Runner.judge cfg res))
 
-let frac a b = Fmt.str "%d/%d" a b
+(* The cells every R3-R5 row starts with: admissible and converged runs
+   of [js], out of all of them. *)
+let verdict_cells (js : Runner.judgement list) =
+  [
+    Table.frac
+      (fun (j : Runner.judgement) ->
+        match j.check with Check_constrained.Admissible _ -> true | _ -> false)
+      js;
+    Table.frac (fun (j : Runner.judgement) -> j.converged) js;
+  ]
+
+(* One counter of the judged runs [js], totalled; [bcast] reads it off
+   the broadcast's stats. *)
+let total js f = Table.i (Table.sum f js)
+
+let bcast js f =
+  total js (fun (j : Runner.judgement) -> f (j.handle.broadcast_stats ()))
+
+(* Catch-up entries plus snapshots a run's replicas shipped. *)
+let pushed (h : Rstore.handle) = h.entries_pushed () + h.snapshots_pushed ()
 
 (** The crash schedules swept: none (loss only), a wipe of the initial
     sequencer, and the sequencer plus a follower later in the run. *)
@@ -130,24 +93,26 @@ let r3 ?(intervals = [ 4; 16; 64 ]) ?(seeds = 3) ?(procs = 4) ?(ops = 12)
             List.map
               (fun checkpoint_every ->
                 let policy = { Rlog.default_policy with checkpoint_every } in
-                let c =
-                  measure ~procs ~ops ~seeds ~impl ~policy ~plan ()
+                let js =
+                  List.map snd (runs ~procs ~ops ~impl ~policy ~seeds plan)
                 in
+                let total = total js and bcast = bcast js in
                 [
                   Fmt.str "%a" Mmc_broadcast.Abcast.pp_impl impl;
                   sname;
                   Table.i checkpoint_every;
-                  frac c.ok c.of_;
-                  frac c.conv c.of_;
-                  Table.i c.recoveries;
-                  Table.i c.replayed;
-                  Table.i c.checkpoints;
-                  Table.i c.pulls;
-                  Table.i c.pushed;
-                  Table.i c.epochs;
-                  Table.i c.holes;
-                  Table.i c.resubmits;
-                ])
+                ]
+                @ verdict_cells js
+                @ [
+                    total (fun j -> j.handle.recoveries ());
+                    total (fun j -> j.wal.replayed);
+                    total (fun j -> j.wal.checkpoints);
+                    total (fun j -> j.handle.pulls ());
+                    total (fun j -> pushed j.handle);
+                    bcast (fun b -> b.Mmc_broadcast.Rbcast.epochs);
+                    bcast (fun b -> b.holes);
+                    bcast (fun b -> b.resubmits);
+                  ])
               intervals)
           schedules)
       [ Mmc_broadcast.Abcast.Sequencer_impl; Mmc_broadcast.Abcast.Lamport_impl ]
@@ -184,20 +149,6 @@ let r3 ?(intervals = [ 4; 16; 64 ]) ?(seeds = 3) ?(procs = 4) ?(ops = 12)
       ];
   }
 
-(** One (fault mix, interval) cell of R5 aggregated over seeds. *)
-type scell = {
-  s_ok : int;
-  s_conv : int;
-  s_of : int;
-  torn : int;  (** sectors truncated off torn tails *)
-  corrupt : int;  (** damaged records detected by CRC *)
-  repaired : int;  (** records refilled in place or from peers *)
-  truncated : int;  (** WAL records retired behind checkpoints *)
-  transferred : int;  (** catch-up entries + snapshots shipped *)
-  scrubbed : int;  (** record verifications by the scrub daemon *)
-  fallbacks : int;  (** damaged checkpoints skipped at load *)
-}
-
 (** The storage-fault mixes swept: every plan wipes the initial
     sequencer (a tear needs a crash to tear), then layers torn
     writes, bit-rot and stale-checkpoint loss on top. *)
@@ -224,56 +175,15 @@ let storage_mixes =
 (** The checkpoint intervals R5 sweeps. *)
 let r5_intervals = [ 4; 16 ]
 
-(** One R5 cell: the storage-fault [plan] at checkpoint interval
-    [checkpoint_every], summed over seeds [0 .. seeds - 1].  The table
-    rows and the test gating R5's claims both read it from here. *)
-let storage_cell ?(seeds = 3) ?(procs = 4) ?(ops = 12) ~plan checkpoint_every =
+(** One R5 cell: the judgements of the runs of the storage-fault
+    [plan] at checkpoint interval [checkpoint_every], one per seed
+    [0 .. seeds - 1].  The table rows and the test gating R5's claims
+    both read it from here. *)
+let storage_cell ?(seeds = 3) ?procs ?ops ~plan checkpoint_every =
   (* retain tightened so segment retirement actually fires at this
      trace length (the truncated/reclaimed columns) *)
   let policy = { Rlog.default_policy with checkpoint_every; retain = 16 } in
-  let acc =
-    ref
-      {
-        s_ok = 0;
-        s_conv = 0;
-        s_of = seeds;
-        torn = 0;
-        corrupt = 0;
-        repaired = 0;
-        truncated = 0;
-        transferred = 0;
-        scrubbed = 0;
-        fallbacks = 0;
-      }
-  in
-  for seed = 0 to seeds - 1 do
-    let res =
-      run_recovery ~procs ~ops ~seed ~policy ~plan
-        ~impl:Mmc_broadcast.Abcast.Sequencer_impl ()
-    in
-    let a = !acc in
-    let a = if admissible res then { a with s_ok = a.s_ok + 1 } else a in
-    acc :=
-      (match res.Runner.recovery with
-      | None -> a
-      | Some h ->
-        let logs = h.Rstore.log_stats () in
-        let sum f = Array.fold_left (fun t s -> t + f s) 0 logs in
-        {
-          a with
-          s_conv = (a.s_conv + if h.Rstore.converged () then 1 else 0);
-          torn = a.torn + sum (fun s -> s.Rlog.torn);
-          corrupt = a.corrupt + sum (fun s -> s.Rlog.corrupt);
-          repaired = a.repaired + sum (fun s -> s.Rlog.repaired);
-          truncated = a.truncated + sum (fun s -> s.Rlog.truncated);
-          transferred =
-            a.transferred + h.Rstore.entries_pushed ()
-            + h.Rstore.snapshots_pushed ();
-          scrubbed = a.scrubbed + sum (fun s -> s.Rlog.scrubbed);
-          fallbacks = a.fallbacks + sum (fun s -> s.Rlog.ckpt_fallbacks);
-        })
-  done;
-  !acc
+  List.map snd (runs ?procs ?ops ~policy ~seeds plan)
 
 (** R5 — storage-fault mix x checkpoint interval.  Convergence and
     admissibility must survive every mix: CRC framing detects the
@@ -289,20 +199,19 @@ let r5 ?(intervals = r5_intervals) ?seeds ?procs ?ops
       (fun (mname, plan) ->
         List.map
           (fun checkpoint_every ->
-            let c = storage_cell ?seeds ?procs ?ops ~plan checkpoint_every in
-            [
-              mname;
-              Table.i checkpoint_every;
-              frac c.s_ok c.s_of;
-              frac c.s_conv c.s_of;
-              Table.i c.torn;
-              Table.i c.corrupt;
-              Table.i c.repaired;
-              Table.i c.truncated;
-              Table.i c.transferred;
-              Table.i c.scrubbed;
-              Table.i c.fallbacks;
-            ])
+            let js = storage_cell ?seeds ?procs ?ops ~plan checkpoint_every in
+            let total = total js in
+            [ mname; Table.i checkpoint_every ]
+            @ verdict_cells js
+            @ [
+                total (fun j -> j.wal.torn);
+                total (fun j -> j.wal.corrupt);
+                total (fun j -> j.wal.repaired);
+                total (fun j -> j.wal.truncated);
+                total (fun j -> pushed j.handle);
+                total (fun j -> j.wal.scrubbed);
+                total (fun j -> j.wal.ckpt_fallbacks);
+              ])
           intervals)
       mixes
   in
@@ -337,20 +246,6 @@ let r5 ?(intervals = r5_intervals) ?seeds ?procs ?ops
       ];
   }
 
-(** One (suspect_after, drop) cell of R4 aggregated over seeds. *)
-type dcell = {
-  d_ok : int;
-  d_conv : int;
-  d_of : int;
-  suspicions : int;
-  false_susp : int;
-  refuted : int;
-  d_epochs : int;
-  d_resubmits : int;
-  stab_acks : int;
-  d_duration : int;
-}
-
 (** R4 — suspicion timeout x loss rate under the in-band failure
     detector.  The plan wipes the initial sequencer mid-run, so every
     cell exercises suspicion-triggered failover; the loss rate stresses
@@ -371,86 +266,28 @@ let r4 ?(timeouts = [ 60; 100; 200 ]) ?(drops = [ 0.0; 0.1; 0.2 ])
                 crashes = [ { Fault.node = 0; at = 150; back = 600; wipe = true } ];
               }
             in
-            let detector =
-              Some { Detector.default_config with suspect_after }
+            let detector = { Detector.default_config with suspect_after } in
+            let rs = runs ~procs ~ops ~detector ~seeds plan in
+            let js = List.map snd rs in
+            let total = total js and bcast = bcast js in
+            let det f =
+              total (fun j ->
+                  Option.fold ~none:0 ~some:f
+                    (j.Runner.handle.Rstore.detector_stats ()))
             in
-            let acc =
-              ref
-                {
-                  d_ok = 0;
-                  d_conv = 0;
-                  d_of = seeds;
-                  suspicions = 0;
-                  false_susp = 0;
-                  refuted = 0;
-                  d_epochs = 0;
-                  d_resubmits = 0;
-                  stab_acks = 0;
-                  d_duration = 0;
-                }
-            in
-            for seed = 0 to seeds - 1 do
-              let cfg =
-                {
-                  Runner.default_config with
-                  n_procs = procs;
-                  n_objects = spec.Mmc_workload.Spec.n_objects;
-                  ops_per_proc = ops;
-                  kind = Store.Rmsc;
-                  fault = plan;
-                  detector;
-                }
-              in
-              let res =
-                Runner.run ~seed cfg
-                  ~workload:(Mmc_workload.Generator.mixed spec)
-              in
-              let a = !acc in
-              let a = if admissible res then { a with d_ok = a.d_ok + 1 } else a in
-              acc :=
-                (match res.Runner.recovery with
-                | None -> a
-                | Some h ->
-                  let b = h.Rstore.broadcast_stats () in
-                  let ds =
-                    match h.Rstore.detector_stats () with
-                    | Some s -> s
-                    | None ->
-                      {
-                        Detector.beats_sent = 0;
-                        beats_delivered = 0;
-                        suspicions = 0;
-                        false_suspicions = 0;
-                        refutations = 0;
-                        doubts = 0;
-                      }
-                  in
-                  {
-                    a with
-                    d_conv = (a.d_conv + if h.Rstore.converged () then 1 else 0);
-                    suspicions = a.suspicions + ds.Detector.suspicions;
-                    false_susp = a.false_susp + ds.Detector.false_suspicions;
-                    refuted = a.refuted + ds.Detector.refutations;
-                    d_epochs = a.d_epochs + b.Mmc_broadcast.Rbcast.epochs;
-                    d_resubmits = a.d_resubmits + b.Mmc_broadcast.Rbcast.resubmits;
-                    stab_acks = a.stab_acks + h.Rstore.stability_acks ();
-                    d_duration = a.d_duration + res.Runner.duration;
-                  })
-            done;
-            let c = !acc in
-            [
-              Table.i suspect_after;
-              Fmt.str "%.2f" drop;
-              frac c.d_ok c.d_of;
-              frac c.d_conv c.d_of;
-              Table.i c.suspicions;
-              Table.i c.false_susp;
-              Table.i c.refuted;
-              Table.i c.d_epochs;
-              Table.i c.d_resubmits;
-              Table.i c.stab_acks;
-              Table.i (c.d_duration / seeds);
-            ])
+            [ Table.i suspect_after; Fmt.str "%.2f" drop ]
+            @ verdict_cells js
+            @ [
+                det (fun d -> d.Detector.suspicions);
+                det (fun d -> d.false_suspicions);
+                det (fun d -> d.refutations);
+                bcast (fun b -> b.Mmc_broadcast.Rbcast.epochs);
+                bcast (fun b -> b.resubmits);
+                total (fun j -> j.handle.stability_acks ());
+                Table.i
+                  (Table.sum (fun ((r : Runner.result), _) -> r.duration) rs
+                  / seeds);
+              ])
           drops)
       timeouts
   in

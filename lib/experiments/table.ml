@@ -31,6 +31,18 @@ let render ppf table =
 
 let print table = Fmt.pr "%a@." render table
 
+(** [sum f xs] — [f] totalled over [xs], e.g. one counter over a
+    cell's per-seed runs. *)
+let sum f xs = List.fold_left (fun t x -> t + f x) 0 xs
+
+(** [worst f xs] — the largest [f] over [xs] (0 when empty). *)
+let worst f xs = List.fold_left (fun t x -> max t (f x)) 0 xs
+
+(** [frac p xs] — the cell ["k/n"]: [k] of the [n] elements of [xs]
+    satisfy [p]. *)
+let frac p xs =
+  Fmt.str "%d/%d" (List.length (List.filter p xs)) (List.length xs)
+
 let f1 x = Fmt.str "%.1f" x
 let f2 x = Fmt.str "%.2f" x
 let i = string_of_int

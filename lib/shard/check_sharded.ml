@@ -21,7 +21,6 @@ let is_admissible = function
   | _ -> false
 
 let shards_admissible = Array.for_all (fun v -> is_admissible v.result)
-let all_shards_admissible t = shards_admissible t.per_shard
 
 let admissible t = is_admissible t.stitched
 

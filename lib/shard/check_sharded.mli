@@ -46,7 +46,10 @@ type t = {
       (** (every shard admissible) <=> (stitched history admissible) *)
 }
 
-val all_shards_admissible : t -> bool
+(** Every per-shard verdict (of {!check_shards}, or [t.per_shard])
+    admissible. *)
+val shards_admissible : shard_verdict array -> bool
+
 val admissible : t -> bool  (** the stitched verdict *)
 
 val pp : Format.formatter -> t -> unit

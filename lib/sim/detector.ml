@@ -25,7 +25,11 @@ let default_config = { heartbeat_every = 25; suspect_after = 100 }
 let validate_config c =
   if c.heartbeat_every < 1 then
     invalid_arg "Detector: heartbeat_every must be >= 1";
-  if c.suspect_after < 1 then invalid_arg "Detector: suspect_after must be >= 1"
+  if c.suspect_after < 1 then invalid_arg "Detector: suspect_after must be >= 1";
+  (* A peer that is suspected before its next beat can arrive is
+     suspected forever, and the failover it triggers never ends. *)
+  if c.suspect_after <= c.heartbeat_every then
+    invalid_arg "Detector: suspect_after must exceed heartbeat_every"
 
 let pp_config ppf c =
   Format.fprintf ppf "beat=%d suspect=%d" c.heartbeat_every c.suspect_after

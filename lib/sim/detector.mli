@@ -31,6 +31,11 @@ type config = {
 }
 
 val default_config : config
+
+(** Raise [Invalid_argument] unless both periods are positive and
+    [suspect_after] exceeds [heartbeat_every]: a detector that suspects
+    no later than it hears beats never stops suspecting, and a run
+    under it never ends. *)
 val validate_config : config -> unit
 val pp_config : Format.formatter -> config -> unit
 

@@ -75,22 +75,24 @@ let validate ?n plan =
         fs)
     [ ("tear", plan.tears); ("rot", plan.rots); ("stale", plan.stales) ]
 
+(* The separators carry no break hint: a plan prints on one line,
+   however long. *)
 let pp_storage_faults what ppf fs =
   if fs <> [] then
     Fmt.pf ppf " %s=%a" what
       Fmt.(
-        list ~sep:comma (fun ppf (f : storage_fault) ->
+        list ~sep:(any ", ") (fun ppf (f : storage_fault) ->
             pf ppf "%d@%d" f.node f.at))
       fs
 
 let pp_plan ppf p =
   Fmt.pf ppf "drop=%g spikes=%g/+%d partitions=%a crashes=%a%a%a%a" p.drop
     p.spike_prob p.spike_delay
-    Fmt.(list ~sep:comma (fun ppf w ->
-        pf ppf "[%d,%d)x{%a}" w.from_ w.until (list ~sep:semi int) w.island))
+    Fmt.(list ~sep:(any ", ") (fun ppf w ->
+        pf ppf "[%d,%d)x{%a}" w.from_ w.until (list ~sep:(any "; ") int) w.island))
     p.partitions
     Fmt.(
-      list ~sep:comma (fun ppf (c : crash) ->
+      list ~sep:(any ", ") (fun ppf (c : crash) ->
           pf ppf "%d:[%d,%d)%s" c.node c.at c.back (if c.wipe then "!" else "")))
     p.crashes (pp_storage_faults "tears") p.tears (pp_storage_faults "rots")
     p.rots

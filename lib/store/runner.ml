@@ -138,6 +138,75 @@ let check_history ?(kind = Constraints.WW) h ~sync_order ~flavour =
 let check_trace ?kind (res : result) ~flavour =
   check_history ?kind res.history ~sync_order:res.sync_order ~flavour
 
+type judgement = {
+  handle : Rstore.handle;
+  check : Check_constrained.result;
+  converged : bool;
+  problems : string list;
+  restarts : int;
+  given_up : int;
+  wal : Mmc_recovery.Rlog.stats;
+}
+
+(* The replicas' WAL counters, summed field by field. *)
+let total_wal logs =
+  let sum f = Array.fold_left (fun t s -> t + f s) 0 logs in
+  let open Mmc_recovery.Rlog in
+  {
+    appends = sum (fun s -> s.appends);
+    checkpoints = sum (fun s -> s.checkpoints);
+    truncated = sum (fun s -> s.truncated);
+    replayed = sum (fun s -> s.replayed);
+    torn = sum (fun s -> s.torn);
+    corrupt = sum (fun s -> s.corrupt);
+    silent = sum (fun s -> s.silent);
+    repaired = sum (fun s -> s.repaired);
+    scrubbed = sum (fun s -> s.scrubbed);
+    ckpt_fallbacks = sum (fun s -> s.ckpt_fallbacks);
+    reclaimed_sectors = sum (fun s -> s.reclaimed_sectors);
+    resident_bytes = sum (fun s -> s.resident_bytes);
+  }
+
+let judge cfg res =
+  let handle =
+    match res.recovery with
+    | Some h -> h
+    | None -> invalid_arg "Runner.judge: not a run of the rmsc store"
+  in
+  let given_up, restarts =
+    match res.fault with
+    | None -> (0, 0)
+    | Some f ->
+      let c = Fault.counts f in
+      (c.Fault.abandoned, c.Fault.restarts)
+  in
+  (* The counter oracle, one message per failed check: no operation
+     lost, every wipe-crash restarted and completed its recovery. *)
+  let expected = cfg.n_procs * cfg.ops_per_proc in
+  let wipes = List.length (Fault.wipes cfg.fault) in
+  let recoveries = handle.recoveries () in
+  let unless ok fmt = Fmt.kstr (fun s -> if ok then None else Some s) fmt in
+  let problems =
+    List.filter_map Fun.id
+      [
+        unless (res.completed = expected) "completed %d ops, expected %d"
+          res.completed expected;
+        unless (recoveries = wipes) "%d recoveries completed for %d wipe-crashes"
+          recoveries wipes;
+        unless (restarts = wipes) "%d restarts recorded for %d wipe-crashes"
+          restarts wipes;
+      ]
+  in
+  {
+    handle;
+    check = check_trace res ~flavour:(Store.flavour cfg.kind);
+    converged = handle.converged ();
+    problems;
+    restarts;
+    given_up;
+    wal = total_wal (handle.log_stats ());
+  }
+
 module Loop = struct
   type t = {
     store : Store.t;

@@ -105,6 +105,29 @@ val check_history :
   flavour:History.flavour ->
   Check_constrained.result
 
+(** The judgement of one run of the recoverable store ([Rmsc]): its
+    three recovery oracles — the replicas converged, the history
+    stitched across crash epochs is Theorem-7 admissible, and no
+    operation or wipe-crash restart went missing. *)
+type judgement = {
+  handle : Rstore.handle;  (** the store's recovery introspection *)
+  check : Check_constrained.result;
+      (** {!check_trace} under the store's {!Store.flavour} *)
+  converged : bool;  (** every replica reached identical state *)
+  problems : string list;
+      (** the counter oracle's complaints, one message per failed
+          check: completed = procs x ops, recoveries = wipe-crashes,
+          restarts = wipe-crashes; [[]] when all hold *)
+  restarts : int;  (** wipe-crash restarts the fault injector recorded *)
+  given_up : int;  (** messages the reliable layer abandoned *)
+  wal : Mmc_recovery.Rlog.stats;  (** WAL counters summed over replicas *)
+}
+
+(** [judge cfg res] — the oracles applied to [res], a {!run} of [cfg].
+    Raises [Invalid_argument] when [res] carries no recovery handle
+    ([cfg.kind] is not [Rmsc]). *)
+val judge : config -> result -> judgement
+
 (** What one closed-loop run measured, up to quiescence. *)
 module Loop : sig
   type t = {

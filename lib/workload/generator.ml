@@ -298,17 +298,3 @@ let dcas_contention (spec : Spec.t) rng ~proc ~step =
       ~new1:(Value.Int (100 + proc))
       ~new2:(Value.Int (200 + proc))
   end
-
-(** Bank workload: transfers between random accounts plus audits.  The
-    audit invariant (constant total) is what consistency buys. *)
-let bank ~initial_balance:_ (spec : Spec.t) rng ~proc ~step =
-  ignore proc;
-  ignore step;
-  let n = spec.Spec.n_objects in
-  if Rng.bernoulli rng ~p:spec.Spec.read_ratio then
-    Mmc_objects.Bank.audit (List.init n Fun.id)
-  else begin
-    let from_ = Rng.int rng ~bound:n in
-    let to_ = (from_ + 1 + Rng.int rng ~bound:(n - 1)) mod n in
-    Mmc_objects.Bank.transfer ~from_ ~to_ (1 + Rng.int rng ~bound:10)
-  end

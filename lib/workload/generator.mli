@@ -62,7 +62,3 @@ val sharded_counter_commute :
 
 (** DCAS-heavy contention workload over register pairs. *)
 val dcas_contention : Spec.t -> Rng.t -> proc:int -> step:int -> Prog.mprog
-
-(** Bank workload: transfers between random accounts plus audits. *)
-val bank :
-  initial_balance:int -> Spec.t -> Rng.t -> proc:int -> step:int -> Prog.mprog

@@ -329,9 +329,9 @@ let sharded_run ?(skew = 0.0) ~batch n_shards =
 let msgs_per_op (r : Mmc_shard.Shard_runner.result) =
   float_of_int r.messages /. float_of_int (max 1 r.completed)
 
-let all_shards_pass r =
-  Mmc_shard.Check_sharded.all_shards_admissible
-    (Mmc_shard.Shard_runner.check r ~flavour:History.Msc)
+let all_shards_pass (r : Mmc_shard.Shard_runner.result) =
+  Mmc_shard.Check_sharded.(
+    shards_admissible (check_shards r.recorders ~flavour:History.Msc))
 
 (* Batching must pay on the wire at every shard count (>= 15% fewer
    messages per op), even where the closed loop keeps batches small,

@@ -45,6 +45,9 @@ let test_validate_config () =
   in
   invalid { Detector.heartbeat_every = 0; suspect_after = 100 };
   invalid { Detector.heartbeat_every = 25; suspect_after = 0 };
+  invalid { Detector.heartbeat_every = 10; suspect_after = 10 };
+  invalid { Detector.heartbeat_every = 10; suspect_after = 5 };
+  Detector.validate_config { Detector.heartbeat_every = 10; suspect_after = 11 };
   Detector.validate_config default
 
 let test_suspect_then_refute () =

@@ -313,6 +313,77 @@ let test_recovery_crash_free_is_plain_msc () =
       Alcotest.(check bool) "admissible" true (theorem7_admissible res))
     [ Abcast.Sequencer_impl; Abcast.Lamport_impl ]
 
+(* --- the judgement of a run: Runner.judge on the pinned reproducers --- *)
+
+(* A run built the way `mmc recover` builds it ([Generator.mixed] over
+   [Spec.default] with the run's object count; 4 processes, 8 objects,
+   12 m-operations each and the wipe-crash plan by default), judged.
+   The cases are the CLI's pinned runs, so this checks the library
+   record the CLI prints from, not an exit code. *)
+let judged ?(procs = 4) ?(objects = 8) ?(ops = 12)
+    ?(policy = Rlog.default_policy) ~seed plan =
+  let plan =
+    match Fault.of_spec plan with Ok p -> p | Error e -> Alcotest.fail e
+  in
+  let cfg =
+    {
+      Mmc_store.Runner.default_config with
+      n_procs = procs;
+      n_objects = objects;
+      ops_per_proc = ops;
+      kind = Mmc_store.Store.Rmsc;
+      fault = plan;
+      recovery = policy;
+    }
+  in
+  let spec = { Mmc_workload.Spec.default with n_objects = objects } in
+  let res =
+    Mmc_store.Runner.run ~seed cfg ~workload:(Mmc_workload.Generator.mixed spec)
+  in
+  Mmc_store.Runner.judge cfg res
+
+let test_judge_reproducers () =
+  let admissible (j : Mmc_store.Runner.judgement) =
+    match j.check with Check_constrained.Admissible _ -> true | _ -> false
+  in
+  (* `mmc recover --seed 1`: the default plan passes every oracle. *)
+  let j = judged ~seed:1 "drop=0.1,wipe=0:150:600,wipe=2:900:1300" in
+  Alcotest.(check bool) "seed 1: converged" true j.converged;
+  Alcotest.(check bool) "seed 1: admissible" true (admissible j);
+  Alcotest.(check (list string)) "seed 1: no problems" [] j.problems;
+  Alcotest.(check int) "seed 1: restarts" 2 j.restarts;
+  (* Seed 147 converges admissibly but loses 33 operations: only the
+     counter oracle fails. *)
+  let j =
+    judged ~ops:400 ~seed:147
+      "drop=0.2278832034565767,part=206:467:0+2+3,crash=2:479:734,stale=2:212"
+  in
+  Alcotest.(check bool) "seed 147: converged" true j.converged;
+  Alcotest.(check bool) "seed 147: admissible" true (admissible j);
+  Alcotest.(check (list string))
+    "seed 147: the lost operations" [ "completed 1567 ops, expected 1600" ]
+    j.problems;
+  (* The torn WAL tail: converged, every counter sane, but the stitched
+     history is not legal. *)
+  let j = judged ~seed:3 "wipe=1:150:600,tear=1:150" in
+  Alcotest.(check string) "torn tail: the triple"
+    "interfere(a=#43, b=#7, c=#24 on x6)"
+    (match j.check with
+    | Check_constrained.Not_legal t -> Fmt.str "%a" Legality.pp_triple t
+    | r -> Fmt.str "not Not_legal: %a" Check_constrained.pp_result r);
+  Alcotest.(check bool) "torn tail: converged" true j.converged;
+  Alcotest.(check (list string)) "torn tail: no problems" [] j.problems;
+  (* With integrity checking off, a torn tail reaches replay: the
+     replicas diverge without the run raising, and the history stays
+     admissible. *)
+  let j =
+    judged ~ops:10 ~seed:16
+      ~policy:{ Rlog.default_policy with Rlog.scrub_every = 0; crc = false }
+      "drop=0.01987483787741462,crash=0:586:1047,wipe=1:170:641,tear=1:170"
+  in
+  Alcotest.(check bool) "crc off: diverged" false j.converged;
+  Alcotest.(check bool) "crc off: admissible" true (admissible j)
+
 let () =
   Alcotest.run "recovery"
     [
@@ -345,5 +416,7 @@ let () =
             test_recovery_catchup_under_giveup;
           Alcotest.test_case "crash-free = msc" `Quick
             test_recovery_crash_free_is_plain_msc;
+          Alcotest.test_case "judgement of the pinned reproducers" `Quick
+            test_judge_reproducers;
         ] );
     ]

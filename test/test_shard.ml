@@ -530,8 +530,8 @@ let test_recovery_stitching_across_crash () =
       Alcotest.(check bool)
         (Fmt.str "per-shard verdicts match the crash-free run (seed %d)" seed)
         true
-        (Check_sharded.all_shards_admissible v
-        = Check_sharded.all_shards_admissible v'))
+        (Check_sharded.shards_admissible v.per_shard
+        = Check_sharded.shards_admissible v'.per_shard))
     [ 0; 1; 2 ]
 
 let test_config_validation () =
