@@ -1142,7 +1142,7 @@ let chaos (cfg : Runner.config) seed plans json verbose =
       match run with
       | Ok (res, { handle; _ }) when verbose -> (
         Fmt.pr "            cursors: %a@."
-          Fmt.(array ~sep:sp int)
+          Fmt.(array ~sep:(any " ") int)
           (handle.Mmc_store.Rstore.cursors ());
         Fmt.pr "            broadcast: %a@." Mmc_broadcast.Rbcast.pp_stats
           (handle.Mmc_store.Rstore.broadcast_stats ());

@@ -32,6 +32,8 @@ let pp_result ppf = function
   | Cyclic -> Fmt.string ppf "~H cyclic"
   | Extended_cyclic -> Fmt.string ppf "extended relation cyclic"
 
+let admissible = function Admissible _ -> true | _ -> false
+
 (* Verdicts compared by constructor: the chain and dense pipelines
    decide over the same closure but may pick different witnesses and
    name different violating triples. *)

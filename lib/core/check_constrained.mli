@@ -17,6 +17,9 @@ type result =
 
 val pp_result : Format.formatter -> result -> unit
 
+(** [admissible r] — [r] is {!Admissible}. *)
+val admissible : result -> bool
+
 (** [same_verdict a b] — [a] and [b] are the same verdict constructor.
     The chain and dense pipelines decide over the same closure but may
     pick different witnesses and name different violating triples, so

@@ -194,9 +194,7 @@ let t7 ?(n_histories = 60) () =
       let exh, ems = Table.time_ms (fun () -> Admissible.search h base) in
       poly_ms := !poly_ms +. pms;
       exh_ms := !exh_ms +. ems;
-      let legal =
-        match poly with Check_constrained.Admissible _ -> true | _ -> false
-      in
+      let legal = Check_constrained.admissible poly in
       let adm =
         match exh with Admissible.Admissible _ -> true | _ -> false
       in
@@ -251,9 +249,8 @@ let v2 ?(sizes = [ 30; 60; 120; 240 ]) () =
           (Check_constrained.sync_edges [ res.Mmc_store.Runner.sync_order ]);
         let poly_ok, poly_ms =
           Table.time_ms (fun () ->
-              match Check_constrained.check_relation h base Constraints.WW with
-              | Check_constrained.Admissible _ -> true
-              | _ -> false)
+              Check_constrained.admissible
+                (Check_constrained.check_relation h base Constraints.WW))
         in
         let stats = { Admissible.states = 0; memo_hits = 0 } in
         let np_ok, np_ms =

@@ -35,9 +35,7 @@ let run_faulty ?(procs = 4) ?(ops = 12) ~seed ~kind ~plan () =
     under the WW constraint (the broadcast totally orders updates), by
     the chain-decomposed check ({!Runner.check_trace}). *)
 let admissible (res : Runner.result) flavour =
-  match Runner.check_trace res ~flavour with
-  | Check_constrained.Admissible _ -> true
-  | _ -> false
+  Check_constrained.admissible (Runner.check_trace res ~flavour)
 
 (** The runs of one (store, plan) cell, one per seed [0 .. seeds - 1]. *)
 let runs ?procs ?ops ~seeds ~kind ~plan () =

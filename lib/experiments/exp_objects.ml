@@ -31,8 +31,7 @@ let run_dcas ~kind ~n_procs ~attempts ~seed =
     | Store.Lock ->
       Lock_store.create engine ~n:n_procs ~n_objects:2 ~latency ~rng ~recorder
     | Store.Aw ->
-      Aw_store.create engine ~n:n_procs ~n_objects:2 ~latency ~rng ~delta:15
-        ~recorder
+      Aw_store.create engine ~n:n_procs ~n_objects:2 ~latency ~rng ~recorder
     | Store.Rmsc | Store.Seg ->
       invalid_arg "exp_objects: not ablated here"
   in

@@ -378,7 +378,6 @@ let a1 ?(seeds = 6) () =
           ops_per_proc = 12;
           kind;
           latency;
-          aw_delta = 15;
         }
       in
       let res =

@@ -47,8 +47,7 @@ let runs ?(procs = 4) ?(ops = 12) ?(impl = Mmc_broadcast.Abcast.Sequencer_impl)
 let verdict_cells (js : Runner.judgement list) =
   [
     Table.frac
-      (fun (j : Runner.judgement) ->
-        match j.check with Check_constrained.Admissible _ -> true | _ -> false)
+      (fun (j : Runner.judgement) -> Check_constrained.admissible j.check)
       js;
     Table.frac (fun (j : Runner.judgement) -> j.converged) js;
   ]

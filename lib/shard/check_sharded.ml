@@ -16,13 +16,10 @@ type t = {
   composes : bool;
 }
 
-let is_admissible = function
-  | Check_constrained.Admissible _ -> true
-  | _ -> false
+let shards_admissible =
+  Array.for_all (fun v -> Check_constrained.admissible v.result)
 
-let shards_admissible = Array.for_all (fun v -> is_admissible v.result)
-
-let admissible t = is_admissible t.stitched
+let admissible t = Check_constrained.admissible t.stitched
 
 (* The stitched history's synchronization orders: every per-shard
    chain and the merged global update order. *)
@@ -55,7 +52,8 @@ let of_verdicts per_shard stitched =
   {
     per_shard;
     stitched;
-    composes = shards_admissible per_shard = is_admissible stitched;
+    composes =
+      shards_admissible per_shard = Check_constrained.admissible stitched;
   }
 
 let check ?(kind = Constraints.WW) placement recorders ~flavour =

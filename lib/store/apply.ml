@@ -1,12 +1,6 @@
-(** Shared program-application logic for the protocol stores.
-
-    Executes a program against a replica's copy of the shared objects
-    and its version vector, collecting the information the recorder
-    needs: the operation list, the external reads with the versions
-    read, and the final writes with the versions they establish.
-    Version entries of written objects are bumped once per object after
-    the program finishes — exactly action (A2)'s
-    [forall x in wobjects(a): ts[x]++]. *)
+(** Shared program-application logic for the protocol stores (see the
+    interface): one run of a program against a replica's copy, version
+    vector and namespaces. *)
 
 open Mmc_core
 
@@ -17,100 +11,61 @@ type applied = {
   writes : (Types.obj_id * int * int) list;  (** (object, new version, ns) *)
 }
 
-(** Apply an (update or query) program to the replica state [(x, ts)],
-    mutating both. *)
-let update (x : Value.t array) (ts : int array) ~ns prog =
-  let ops = ref [] in
-  let written = ref [] in
-  let reads = ref [] in
-  let rd o =
-    let v = x.(o) in
-    ops := Op.read o v :: !ops;
-    if (not (List.mem o !written))
-       && not (List.exists (fun (o', _, _) -> o' = o) !reads)
-    then reads := (o, ts.(o), ns) :: !reads;
-    v
-  in
-  let wr o v =
-    ops := Op.write o v :: !ops;
-    x.(o) <- v;
-    if not (List.mem o !written) then written := o :: !written
-  in
-  let result = Prog.run prog ~read:rd ~write:wr in
-  let writes =
-    List.rev_map
-      (fun o ->
-        ts.(o) <- ts.(o) + 1;
-        (o, ts.(o), ns))
-      !written
-  in
-  { result; ops = List.rev !ops; reads = List.rev !reads; writes }
-
-(** Namespace-tracking variant for stores whose replica state mixes
-    version namespaces (the [seg] store records fast-path writes under
-    a per-replica namespace when the classifier is untrusted):
-    [ns_of.(o)] is the namespace of the version currently held by
-    object [o]; reads report it, and writes re-home the object under
-    [writer_ns]. *)
-let update_ns (x : Value.t array) (ts : int array) (ns_of : int array)
-    ~writer_ns prog =
-  let ops = ref [] in
-  let written = ref [] in
-  let reads = ref [] in
-  let rd o =
-    let v = x.(o) in
-    ops := Op.read o v :: !ops;
-    if (not (List.mem o !written))
-       && not (List.exists (fun (o', _, _) -> o' = o) !reads)
-    then reads := (o, ts.(o), ns_of.(o)) :: !reads;
-    v
-  in
-  let wr o v =
-    ops := Op.write o v :: !ops;
-    x.(o) <- v;
-    if not (List.mem o !written) then written := o :: !written
-  in
-  let result = Prog.run prog ~read:rd ~write:wr in
-  let writes =
-    List.rev_map
-      (fun o ->
-        ts.(o) <- ts.(o) + 1;
-        ns_of.(o) <- writer_ns;
-        (o, ts.(o), writer_ns))
-      !written
-  in
-  { result; ops = List.rev !ops; reads = List.rev !reads; writes }
-
 exception Query_wrote of Types.obj_id
 
-(** Apply a query program to a snapshot; writing is a protocol
-    violation (the caller declared an empty write set). *)
-let query (x : Value.t array) (ts : int array) ~ns prog =
-  let ops = ref [] in
-  let reads = ref [] in
-  let rd o =
-    let v = x.(o) in
-    ops := Op.read o v :: !ops;
-    if not (List.exists (fun (o', _, _) -> o' = o) !reads) then
-      reads := (o, ts.(o), ns) :: !reads;
-    v
-  in
-  let wr o _ = raise (Query_wrote o) in
-  let result = Prog.run prog ~read:rd ~write:wr in
-  { result; ops = List.rev !ops; reads = List.rev !reads; writes = [] }
+(* What a run has seen so far, newest first.  One mutable record and
+   the top-level helpers below, rather than refs and per-read closures,
+   keep what a run allocates to its ops, reads and writes: every store
+   runs every m-operation through here. *)
+type trace = {
+  mutable ops : Op.t list;
+  mutable reads : (Types.obj_id * int * int) list;
+  mutable written : Types.obj_id list;  (** first writes *)
+}
 
-(** Namespace-tracking query: reads report the namespace of the
-    version currently held (see {!update_ns}). *)
-let query_ns (x : Value.t array) (ts : int array) (ns_of : int array) prog =
-  let ops = ref [] in
-  let reads = ref [] in
-  let rd o =
+let rec read_before (o : Types.obj_id) = function
+  | [] -> false
+  | (o', _, _) :: rest -> o' = o || read_before o rest
+
+(* Give each written object its new version and namespace [ns]: the
+   newest first write first, so the list comes out oldest first —
+   action (A2)'s [ts[x]++], once per object. *)
+let rec establish ts ns_of ns version acc = function
+  | [] -> acc
+  | o :: rest ->
+    let v = match version with None -> ts.(o) + 1 | Some f -> f o in
+    ts.(o) <- v;
+    (match ns_of with Some a -> a.(o) <- ns | None -> ());
+    establish ts ns_of ns version ((o, v, ns) :: acc) rest
+
+let run ?ns_of ?version ~query x ts ~ns prog =
+  let t = { ops = []; reads = []; written = [] } in
+  let read o =
     let v = x.(o) in
-    ops := Op.read o v :: !ops;
-    if not (List.exists (fun (o', _, _) -> o' = o) !reads) then
-      reads := (o, ts.(o), ns_of.(o)) :: !reads;
+    t.ops <- Op.read o v :: t.ops;
+    if not (List.mem o t.written || read_before o t.reads) then
+      t.reads <-
+        (o, ts.(o), match ns_of with Some a -> a.(o) | None -> ns) :: t.reads;
     v
   in
-  let wr o _ = raise (Query_wrote o) in
-  let result = Prog.run prog ~read:rd ~write:wr in
-  { result; ops = List.rev !ops; reads = List.rev !reads; writes = [] }
+  let write o v =
+    if query then raise (Query_wrote o);
+    t.ops <- Op.write o v :: t.ops;
+    x.(o) <- v;
+    if not (List.mem o t.written) then t.written <- o :: t.written
+  in
+  let result = Prog.run prog ~read ~write in
+  {
+    result;
+    ops = List.rev t.ops;
+    reads = List.rev t.reads;
+    writes = establish ts ns_of ns version [] t.written;
+  }
+
+let update x ts ~ns prog = run ~query:false x ts ~ns prog
+
+let update_ns x ts ns_of ~writer_ns prog =
+  run ~ns_of ~query:false x ts ~ns:writer_ns prog
+
+let query x ts ~ns prog = run ~query:true x ts ~ns prog
+let query_ns x ts ns_of prog = run ~ns_of ~query:true x ts ~ns:0 prog

@@ -1,7 +1,8 @@
 (** Shared program-application logic: execute a program against a
     replica's object copy and version vector, collecting what the
     recorder needs; written objects' versions bump once each after the
-    program finishes (action (A2)'s [ts[x]++]). *)
+    program finishes (action (A2)'s [ts[x]++]).  {!run} is the one
+    execution every store shares; the rest are its common instances. *)
 
 open Mmc_core
 
@@ -14,6 +15,28 @@ type applied = {
       (** final writes: (object, new version, namespace) *)
 }
 
+exception Query_wrote of Types.obj_id
+
+(** [run ?ns_of ?version ~query x ts ~ns prog] runs [prog] against the
+    copy [x], whose object [o] holds version [ts.(o)] in namespace
+    [ns_of.(o)] ([ns] for every object without [ns_of]).
+
+    A read of [o] is external, and reported with that version and
+    namespace, unless [prog] read or wrote [o] before.  A write stores
+    its value in [x]; with [query] it raises {!Query_wrote} instead
+    (the caller declared an empty write set).  Once [prog] finishes,
+    each object it wrote takes version [version o] (default
+    [ts.(o) + 1]) in namespace [ns], in [ts] and [ns_of]. *)
+val run :
+  ?ns_of:int array ->
+  ?version:(Types.obj_id -> int) ->
+  query:bool ->
+  Value.t array ->
+  int array ->
+  ns:int ->
+  Prog.t ->
+  applied
+
 (** Apply an update (or any) program, mutating the copy and the
     version vector. *)
 val update : Value.t array -> int array -> ns:int -> Prog.t -> applied
@@ -25,10 +48,8 @@ val update : Value.t array -> int array -> ns:int -> Prog.t -> applied
 val update_ns :
   Value.t array -> int array -> int array -> writer_ns:int -> Prog.t -> applied
 
-exception Query_wrote of Types.obj_id
-
 (** Apply a query program to a snapshot; raises {!Query_wrote} if it
-    writes (the caller declared an empty write set). *)
+    writes. *)
 val query : Value.t array -> int array -> ns:int -> Prog.t -> applied
 
 (** Namespace-tracking query (see {!update_ns}). *)

@@ -6,10 +6,10 @@
 
     An update issued at time [t] is sent to every replica and applied
     at time [t + delta + 1] — the first instant strictly after the
-    delay bound — by the synchronized clock (the simulator's virtual
-    time {e is} a perfectly synchronized clock); the issuer responds
-    when it applies.  Queries read the local copy immediately.
-    When every message really arrives within [delta], all replicas
+    delay bound, [delta] = 15 ticks — by the synchronized clock (the
+    simulator's virtual time {e is} a perfectly synchronized clock);
+    the issuer responds when it applies.  Queries read the local copy
+    immediately.  When every message really arrives within [delta], all replicas
     apply every update at the same instant in the same (time, origin,
     sequence) order and executions are m-linearizable.
 
@@ -36,62 +36,37 @@ type update_msg = {
   mprog : Prog.mprog;
 }
 
-type node_state = {
-  x : Value.t array;
-  tags : (int * int) array;  (** (ns, version) of each object's value *)
-}
+(* The version and namespace of each object's value: a write of
+   origin [j]'s [s]-th update is version [s + 1] in namespace [j + 1]. *)
+type node_state = { x : Value.t array; ver : int array; ns : int array }
 
-let create ?fault engine ~n ~n_objects ~latency ~rng ~delta ~recorder : Store.t =
-  if delta < 1 then invalid_arg "Aw_store.create: delta must be >= 1";
+let delta = 15
+
+let create ?fault engine ~n ~n_objects ~latency ~rng ~recorder : Store.t =
   let net = Transport.create ?fault engine ~n ~latency ~rng:(Rng.split rng) in
   let states =
     Array.init n (fun _ ->
-        { x = Array.make n_objects Value.initial; tags = Array.make n_objects (0, 0) })
+        {
+          x = Array.make n_objects Value.initial;
+          ver = Array.make n_objects 0;
+          ns = Array.make n_objects 0;
+        })
   in
   let origin_seqs = Array.make n 0 in
   let zero_ts () = Array.make n_objects 0 in
   (* Apply [u] to [node]'s copy; record only at the origin. *)
   let apply node (u : update_msg) =
     let st = states.(node) in
-    let ops = ref [] in
-    let written = ref [] in
-    let reads = ref [] in
-    let rd o =
-      let v = st.x.(o) in
-      ops := Op.read o v :: !ops;
-      if (not (List.mem o !written))
-         && not (List.exists (fun (o', _, _) -> o' = o) !reads)
-      then begin
-        let ns, ver = st.tags.(o) in
-        reads := (o, ver, ns) :: !reads
-      end;
-      v
+    let applied =
+      Apply.run ~ns_of:st.ns
+        ~version:(fun _ -> u.origin_seq + 1)
+        ~query:false st.x st.ver ~ns:(u.origin + 1) u.mprog.Prog.prog
     in
-    let wr o v =
-      ops := Op.write o v :: !ops;
-      st.x.(o) <- v;
-      st.tags.(o) <- (u.origin + 1, u.origin_seq + 1);
-      if not (List.mem o !written) then written := o :: !written
-    in
-    let result = Prog.run u.mprog.Prog.prog ~read:rd ~write:wr in
-    if node = u.origin then begin
-      let writes =
-        List.rev_map (fun o -> (o, u.origin_seq + 1, u.origin + 1)) !written
-      in
+    if node = u.origin then
       Recorder.add recorder
-        {
-          Recorder.proc = u.origin;
-          inv = u.issued;
-          resp = Engine.now engine;
-          ops = List.rev !ops;
-          reads = List.rev !reads;
-          writes;
-          start_ts = zero_ts ();
-          finish_ts = zero_ts ();
-          sync = None;
-        }
-    end;
-    result
+        (Recorder.make ~proc:u.origin ~inv:u.issued ~resp:(Engine.now engine)
+           ~start_ts:(zero_ts ()) ~finish_ts:(zero_ts ()) applied);
+    applied.Apply.result
   in
   (* Per-node pending queue: updates are applied at max(issued + delta,
      arrival), in (due time, origin, origin_seq) order — the
@@ -133,32 +108,11 @@ let create ?fault engine ~n ~n_objects ~latency ~rng ~delta ~recorder : Store.t 
     let now = Engine.now engine in
     if Prog.is_query m then begin
       let st = states.(proc) in
-      let ops = ref [] in
-      let reads = ref [] in
-      let rd o =
-        let v = st.x.(o) in
-        ops := Op.read o v :: !ops;
-        if not (List.exists (fun (o', _, _) -> o' = o) !reads) then begin
-          let ns, ver = st.tags.(o) in
-          reads := (o, ver, ns) :: !reads
-        end;
-        v
-      in
-      let wr o _ = raise (Apply.Query_wrote o) in
-      let result = Prog.run m.Prog.prog ~read:rd ~write:wr in
+      let applied = Apply.query_ns st.x st.ver st.ns m.Prog.prog in
       Recorder.add recorder
-        {
-          Recorder.proc;
-          inv = now;
-          resp = now;
-          ops = List.rev !ops;
-          reads = List.rev !reads;
-          writes = [];
-          start_ts = zero_ts ();
-          finish_ts = zero_ts ();
-          sync = None;
-        };
-      k result
+        (Recorder.make ~proc ~inv:now ~resp:now ~start_ts:(zero_ts ())
+           ~finish_ts:(zero_ts ()) applied);
+      k applied.Apply.result
     end
     else begin
       let u =

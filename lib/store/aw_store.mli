@@ -10,6 +10,10 @@
     write sets and values must be data-independent (straight-line blind
     writes). *)
 
+(** The delay bound the store assumes, in ticks: an update applies
+    [delta + 1] ticks after it was issued. *)
+val delta : int
+
 (** [fault] attaches a fault injector: all of the protocol's traffic
     then runs over the reliable ack/retransmit transport and survives
     message loss, partitions and crash/recovery windows. *)
@@ -20,6 +24,5 @@ val create :
   n_objects:int ->
   latency:Mmc_sim.Latency.t ->
   rng:Mmc_sim.Rng.t ->
-  delta:int ->
   recorder:Recorder.t ->
   Store.t

@@ -28,9 +28,10 @@ type node_state = {
   x : Value.t array;
   vc : int array;  (** vc.(j) = number of j's updates applied here *)
   mutable pending : update_msg list;
-  (* (ns, version) tag of the current value of each object, for the
-     recorder. *)
-  tags : (int * int) array;
+  (* version and namespace of the current value of each object, for
+     the recorder. *)
+  ver : int array;
+  ns : int array;
   (* per-origin per-object write counters (deterministic across
      replicas thanks to per-origin FIFO application). *)
   write_counts : int array array;
@@ -44,44 +45,23 @@ let create ?fault engine ~n ~n_objects ~latency ~rng ~recorder : Store.t =
           x = Array.make n_objects Value.initial;
           vc = Array.make n 0;
           pending = [];
-          tags = Array.make n_objects (0, 0);
+          ver = Array.make n_objects 0;
+          ns = Array.make n_objects 0;
           write_counts = Array.init n (fun _ -> Array.make n_objects 0);
         })
   in
-  (* Apply an update at [node]; returns the recorder payload pieces. *)
   let apply node (u : update_msg) =
     let st = states.(node) in
-    let ops = ref [] in
-    let written = ref [] in
-    let reads = ref [] in
-    let rd o =
-      let v = st.x.(o) in
-      ops := Op.read o v :: !ops;
-      if (not (List.mem o !written))
-         && not (List.exists (fun (o', _, _) -> o' = o) !reads)
-      then begin
-        let ns, ver = st.tags.(o) in
-        reads := (o, ver, ns) :: !reads
-      end;
-      v
-    in
-    let wr o v =
-      ops := Op.write o v :: !ops;
-      st.x.(o) <- v;
-      if not (List.mem o !written) then written := o :: !written
-    in
-    let result = Prog.run u.mprog.Prog.prog ~read:rd ~write:wr in
-    let writes =
-      List.rev_map
-        (fun o ->
-          let c = st.write_counts.(u.origin).(o) + 1 in
-          st.write_counts.(u.origin).(o) <- c;
-          st.tags.(o) <- (u.origin + 1, c);
-          (o, c, u.origin + 1))
-        !written
+    let counts = st.write_counts.(u.origin) in
+    let applied =
+      Apply.run ~ns_of:st.ns
+        ~version:(fun o ->
+          counts.(o) <- counts.(o) + 1;
+          counts.(o))
+        ~query:false st.x st.ver ~ns:(u.origin + 1) u.mprog.Prog.prog
     in
     st.vc.(u.origin) <- st.vc.(u.origin) + 1;
-    (result, List.rev !ops, List.rev !reads, writes)
+    applied
   in
   (* Causal deliverability of a remote update at [node]. *)
   let deliverable node (u : update_msg) =
@@ -111,32 +91,11 @@ let create ?fault engine ~n ~n_objects ~latency ~rng ~recorder : Store.t =
     let now = Engine.now engine in
     if Prog.is_query m then begin
       let st = states.(proc) in
-      let ops = ref [] in
-      let reads = ref [] in
-      let rd o =
-        let v = st.x.(o) in
-        ops := Op.read o v :: !ops;
-        if not (List.exists (fun (o', _, _) -> o' = o) !reads) then begin
-          let ns, ver = st.tags.(o) in
-          reads := (o, ver, ns) :: !reads
-        end;
-        v
-      in
-      let wr o _ = raise (Apply.Query_wrote o) in
-      let result = Prog.run m.Prog.prog ~read:rd ~write:wr in
+      let applied = Apply.query_ns st.x st.ver st.ns m.Prog.prog in
       Recorder.add recorder
-        {
-          Recorder.proc;
-          inv = now;
-          resp = now;
-          ops = List.rev !ops;
-          reads = List.rev !reads;
-          writes = [];
-          start_ts = zero_ts ();
-          finish_ts = zero_ts ();
-          sync = None;
-        };
-      k result
+        (Recorder.make ~proc ~inv:now ~resp:now ~start_ts:(zero_ts ())
+           ~finish_ts:(zero_ts ()) applied);
+      k applied.Apply.result
     end
     else begin
       (* Apply locally, respond, flood to the other replicas. *)
@@ -144,23 +103,14 @@ let create ?fault engine ~n ~n_objects ~latency ~rng ~recorder : Store.t =
       let vc = Array.copy st.vc in
       vc.(proc) <- vc.(proc) + 1;
       let u = { origin = proc; vc; mprog = m } in
-      let result, ops, reads, writes = apply proc u in
+      let applied = apply proc u in
       Recorder.add recorder
-        {
-          Recorder.proc;
-          inv = now;
-          resp = now;
-          ops;
-          reads;
-          writes;
-          start_ts = zero_ts ();
-          finish_ts = zero_ts ();
-          sync = None;
-        };
+        (Recorder.make ~proc ~inv:now ~resp:now ~start_ts:(zero_ts ())
+           ~finish_ts:(zero_ts ()) applied);
       for dst = 0 to n - 1 do
         if dst <> proc then Transport.send net ~src:proc ~dst u
       done;
-      k result
+      k applied.Apply.result
     end
   in
   {

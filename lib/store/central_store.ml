@@ -53,17 +53,10 @@ let create ?fault engine ~n ~n_objects ~latency ~rng ~recorder : Store.t =
           let k = Hashtbl.find conts reqid in
           Hashtbl.remove conts reqid;
           Recorder.add recorder
-            {
-              Recorder.proc = node;
-              inv;
-              resp = Engine.now engine;
-              ops = applied.Apply.ops;
-              reads = applied.Apply.reads;
-              writes = applied.Apply.writes;
-              start_ts;
-              finish_ts;
-              sync = (if applied.Apply.writes = [] then None else Some position);
-            };
+            (Recorder.make ~proc:node ~inv ~resp:(Engine.now engine) ~start_ts
+               ~finish_ts
+               ?sync:(if applied.Apply.writes = [] then None else Some position)
+               applied);
           k applied.Apply.result)
   done;
   let invoke ~proc (m : Prog.mprog) ~k =

@@ -21,17 +21,8 @@ let create engine ~n ~n_objects ~recorder : Store.t =
        unrelated. *)
     let applied = Apply.update xs.(proc) ts ~ns:(proc + 1) m.Prog.prog in
     Recorder.add recorder
-      {
-        Recorder.proc;
-        inv = now;
-        resp = now;
-        ops = applied.Apply.ops;
-        reads = applied.Apply.reads;
-        writes = applied.Apply.writes;
-        start_ts;
-        finish_ts = Array.copy ts;
-        sync = None;
-};
+      (Recorder.make ~proc ~inv:now ~resp:now ~start_ts
+         ~finish_ts:(Array.copy ts) applied);
     k applied.Apply.result
   in
   { Store.name = "local"; invoke; messages_sent = (fun () -> 0) }

@@ -74,17 +74,15 @@ let create ?fault engine ~n ~n_objects ~latency ~rng ~recorder : Store.t =
         (fun obj -> Transport.send net ~src:p.proc ~dst:(owner obj) (Unlock { obj }))
         p.mprog.Prog.may_touch;
       Recorder.add recorder
-        {
-          Recorder.proc = p.proc;
-          inv = p.inv;
-          resp = Engine.now engine;
-          ops = List.rev p.ops;
-          reads = List.rev p.reads;
-          writes = List.map (fun (o, v) -> (o, v, 0)) p.writes;
-          start_ts = Array.make n_objects 0;
-          finish_ts = Array.make n_objects 0;
-          sync = None;
-};
+        (Recorder.make ~proc:p.proc ~inv:p.inv ~resp:(Engine.now engine)
+           ~start_ts:(Array.make n_objects 0)
+           ~finish_ts:(Array.make n_objects 0)
+           {
+             Apply.result;
+             ops = List.rev p.ops;
+             reads = List.rev p.reads;
+             writes = List.map (fun (o, v) -> (o, v, 0)) p.writes;
+           });
       p.k result
     | Prog.Read (obj, k) ->
       if not (List.mem obj p.mprog.Prog.may_touch) then

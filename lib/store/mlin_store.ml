@@ -1,9 +1,10 @@
 (** The m-linearizability protocol (paper, Figure 6).
 
-    Updates are handled exactly as in the m-SC protocol (A1/A2).  To
-    keep queries from reading stale values, a query sends a "query"
-    message to every process (A3); each process replies with its copy
-    of the shared objects and its timestamp (A4); the issuer keeps the
+    Updates are handled exactly as in the m-SC protocol (A1/A2): the
+    replicas and the update path are {!Msc_store.replicas}.  To keep
+    queries from reading stale values, a query sends a "query" message
+    to every process (A3); each process replies with its copy of the
+    shared objects and its timestamp (A4); the issuer keeps the
     freshest reply — replica timestamps are totally ordered because
     every replica's state is a prefix of the atomic broadcast sequence
     — (A5), and once all [n] replies arrived it executes the query
@@ -15,14 +16,6 @@
 
 open Mmc_core
 open Mmc_sim
-open Mmc_broadcast
-
-type upd_payload = {
-  origin : int;
-  mprog : Prog.mprog;
-  inv : Types.time;
-  k : Value.t -> unit;
-}
 
 type query_msg =
   | Query of { qid : int; origin : int }
@@ -39,36 +32,10 @@ type pending_query = {
 
 let create ?fault ?reliable ?batch engine ~n ~n_objects ~latency ~rng
     ~abcast_impl ~recorder : Store.t =
-  let xs = Array.init n (fun _ -> Array.make n_objects Value.initial) in
-  let tss = Array.init n (fun _ -> Array.make n_objects 0) in
-  let delivered = Array.make n 0 in
-  let deliver ~node ~origin:_ payload =
-    let position = delivered.(node) in
-    delivered.(node) <- position + 1;
-    let start_ts =
-      if node = payload.origin then Some (Array.copy tss.(node)) else None
-    in
-    let applied = Apply.update xs.(node) tss.(node) ~ns:0 payload.mprog.Prog.prog in
-    if node = payload.origin then begin
-      let resp = Engine.now engine in
-      Recorder.add recorder
-        {
-          Recorder.proc = payload.origin;
-          inv = payload.inv;
-          resp;
-          ops = applied.Apply.ops;
-          reads = applied.Apply.reads;
-          writes = applied.Apply.writes;
-          start_ts = Option.get start_ts;
-          finish_ts = Array.copy tss.(node);
-          sync = Some position;
-        };
-      payload.k applied.Apply.result
-    end
-  in
-  let abcast =
-    (Select.factory abcast_impl) ?fault ?reliable ?batch engine ~n ~latency
-      ~rng:(Rng.split rng) ~deliver
+  (* The broadcast draws its stream first, then the query network. *)
+  let r =
+    Msc_store.replicas ?fault ?reliable ?batch engine ~n ~n_objects ~latency
+      ~rng ~abcast_impl ~recorder
   in
   let qnet = Transport.create ?fault engine ~n ~latency ~rng:(Rng.split rng) in
   let pending : (int, pending_query) Hashtbl.t = Hashtbl.create 16 in
@@ -79,7 +46,12 @@ let create ?fault ?reliable ?batch engine ~n ~n_objects ~latency ~rng
         | Query { qid; origin } ->
           (* (A4): reply with a snapshot of the local copy. *)
           Transport.send qnet ~src:node ~dst:origin
-            (Reply { qid; x = Array.copy xs.(node); ts = Array.copy tss.(node) })
+            (Reply
+               {
+                 qid;
+                 x = Array.copy r.Msc_store.xs.(node);
+                 ts = Array.copy r.Msc_store.tss.(node);
+               })
         | Reply { qid; x; ts } ->
           let st = Hashtbl.find pending qid in
           (* (A5): keep the freshest reply. *)
@@ -91,25 +63,17 @@ let create ?fault ?reliable ?batch engine ~n ~n_objects ~latency ~rng
           if st.replies = n then begin
             (* (A6): all replies received — execute and respond. *)
             Hashtbl.remove pending qid;
-            let applied = Apply.query st.othx st.othts ~ns:0 st.q_mprog.Prog.prog in
-            let resp = Engine.now engine in
+            let applied =
+              Apply.query st.othx st.othts ~ns:0 st.q_mprog.Prog.prog
+            in
             Recorder.add recorder
-              {
-                Recorder.proc = node;
-                inv = st.q_inv;
-                resp;
-                ops = applied.Apply.ops;
-                reads = applied.Apply.reads;
-                writes = [];
-                start_ts = Array.copy st.othts;
-                finish_ts = Array.copy st.othts;
-                sync = None;
-              };
+              (Recorder.make ~proc:node ~inv:st.q_inv ~resp:(Engine.now engine)
+                 ~start_ts:(Array.copy st.othts)
+                 ~finish_ts:(Array.copy st.othts) applied);
             st.q_k applied.Apply.result
           end)
   done;
   let invoke ~proc (m : Prog.mprog) ~k =
-    let now = Engine.now engine in
     if Prog.is_query m then begin
       (* (A3): ask every process for its copy. *)
       let qid = !next_qid in
@@ -120,17 +84,16 @@ let create ?fault ?reliable ?batch engine ~n ~n_objects ~latency ~rng
           othts = Array.make n_objects 0;
           replies = 0;
           q_mprog = m;
-          q_inv = now;
+          q_inv = Engine.now engine;
           q_k = k;
         };
       Transport.send_all qnet ~src:proc (Query { qid; origin = proc })
     end
-    else
-      Abcast.broadcast abcast ~src:proc { origin = proc; mprog = m; inv = now; k }
+    else r.Msc_store.update ~proc m ~k
   in
   {
     Store.name = "mlin";
     invoke;
     messages_sent =
-      (fun () -> Abcast.messages_sent abcast + Transport.messages_sent qnet);
+      (fun () -> r.Msc_store.messages_sent () + Transport.messages_sent qnet);
   }

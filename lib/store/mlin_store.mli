@@ -1,9 +1,9 @@
 (** The m-linearizability protocol (paper, Figure 6): updates as in
-    the m-SC protocol; a query asks every replica for its copy and
-    timestamp, keeps the freshest (replica timestamps are totally
-    ordered — prefixes of the broadcast sequence), and reads from it
-    once all [n] replies arrived.  No clock synchronization or delay
-    bound is assumed. *)
+    the m-SC protocol ({!Msc_store.replicas}); a query asks every
+    replica for its copy and timestamp, keeps the freshest (replica
+    timestamps are totally ordered — prefixes of the broadcast
+    sequence), and reads from it once all [n] replies arrived.  No
+    clock synchronization or delay bound is assumed. *)
 
 (** [fault] attaches a fault injector: all of the protocol's traffic
     then runs over the reliable ack/retransmit transport and survives

@@ -19,67 +19,64 @@ type payload = {
   k : Value.t -> unit;
 }
 
-let create ?fault ?reliable ?batch engine ~n ~n_objects ~latency ~rng
-    ~abcast_impl ~recorder : Store.t =
+type replicas = {
+  xs : Value.t array array;
+  tss : int array array;
+  update : proc:int -> Prog.mprog -> k:(Value.t -> unit) -> unit;
+  messages_sent : unit -> int;
+}
+
+let replicas ?fault ?reliable ?batch engine ~n ~n_objects ~latency ~rng
+    ~abcast_impl ~recorder =
   let xs = Array.init n (fun _ -> Array.make n_objects Value.initial) in
   let tss = Array.init n (fun _ -> Array.make n_objects 0) in
   (* Per-node delivery counters: identical across nodes (total order),
      so the origin's value is the update's global broadcast position. *)
   let delivered = Array.make n 0 in
-  let deliver ~node ~origin:_ payload =
+  (* (A2): every replica applies; the origin records and responds. *)
+  let deliver ~node ~origin:_ p =
     let position = delivered.(node) in
     delivered.(node) <- position + 1;
-    let start_ts =
-      if node = payload.origin then Some (Array.copy tss.(node)) else None
-    in
-    let applied = Apply.update xs.(node) tss.(node) ~ns:0 payload.mprog.Prog.prog in
-    if node = payload.origin then begin
-      let resp = Engine.now engine in
+    let ts = tss.(node) in
+    if node <> p.origin then
+      ignore (Apply.update xs.(node) ts ~ns:0 p.mprog.Prog.prog)
+    else begin
+      let start_ts = Array.copy ts in
+      let applied = Apply.update xs.(node) ts ~ns:0 p.mprog.Prog.prog in
       Recorder.add recorder
-        {
-          Recorder.proc = payload.origin;
-          inv = payload.inv;
-          resp;
-          ops = applied.Apply.ops;
-          reads = applied.Apply.reads;
-          writes = applied.Apply.writes;
-          start_ts = Option.get start_ts;
-          finish_ts = Array.copy tss.(node);
-          sync = Some position;
-        };
-      payload.k applied.Apply.result
+        (Recorder.make ~proc:node ~inv:p.inv ~resp:(Engine.now engine)
+           ~start_ts ~finish_ts:(Array.copy ts) ~sync:position applied);
+      p.k applied.Apply.result
     end
   in
   let abcast =
     (Select.factory abcast_impl) ?fault ?reliable ?batch engine ~n ~latency
       ~rng:(Rng.split rng) ~deliver
   in
+  (* (A1): atomically broadcast the update. *)
+  let update ~proc (m : Prog.mprog) ~k =
+    Abcast.broadcast abcast ~src:proc
+      { origin = proc; mprog = m; inv = Engine.now engine; k }
+  in
+  { xs; tss; update; messages_sent = (fun () -> Abcast.messages_sent abcast) }
+
+let create ?fault ?reliable ?batch engine ~n ~n_objects ~latency ~rng
+    ~abcast_impl ~recorder : Store.t =
+  let r =
+    replicas ?fault ?reliable ?batch engine ~n ~n_objects ~latency ~rng
+      ~abcast_impl ~recorder
+  in
   let invoke ~proc (m : Prog.mprog) ~k =
-    let now = Engine.now engine in
     if Prog.is_query m then begin
       (* (A3): apply to the local copy, respond immediately. *)
-      let ts = tss.(proc) in
-      let applied = Apply.query xs.(proc) ts ~ns:0 m.Prog.prog in
+      let now = Engine.now engine in
+      let ts = r.tss.(proc) in
+      let applied = Apply.query r.xs.(proc) ts ~ns:0 m.Prog.prog in
       Recorder.add recorder
-        {
-          Recorder.proc;
-          inv = now;
-          resp = now;
-          ops = applied.Apply.ops;
-          reads = applied.Apply.reads;
-          writes = [];
-          start_ts = Array.copy ts;
-          finish_ts = Array.copy ts;
-          sync = None;
-        };
+        (Recorder.make ~proc ~inv:now ~resp:now ~start_ts:(Array.copy ts)
+           ~finish_ts:(Array.copy ts) applied);
       k applied.Apply.result
     end
-    else
-      (* (A1): atomically broadcast the update. *)
-      Abcast.broadcast abcast ~src:proc { origin = proc; mprog = m; inv = now; k }
+    else r.update ~proc m ~k
   in
-  {
-    Store.name = "msc";
-    invoke;
-    messages_sent = (fun () -> Abcast.messages_sent abcast);
-  }
+  { Store.name = "msc"; invoke; messages_sent = r.messages_sent }

@@ -31,6 +31,19 @@ type record = {
           stores without a global update order *)
 }
 
+let make ~proc ~inv ~resp ~start_ts ~finish_ts ?sync (a : Apply.applied) =
+  {
+    proc;
+    inv;
+    resp;
+    ops = a.Apply.ops;
+    reads = a.Apply.reads;
+    writes = a.Apply.writes;
+    start_ts;
+    finish_ts;
+    sync;
+  }
+
 type t = {
   n_objects : int;
   mutable records : record list;  (** reversed *)

@@ -20,6 +20,22 @@ type record = {
           order, when the protocol has one *)
 }
 
+(** [make ~proc ~inv ~resp ~start_ts ~finish_ts ?sync a] — the record
+    of the m-operation whose program run was [a]: its ops, external
+    reads and final writes, issued by [proc] at [inv] and answered at
+    [resp], with the replica's version vector before and after it and
+    its synchronization position, if it has one.  Every store records
+    through it. *)
+val make :
+  proc:Types.proc_id ->
+  inv:Types.time ->
+  resp:Types.time ->
+  start_ts:Version_vector.t ->
+  finish_ts:Version_vector.t ->
+  ?sync:int ->
+  Apply.applied ->
+  record
+
 type t
 
 val create : n_objects:int -> t

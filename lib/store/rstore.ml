@@ -165,17 +165,8 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
       if origin = node && not (Watermark.mem responded.(node) lp.oseq) then begin
         Watermark.add responded.(node) lp.oseq;
         Recorder.add recorder
-          {
-            Recorder.proc = node;
-            inv = lp.inv;
-            resp = Engine.now engine;
-            ops = applied.Apply.ops;
-            reads = applied.Apply.reads;
-            writes = applied.Apply.writes;
-            start_ts;
-            finish_ts = Array.copy tss.(node);
-            sync = Some pos;
-          };
+          (Recorder.make ~proc:node ~inv:lp.inv ~resp:(Engine.now engine)
+             ~start_ts ~finish_ts:(Array.copy tss.(node)) ~sync:pos applied);
         match Hashtbl.find_opt ks (node, lp.oseq) with
         | Some k ->
           Hashtbl.remove ks (node, lp.oseq);
@@ -482,17 +473,8 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
       let ts = tss.(proc) in
       let applied = Apply.query xs.(proc) ts ~ns:0 m.Prog.prog in
       Recorder.add recorder
-        {
-          Recorder.proc;
-          inv = now;
-          resp = now;
-          ops = applied.Apply.ops;
-          reads = applied.Apply.reads;
-          writes = [];
-          start_ts = Array.copy ts;
-          finish_ts = Array.copy ts;
-          sync = None;
-        };
+        (Recorder.make ~proc ~inv:now ~resp:now ~start_ts:(Array.copy ts)
+           ~finish_ts:(Array.copy ts) applied);
       k applied.Apply.result
     end
     else begin

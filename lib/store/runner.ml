@@ -20,7 +20,6 @@ type config = {
   latency : Latency.t;
   abcast_impl : Abcast.impl;
   kind : Store.kind;
-  aw_delta : int;  (** delay bound assumed by the Aw store *)
   fault : Fault.plan;
       (** faults injected below the store's transport; {!Fault.none}
           (the default) leaves the channels reliable *)
@@ -57,7 +56,6 @@ let default_config =
     latency = Latency.default;
     abcast_impl = Abcast.Sequencer_impl;
     kind = Store.Msc;
-    aw_delta = 15;
     fault = Fault.none;
     reliable = None;
     recovery = Mmc_recovery.Rlog.default_policy;
@@ -118,7 +116,7 @@ let make_store ?fault ?sink ?tail ?ownership ?fsink cfg engine ~rng ~recorder =
       ~latency:cfg.latency ~rng ~recorder
   | Store.Aw ->
     Aw_store.create ?fault engine ~n:cfg.n_procs ~n_objects:cfg.n_objects
-      ~latency:cfg.latency ~rng ~delta:cfg.aw_delta ~recorder
+      ~latency:cfg.latency ~rng ~recorder
   | Store.Seg ->
     Seg_store.create ?fault ?reliable:cfg.reliable ~batch:cfg.batch
       ~mode:cfg.fastpath ?tail ?ownership ?fsink engine ~n:cfg.n_procs

@@ -13,7 +13,6 @@ type config = {
   latency : Mmc_sim.Latency.t;
   abcast_impl : Mmc_broadcast.Abcast.impl;
   kind : Store.kind;
-  aw_delta : int;  (** delay bound assumed by the Aw store *)
   fault : Mmc_sim.Fault.plan;
       (** faults injected below the store's transport;
           {!Mmc_sim.Fault.none} (the default) leaves the channels

@@ -310,17 +310,9 @@ let create ?fault ?reliable ?batch ?(mode = Classify.Sound) ?(tail = Dense)
       | Some p -> seq_positions := p :: !seq_positions
       | None -> ());
       Recorder.add recorder
-        {
-          Recorder.proc = op.p_origin;
-          inv = op.p_inv;
-          resp = Engine.now engine;
-          ops = applied.Apply.ops;
-          reads = applied.Apply.reads;
-          writes = applied.Apply.writes;
-          start_ts;
-          finish_ts = Array.copy prefix_ts.(node);
-          sync = (if op.p_query then None else op_pos);
-        };
+        (Recorder.make ~proc:op.p_origin ~inv:op.p_inv
+           ~resp:(Engine.now engine) ~start_ts
+           ~finish_ts:(Array.copy prefix_ts.(node)) ?sync:op_pos applied);
       op.p_k applied.Apply.result
     end;
     let key = (b.b_origin, b.b_id) in
@@ -387,17 +379,8 @@ let create ?fault ?reliable ?batch ?(mode = Classify.Sound) ?(tail = Dense)
             m.Prog.prog
         in
         Recorder.add recorder
-          {
-            Recorder.proc;
-            inv;
-            resp = Engine.now engine;
-            ops = applied.Apply.ops;
-            reads = applied.Apply.reads;
-            writes = [];
-            start_ts;
-            finish_ts = Array.copy live_ts.(proc);
-            sync = None;
-          };
+          (Recorder.make ~proc ~inv ~resp:(Engine.now engine) ~start_ts
+             ~finish_ts:(Array.copy live_ts.(proc)) applied);
         k applied.Apply.result
       end
       else escalate ~proc ~inv ~query:true m ~k
@@ -423,19 +406,11 @@ let create ?fault ?reliable ?batch ?(mode = Classify.Sound) ?(tail = Dense)
             Apply.update_ns live_x.(proc) live_ts.(proc) live_ns.(proc)
               ~writer_ns:(fast_ns proc) m.Prog.prog
           in
-          let now = Engine.now engine in
+          (* Its synchronization position is assigned when a barrier
+             carries it. *)
           let rec_ =
-            {
-              Recorder.proc;
-              inv;
-              resp = now;
-              ops = applied.Apply.ops;
-              reads = applied.Apply.reads;
-              writes = applied.Apply.writes;
-              start_ts;
-              finish_ts = Array.copy live_ts.(proc);
-              sync = None;  (* assigned when a barrier carries it *)
-            }
+            Recorder.make ~proc ~inv ~resp:(Engine.now engine) ~start_ts
+              ~finish_ts:(Array.copy live_ts.(proc)) applied
           in
           let seq = next_seq.(proc) in
           next_seq.(proc) <- seq + 1;

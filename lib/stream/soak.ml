@@ -320,9 +320,7 @@ let run ?(on_sample = fun (_ : sample) -> ()) ~seed ~workload cfg =
       | exception Recorder.Inconsistent_versions msg ->
         (Some (Fmt.str "inconsistent versions: %s" msg), None)
       | res ->
-        let adm =
-          match res with Check_constrained.Admissible _ -> true | _ -> false
-        in
+        let adm = Check_constrained.admissible res in
         let agree =
           match verdict with
           | Window_check.Pass -> Some adm

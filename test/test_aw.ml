@@ -16,7 +16,6 @@ let run ~kind ~latency ~seed =
       ops_per_proc = 12;
       kind;
       latency;
-      aw_delta = 15;
     }
   in
   Runner.run ~seed cfg ~workload:(Mmc_workload.Generator.mixed spec)

@@ -235,9 +235,8 @@ let store_run ~seed ~impl ~plan ~delivery ~batch =
   Mmc_store.Runner.run ~seed cfg ~workload:(Mmc_workload.Generator.mixed spec)
 
 let theorem7 res =
-  match Mmc_store.Runner.check_trace res ~flavour:History.Msc with
-  | Check_constrained.Admissible _ -> true
-  | _ -> false
+  Check_constrained.admissible
+    (Mmc_store.Runner.check_trace res ~flavour:History.Msc)
 
 let check_store_pair ~ctx res res_b =
   let completed what (r : Mmc_store.Runner.result) =

@@ -39,9 +39,8 @@ let run ~seed ~delivery ~plan =
   Mmc_store.Runner.run ~seed cfg ~workload:(Mmc_workload.Generator.mixed spec)
 
 let admissible res =
-  match Mmc_store.Runner.check_trace res ~flavour:History.Msc with
-  | Check_constrained.Admissible _ -> true
-  | _ -> false
+  Check_constrained.admissible
+    (Mmc_store.Runner.check_trace res ~flavour:History.Msc)
 
 let handle (res : Mmc_store.Runner.result) =
   match res.Mmc_store.Runner.recovery with

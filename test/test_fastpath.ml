@@ -96,9 +96,7 @@ let run ?(seed = 7) ?(commute_ratio = 0.9) ?read_ratio (c : Runner.config) =
          (spec ?read_ratio c.Runner.n_objects))
 
 let admissible res =
-  match Runner.check_trace res ~flavour:History.Msc with
-  | Check_constrained.Admissible _ -> true
-  | _ -> false
+  Check_constrained.admissible (Runner.check_trace res ~flavour:History.Msc)
 
 let test_seg_admissible () =
   List.iter

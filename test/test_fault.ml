@@ -334,9 +334,8 @@ let theorem7_admissible (res : Mmc_store.Runner.result) flavour =
   let base = History.base_relation h flavour in
   Relation.add_edges base
     (Check_constrained.sync_edges [ res.Mmc_store.Runner.sync_order ]);
-  match Check_constrained.check_relation h base Constraints.WW with
-  | Check_constrained.Admissible _ -> true
-  | _ -> false
+  Check_constrained.admissible
+    (Check_constrained.check_relation h base Constraints.WW)
 
 let test_lossy_run_admissible () =
   let plan =

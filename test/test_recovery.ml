@@ -214,9 +214,8 @@ let run_recovery ~seed ~impl ?reliable ?(policy = Rlog.default_policy) ~plan ()
   Mmc_store.Runner.run ~seed cfg ~workload:(Mmc_workload.Generator.mixed spec)
 
 let theorem7_admissible (res : Mmc_store.Runner.result) =
-  match Mmc_store.Runner.check_trace res ~flavour:History.Msc with
-  | Check_constrained.Admissible _ -> true
-  | _ -> false
+  Check_constrained.admissible
+    (Mmc_store.Runner.check_trace res ~flavour:History.Msc)
 
 let check_recovery_run ~seed ~impl res =
   let ctx = Fmt.str "(%a, seed %d)" Abcast.pp_impl impl seed in
@@ -344,7 +343,7 @@ let judged ?(procs = 4) ?(objects = 8) ?(ops = 12)
 
 let test_judge_reproducers () =
   let admissible (j : Mmc_store.Runner.judgement) =
-    match j.check with Check_constrained.Admissible _ -> true | _ -> false
+    Check_constrained.admissible j.check
   in
   (* `mmc recover --seed 1`: the default plan passes every oracle. *)
   let j = judged ~seed:1 "drop=0.1,wipe=0:150:600,wipe=2:900:1300" in

@@ -782,13 +782,9 @@ let test_r5_claims () =
           in
           let row = Fmt.str "%s ckpt=%d" mix ckpt in
           let count p = List.length (List.filter p js) in
-          let admissible = function
-            | Mmc_core.Check_constrained.Admissible _ -> true
-            | _ -> false
-          in
           Alcotest.(check int) (row ^ ": runs") 3 (List.length js);
           Alcotest.(check int) (row ^ ": admissible") 3
-            (count (fun j -> admissible j.check));
+            (count (fun j -> Mmc_core.Check_constrained.admissible j.check));
           Alcotest.(check int) (row ^ ": converged") 3
             (count (fun j -> j.converged));
           let repaired =

@@ -203,6 +203,84 @@ let test_theorem7_pipeline () =
           Check_constrained.pp_result other)
     [ 0; 1; 2; 3 ]
 
+(* Records pinned: one digest over every m-operation's interval, ops
+   and reads-from (the history's text form), its start/finish stamps,
+   the synchronization order and each run's duration and message
+   count, for every store kind at two seeds, fault-free and, for the
+   stores whose records carry synchronization positions, under a lossy
+   plan; plus [seg] on the owner-local counter workload, whose fast
+   path records under the shared namespace (sound classifier) and
+   per-replica ones (trusted labels).  Any change to what a store
+   runs, sends or records moves it. *)
+let pinned_records = "97acb90a7d298af7362517f9278efaf8"
+
+let lossy_plan =
+  {
+    Mmc_sim.Fault.none with
+    Mmc_sim.Fault.drop = 0.2;
+    spike_prob = 0.05;
+    spike_delay = 40;
+    partitions = [ { Mmc_sim.Fault.from_ = 80; until = 260; island = [ 1 ] } ];
+  }
+
+let test_records_pinned () =
+  let buf = Buffer.create 65536 in
+  let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+  let record ?(fastpath = Mmc_fastpath.Classify.Sound)
+      ?(workload = Mmc_workload.Generator.mixed spec) ctx fault kind seed =
+    let cfg =
+      {
+        Runner.default_config with
+        n_procs = 3;
+        n_objects = spec.Mmc_workload.Spec.n_objects;
+        ops_per_proc = 12;
+        kind;
+        latency = Mmc_sim.Latency.Uniform (2, 20);
+        fault;
+        fastpath;
+      }
+    in
+    let res = Runner.run ~seed cfg ~workload in
+    let h = res.Runner.history in
+    Buffer.add_string buf
+      (Fmt.str "%s %a seed=%d duration=%d messages=%d\n" ctx Store.pp_kind
+         kind seed res.Runner.duration res.Runner.messages);
+    Buffer.add_string buf (Codec.to_string h);
+    List.iter
+      (fun m ->
+        let id = m.Mop.id in
+        let s = Hashtbl.find res.Runner.stamps id in
+        Buffer.add_string buf
+          (Fmt.str "ts %d [%s] [%s]\n" id (ints s.Version_vector.start_ts)
+             (ints s.Version_vector.finish_ts)))
+      (History.real_mops h);
+    Buffer.add_string buf
+      (Fmt.str "sync %s\n" (ints (Array.of_list res.Runner.sync_order)))
+  in
+  let kinds =
+    Store.[ Msc; Mlin; Central; Local; Causal; Lock; Aw; Rmsc; Seg ]
+  in
+  let counters =
+    Mmc_workload.Generator.counter_commute ~commute_ratio:0.7 ~n_procs:3 spec
+  in
+  let trust = Mmc_fastpath.Classify.Trust_labels [ "transfer"; "move" ] in
+  List.iter
+    (fun seed ->
+      List.iter (fun kind -> record "none" Mmc_sim.Fault.none kind seed) kinds;
+      List.iter
+        (fun kind -> record "lossy" lossy_plan kind seed)
+        (List.filter Store.records_sync kinds);
+      List.iter
+        (fun (ctx, fault) ->
+          record ~workload:counters ctx fault Store.Seg seed;
+          record ~workload:counters ~fastpath:trust (ctx ^ " trust") fault
+            Store.Seg seed)
+        [ ("counters", Mmc_sim.Fault.none); ("counters lossy", lossy_plan) ])
+    [ 3; 4 ];
+  Alcotest.(check string)
+    "digest of every record" pinned_records
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let prop_theorem_15_20 =
   QCheck.Test.make
     ~name:"theorems 15/20: protocol histories admissible across seeds"
@@ -240,6 +318,7 @@ let () =
             test_timestamp_properties;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "larger system" `Quick test_larger_system;
+          Alcotest.test_case "records pinned" `Quick test_records_pinned;
         ] );
       ("props", [ QCheck_alcotest.to_alcotest prop_theorem_15_20 ]);
     ]

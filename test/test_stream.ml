@@ -10,10 +10,6 @@
 open Mmc_core
 open Mmc_store
 
-let is_admissible = function
-  | Check_constrained.Admissible _ -> true
-  | _ -> false
-
 let pp_verdict ppf = function
   | Mmc_stream.Window_check.Pass -> Fmt.string ppf "PASS"
   | Mmc_stream.Window_check.Fail { prefix; reason } ->
@@ -59,11 +55,11 @@ let compare_one ~seed ~kind ~flavour ~fault ~window ~settle ~ops =
   | Mmc_stream.Window_check.Pass ->
     Alcotest.(check bool)
       (ctx ^ ": full checker agrees with windowed PASS")
-      true (is_admissible full)
+      true (Check_constrained.admissible full)
   | Mmc_stream.Window_check.Fail _ ->
     Alcotest.(check bool)
       (ctx ^ ": full checker agrees with windowed FAIL")
-      false (is_admissible full)
+      false (Check_constrained.admissible full)
   | Mmc_stream.Window_check.Inconclusive msg ->
     Alcotest.failf "%s: windowed checker inconclusive: %s" ctx msg);
   (v, Mmc_stream.Window_check.metrics wc)
@@ -169,7 +165,9 @@ let test_fail_agreement () =
   let h = History.create ~n_objects:1 mops ~rf in
   let sync_order = [ 1; 2 ] in
   let full = Runner.check_history h ~sync_order ~flavour:History.Msc in
-  Alcotest.(check bool) "full checker rejects" false (is_admissible full);
+  Alcotest.(check bool)
+    "full checker rejects" false
+    (Check_constrained.admissible full);
   List.iter
     (fun window ->
       let wc =
@@ -238,9 +236,13 @@ let test_sharded_per_shard () =
       Mmc_stream.Window_check.feed_history wc h ~sync_order;
       match Mmc_stream.Window_check.finish wc with
       | Mmc_stream.Window_check.Pass ->
-        Alcotest.(check bool) "shard PASS agrees" true (is_admissible full)
+        Alcotest.(check bool)
+          "shard PASS agrees" true
+          (Check_constrained.admissible full)
       | Mmc_stream.Window_check.Fail _ ->
-        Alcotest.(check bool) "shard FAIL agrees" false (is_admissible full)
+        Alcotest.(check bool)
+          "shard FAIL agrees" false
+          (Check_constrained.admissible full)
       | Mmc_stream.Window_check.Inconclusive msg ->
         Alcotest.failf "shard inconclusive: %s" msg)
     res.Mmc_shard.Shard_runner.recorders
