@@ -2,6 +2,9 @@
     check of the storage frames ({!Frame}). *)
 
 val init : int
+
+(** [update state b ~off ~len] feeds [len] bytes of [b] at [off] into
+    [state], a value in [\[0, 2^32)] as {!init} and [update] give. *)
 val update : int -> Bytes.t -> off:int -> len:int -> int
 val finalize : int -> int
 

@@ -8,8 +8,9 @@ type 'p entry = { pos : int; origin : int; payload : 'p option }
 (* In-memory index entry: where a record's frame lives on the device.
    [lsilent] marks a damaged record admitted as a hole under
    [crc = false], so the silent-loss counter counts it once.
-   [lclean] is the device stamp of the frame's last clean scrub, or
-   [-1] when it has none at its current place. *)
+   [lclean] is the device stamp at which the frame was last known
+   clean — its append (the bytes just written) or its last clean
+   scrub read — or [-1] when it has neither at its current place. *)
 type loc = {
   lpos : int;
   lorigin : int;
@@ -135,13 +136,13 @@ let push_frame t e =
   let sector, span = Frame.append t.dev (encode_entry e) in
   (match t.segs with
   | s :: _ ->
-    s.last_sector <- max s.last_sector (sector + span - 1);
-    s.hi_pos <- max s.hi_pos e.pos
+    s.last_sector <- Int.max s.last_sector (sector + span - 1);
+    s.hi_pos <- Int.max s.hi_pos e.pos
   | [] -> ());
   t.seg_fill <- t.seg_fill + 1;
   t.appended <- t.appended + 1;
   { lpos = e.pos; lorigin = e.origin; lsector = sector; lspan = span;
-    lsilent = false; lclean = -1 }
+    lsilent = false; lclean = Blockdev.stamp t.dev }
 
 let unquarantine t pos =
   t.quarantine <-
@@ -261,10 +262,11 @@ let suffix t ~from =
     !bad;
   List.rev !out
 
-(* A frame read clean stays clean until a mutation stamps one of its
-   chunks ({!Blockdev.changed_since}), so a pass reads only the frames
-   whose sectors changed since their last clean read; it still counts
-   every frame it covers. *)
+(* A frame stays clean until a mutation stamps one of its chunks
+   ({!Blockdev.changed_since}).  An append moves no stamp, so a frame
+   is stamped clean when it is appended, and a pass reads only the
+   frames whose sectors changed since their append or last clean read;
+   it still counts every frame it covers. *)
 let scrub t =
   if not t.crc then []
   else begin
@@ -316,7 +318,7 @@ let patch t e =
         let sector, sp = Frame.append t.dev f in
         loc.lsector <- sector;
         loc.lspan <- sp;
-        loc.lclean <- -1
+        loc.lclean <- Blockdev.stamp t.dev
       end;
       loc.lsilent <- false;
       t.repaired <- t.repaired + 1

@@ -166,10 +166,10 @@ let put t ~stamp ~off src ~pos ~len =
   let rec go off pos len =
     if len > 0 then begin
       let c = off / t.chunk_bytes and o = off mod t.chunk_bytes in
-      let n = min len (t.chunk_bytes - o) in
+      let n = Int.min len (t.chunk_bytes - o) in
       let i = chunk t c in
       let b = t.chunks.(i) in
-      let k = max 0 (min n (Bytes.length src - pos)) in
+      let k = Int.max 0 (Int.min n (Bytes.length src - pos)) in
       if k > 0 then Bytes.blit src pos b o k;
       Bytes.fill b (o + k) (n - k) '\000';
       t.masks.(i) <- t.masks.(i) lor bits (o / ss) (n / ss);
@@ -184,7 +184,7 @@ let get t ~off dst ~pos ~len =
   let rec go off pos len =
     if len > 0 then begin
       let c = off / t.chunk_bytes and o = off mod t.chunk_bytes in
-      let n = min len (t.chunk_bytes - o) in
+      let n = Int.min len (t.chunk_bytes - o) in
       let i = slot t c in
       let b = if i < 0 then Bytes.empty else t.chunks.(i) in
       if b == Bytes.empty then Bytes.fill dst pos n '\000'
@@ -209,7 +209,7 @@ let write t ~sector bytes =
   (* Only bytes below the watermark can have been read before; an
      append fills sectors past every earlier write. *)
   put t ~stamp:(sector < t.high) ~off bytes ~pos:0 ~len;
-  t.high <- max t.high (sector + sectors);
+  t.high <- Int.max t.high (sector + sectors);
   t.last <- Some (sector, old, sectors);
   t.writes <- t.writes + 1;
   sectors

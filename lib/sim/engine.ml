@@ -111,7 +111,7 @@ let schedule_now ?daemon t action = schedule ?daemon t ~delay:0 action
     natural form for plan-driven events (crash wipes, restarts, view
     changes) whose instants are known at creation time. *)
 let at ?daemon t ~time action =
-  schedule ?daemon t ~delay:(max 0 (time - t.now)) action
+  schedule ?daemon t ~delay:(Int.max 0 (time - t.now)) action
 
 exception Stop
 

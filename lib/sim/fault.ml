@@ -304,8 +304,15 @@ let fuzz ~rng ~n =
     stales;
   }
 
-let up_in_plan p ~now ~node =
-  not (List.exists (fun (c : crash) -> c.node = node && c.at <= now && now < c.back) p.crashes)
+(* Loops rather than [List.exists] closures: the network asks on every
+   transmission. *)
+let rec down (crashes : crash list) ~now ~node =
+  match crashes with
+  | [] -> false
+  | c :: rest ->
+    (c.node = node && c.at <= now && now < c.back) || down rest ~now ~node
+
+let up_in_plan p ~now ~node = not (down p.crashes ~now ~node)
 
 let crash_instants p =
   List.concat_map (fun (c : crash) -> [ c.at; c.back ]) p.crashes
@@ -330,7 +337,15 @@ type counts = {
 type t = {
   plan : plan;
   rng : Rng.t;
-  mutable c : counts;
+  mutable loss : int;
+  mutable partitioned : int;
+  mutable crashed : int;
+  mutable spikes : int;
+  mutable retransmissions : int;
+  mutable acks : int;
+  mutable abandoned : int;
+  mutable duplicates : int;
+  mutable restarts : int;
   delays : Stats.t;
   heals : int list;  (** partition heal and crash recovery instants *)
   mutable recovery : int;
@@ -341,18 +356,15 @@ let create plan ~rng =
   {
     plan;
     rng;
-    c =
-      {
-        loss = 0;
-        partitioned = 0;
-        crashed = 0;
-        spikes = 0;
-        retransmissions = 0;
-        acks = 0;
-        abandoned = 0;
-        duplicates = 0;
-        restarts = 0;
-      };
+    loss = 0;
+    partitioned = 0;
+    crashed = 0;
+    spikes = 0;
+    retransmissions = 0;
+    acks = 0;
+    abandoned = 0;
+    duplicates = 0;
+    restarts = 0;
     delays = Stats.create ();
     heals =
       List.map (fun w -> w.until) plan.partitions
@@ -362,26 +374,23 @@ let create plan ~rng =
 
 let plan t = t.plan
 
-let node_up t ~now ~node =
-  not
-    (List.exists
-       (fun (c : crash) -> c.node = node && c.at <= now && now < c.back)
-       t.plan.crashes)
+let node_up t ~now ~node = up_in_plan t.plan ~now ~node
+
+let rec cuts windows ~now ~src ~dst =
+  match windows with
+  | [] -> false
+  | w :: rest ->
+    (w.from_ <= now && now < w.until
+    && List.mem src w.island <> List.mem dst w.island)
+    || cuts rest ~now ~src ~dst
 
 let severed t ~now ~src ~dst =
-  src <> dst
-  && List.exists
-       (fun w ->
-         w.from_ <= now && now < w.until
-         && List.mem src w.island <> List.mem dst w.island)
-       t.plan.partitions
+  src <> dst && cuts t.plan.partitions ~now ~src ~dst
 
-let note_drop t reason =
-  t.c <-
-    (match reason with
-    | Loss -> { t.c with loss = t.c.loss + 1 }
-    | Partitioned -> { t.c with partitioned = t.c.partitioned + 1 }
-    | Crashed_src | Crashed_dst -> { t.c with crashed = t.c.crashed + 1 })
+let note_drop t = function
+  | Loss -> t.loss <- t.loss + 1
+  | Partitioned -> t.partitioned <- t.partitioned + 1
+  | Crashed_src | Crashed_dst -> t.crashed <- t.crashed + 1
 
 let judge t ~now ~src ~dst =
   let verdict =
@@ -393,7 +402,7 @@ let judge t ~now ~src ~dst =
       else if
         t.plan.spike_prob > 0.0 && Rng.bernoulli t.rng ~p:t.plan.spike_prob
       then begin
-        t.c <- { t.c with spikes = t.c.spikes + 1 };
+        t.spikes <- t.spikes + 1;
         Deliver t.plan.spike_delay
       end
       else Deliver 0
@@ -402,28 +411,38 @@ let judge t ~now ~src ~dst =
   (match verdict with Drop r -> note_drop t r | Deliver _ -> ());
   verdict
 
-let note_retransmission t =
-  t.c <- { t.c with retransmissions = t.c.retransmissions + 1 }
+let note_retransmission t = t.retransmissions <- t.retransmissions + 1
+let note_ack t = t.acks <- t.acks + 1
+let note_abandoned t = t.abandoned <- t.abandoned + 1
+let note_duplicate t = t.duplicates <- t.duplicates + 1
+let note_restart t = t.restarts <- t.restarts + 1
 
-let note_ack t = t.c <- { t.c with acks = t.c.acks + 1 }
-
-let note_abandoned t = t.c <- { t.c with abandoned = t.c.abandoned + 1 }
-
-let note_duplicate t = t.c <- { t.c with duplicates = t.c.duplicates + 1 }
-
-let note_restart t = t.c <- { t.c with restarts = t.c.restarts + 1 }
+(* A loop, not a [List.iter] closure: it runs on every delivery. *)
+let rec note_heals t ~sent ~delivered = function
+  | [] -> ()
+  | heal :: rest ->
+    if sent < heal && delivered >= heal then
+      t.recovery <- max t.recovery (delivered - heal);
+    note_heals t ~sent ~delivered rest
 
 let note_delivery t ~sent ~delivered =
   Stats.add t.delays (delivered - sent);
-  List.iter
-    (fun heal ->
-      if sent < heal && delivered >= heal then
-        t.recovery <- max t.recovery (delivered - heal))
-    t.heals
+  note_heals t ~sent ~delivered t.heals
 
-let counts t = t.c
+let counts (t : t) =
+  {
+    loss = t.loss;
+    partitioned = t.partitioned;
+    crashed = t.crashed;
+    spikes = t.spikes;
+    retransmissions = t.retransmissions;
+    acks = t.acks;
+    abandoned = t.abandoned;
+    duplicates = t.duplicates;
+    restarts = t.restarts;
+  }
 
-let dropped t = t.c.loss + t.c.partitioned + t.c.crashed
+let dropped (t : t) = t.loss + t.partitioned + t.crashed
 
 let delivery_delay t = Stats.summarize t.delays
 

@@ -49,6 +49,31 @@ let n_nodes t = Array.length t.handlers
     the source node and the message. *)
 let set_handler t node handler = t.handlers.(node) <- handler
 
+(* One transmission attempt that survived the fault judgement: sample
+   its delay and schedule its delivery — the one closure a send
+   allocates. *)
+let schedule_delivery t ~src ~dst msg ~extra =
+  let delay = Latency.sample t.latency t.rng + extra in
+  t.total_delay <- t.total_delay + delay;
+  Engine.schedule t.engine ~delay (fun () ->
+      (* A destination that is down when the message arrives loses
+         it — messages in flight to a crashed node are not queued. *)
+      match t.fault with
+      | Some f when not (Fault.node_up f ~now:(Engine.now t.engine) ~node:dst)
+        ->
+        Fault.note_drop f Fault.Crashed_dst
+      | _ ->
+        t.delivered <- t.delivered + 1;
+        t.handlers.(dst) src msg)
+
+let attempt t ~src ~dst msg =
+  match t.fault with
+  | None -> schedule_delivery t ~src ~dst msg ~extra:0
+  | Some f -> (
+    match Fault.judge f ~now:(Engine.now t.engine) ~src ~dst with
+    | Fault.Drop _ -> ()
+    | Fault.Deliver extra -> schedule_delivery t ~src ~dst msg ~extra)
+
 (** Send [msg] from [src] to [dst]; it will be delivered after a
     sampled delay.  Self-sends are allowed and also pay a delay (the
     paper's query protocol sends the "query" to all processes,
@@ -56,33 +81,12 @@ let set_handler t node handler = t.handlers.(node) <- handler
 let send t ~src ~dst msg =
   if dst < 0 || dst >= n_nodes t then
     invalid_arg (Fmt.str "Network.send: bad destination %d" dst);
-  let deliver_once ?(extra = 0) () =
-    let delay = Latency.sample t.latency t.rng + extra in
-    t.total_delay <- t.total_delay + delay;
-    Engine.schedule t.engine ~delay (fun () ->
-        (* A destination that is down when the message arrives loses
-           it — messages in flight to a crashed node are not queued. *)
-        match t.fault with
-        | Some f when not (Fault.node_up f ~now:(Engine.now t.engine) ~node:dst)
-          ->
-          Fault.note_drop f Fault.Crashed_dst
-        | _ ->
-          t.delivered <- t.delivered + 1;
-          t.handlers.(dst) src msg)
-  in
-  let attempt () =
-    match t.fault with
-    | None -> deliver_once ()
-    | Some f -> (
-      match Fault.judge f ~now:(Engine.now t.engine) ~src ~dst with
-      | Fault.Drop _ -> ()
-      | Fault.Deliver extra -> deliver_once ~extra ())
-  in
   t.sent <- t.sent + 1;
-  attempt ();
+  attempt t ~src ~dst msg;
   (* At-least-once channels: occasionally deliver a duplicate with an
      independent delay (and an independent fault judgement). *)
-  if t.duplicate > 0.0 && Rng.bernoulli t.rng ~p:t.duplicate then attempt ()
+  if t.duplicate > 0.0 && Rng.bernoulli t.rng ~p:t.duplicate then
+    attempt t ~src ~dst msg
 
 (** Broadcast to every node (including [src]). *)
 let send_all t ~src msg =

@@ -18,7 +18,7 @@ type 'msg t = {
   fault : Fault.t;
   config : config;
   next_seq : int array array;  (** next seq to assign, [src].(dst) *)
-  unacked : (int, 'msg outstanding) Hashtbl.t array array;
+  unacked : 'msg outstanding Int_table.t array array;
       (** in-flight messages, [src].(dst) : seq -> entry *)
   delivered_seqs : Watermark.t array array;  (** [dst].(src) *)
   handlers : (int -> 'msg -> unit) array;
@@ -30,30 +30,28 @@ let n_nodes t = Array.length t.handlers
 
 let set_handler t node handler = t.handlers.(node) <- handler
 
-(* Transmit (or retransmit) [seq] and arm the timeout: if the entry is
-   still unacked when the timer fires, retransmit with doubled timeout
-   (capped), until the retry budget runs out.  An acked entry leaves
-   the table, so a pending timer finds nothing and goes quiet. *)
-let rec transmit t ~src ~dst seq ~rto =
+(* Transmit (or retransmit) [o], in flight as [seq], and arm the
+   timeout: if the entry is still unacked when the timer fires,
+   retransmit with doubled timeout (capped), until the retry budget
+   runs out.  An acked entry leaves the table, so a pending timer finds
+   nothing and goes quiet. *)
+let rec transmit t ~src ~dst seq o ~rto =
   let table = t.unacked.(src).(dst) in
-  match Hashtbl.find_opt table seq with
-  | None -> ()
-  | Some o ->
-    Network.send t.net ~src ~dst
-      (Data { seq; sent_at = o.sent_at; payload = o.payload });
-    Engine.schedule t.engine ~delay:rto (fun () ->
-        if Hashtbl.mem table seq then begin
-          if o.tries >= t.config.max_retries then begin
-            Hashtbl.remove table seq;
-            Fault.note_abandoned t.fault
-          end
-          else begin
-            o.tries <- o.tries + 1;
-            Fault.note_retransmission t.fault;
-            transmit t ~src ~dst seq
-              ~rto:(min t.config.max_rto (rto * t.config.backoff))
-          end
-        end)
+  Network.send t.net ~src ~dst
+    (Data { seq; sent_at = o.sent_at; payload = o.payload });
+  Engine.schedule t.engine ~delay:rto (fun () ->
+      if Int_table.mem table seq then begin
+        if o.tries >= t.config.max_retries then begin
+          Int_table.remove table seq;
+          Fault.note_abandoned t.fault
+        end
+        else begin
+          o.tries <- o.tries + 1;
+          Fault.note_retransmission t.fault;
+          transmit t ~src ~dst seq o
+            ~rto:(Int.min t.config.max_rto (rto * t.config.backoff))
+        end
+      end)
 
 let create ?duplicate ?(config = default_config) ~fault engine ~n ~latency ~rng
     =
@@ -67,7 +65,8 @@ let create ?duplicate ?(config = default_config) ~fault engine ~n ~latency ~rng
       fault;
       config;
       next_seq = Array.init n (fun _ -> Array.make n 0);
-      unacked = Array.init n (fun _ -> Array.init n (fun _ -> Hashtbl.create 8));
+      unacked =
+        Array.init n (fun _ -> Array.init n (fun _ -> Int_table.create 8));
       delivered_seqs =
         Array.init n (fun _ -> Array.init n (fun _ -> Watermark.create ()));
       handlers = Array.make n (fun _ _ -> failwith "Reliable: no handler");
@@ -94,7 +93,7 @@ let create ?duplicate ?(config = default_config) ~fault engine ~n ~latency ~rng
           end
         | Ack { seq } ->
           (* [node] is the original sender of [seq] towards [src]. *)
-          Hashtbl.remove t.unacked.(node).(src) seq)
+          Int_table.remove t.unacked.(node).(src) seq)
   done;
   t
 
@@ -102,9 +101,9 @@ let send t ~src ~dst msg =
   let seq = t.next_seq.(src).(dst) in
   t.next_seq.(src).(dst) <- seq + 1;
   t.accepted <- t.accepted + 1;
-  Hashtbl.replace t.unacked.(src).(dst) seq
-    { payload = msg; sent_at = Engine.now t.engine; tries = 0 };
-  transmit t ~src ~dst seq ~rto:t.config.rto
+  let o = { payload = msg; sent_at = Engine.now t.engine; tries = 0 } in
+  Int_table.replace t.unacked.(src).(dst) seq o;
+  transmit t ~src ~dst seq o ~rto:t.config.rto
 
 let send_all t ~src msg =
   for dst = 0 to n_nodes t - 1 do

@@ -4,23 +4,28 @@
     adding instrumentation or reordering draws in one component never
     perturbs another — runs are reproducible per seed. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state, unboxed in eight bytes: a draw allocates nothing
+   and writes no pointer. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let create seed = of_state (Int64.of_int seed)
+
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 (** Derive an independent stream. *)
-let split t =
-  let s = next_int64 t in
-  { state = s }
+let split t = of_state (next_int64 t)
 
 (** Uniform integer in [0, bound). *)
 let int t ~bound =
@@ -102,4 +107,4 @@ let exponential_int t ~mean =
   if mean <= 0 then invalid_arg "Rng.exponential_int: mean must be positive";
   let u = float t in
   let u = if u <= 0.0 then epsilon_float else u in
-  max 1 (int_of_float (-.log u *. float_of_int mean))
+  Int.max 1 (int_of_float (-.log u *. float_of_int mean))

@@ -66,10 +66,10 @@ let create ?fault ?reliable ?batch engine ~n ~n_objects ~latency ~rng
             let applied =
               Apply.query st.othx st.othts ~ns:0 st.q_mprog.Prog.prog
             in
+            let ts = Array.copy st.othts in
             Recorder.add recorder
               (Recorder.make ~proc:node ~inv:st.q_inv ~resp:(Engine.now engine)
-                 ~start_ts:(Array.copy st.othts)
-                 ~finish_ts:(Array.copy st.othts) applied);
+                 ~start_ts:ts ~finish_ts:ts applied);
             st.q_k applied.Apply.result
           end)
   done;

@@ -70,11 +70,12 @@ let create ?fault ?reliable ?batch engine ~n ~n_objects ~latency ~rng
     if Prog.is_query m then begin
       (* (A3): apply to the local copy, respond immediately. *)
       let now = Engine.now engine in
-      let ts = r.tss.(proc) in
-      let applied = Apply.query r.xs.(proc) ts ~ns:0 m.Prog.prog in
+      let applied = Apply.query r.xs.(proc) r.tss.(proc) ~ns:0 m.Prog.prog in
+      (* A query moves no version: one copy is both stamps. *)
+      let ts = Array.copy r.tss.(proc) in
       Recorder.add recorder
-        (Recorder.make ~proc ~inv:now ~resp:now ~start_ts:(Array.copy ts)
-           ~finish_ts:(Array.copy ts) applied);
+        (Recorder.make ~proc ~inv:now ~resp:now ~start_ts:ts ~finish_ts:ts
+           applied);
       k applied.Apply.result
     end
     else r.update ~proc m ~k

@@ -25,7 +25,12 @@ type record = {
     reads and final writes, issued by [proc] at [inv] and answered at
     [resp], with the replica's version vector before and after it and
     its synchronization position, if it has one.  Every store records
-    through it. *)
+    through it.
+
+    A record owns its two stamps: nothing mutates them once recorded
+    (no consumer writes a record's [start_ts] or [finish_ts]), so a
+    store may pass one array as both when they are equal, as for a
+    query. *)
 val make :
   proc:Types.proc_id ->
   inv:Types.time ->

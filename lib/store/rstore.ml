@@ -76,6 +76,14 @@ let n_acks s =
   let rec pop n w = if w = 0 then n else pop (n + 1) (w land (w - 1)) in
   Array.fold_left pop 0 s.st_acks
 
+(* The stamping [(origin, oseq)] among a position's, if seen; a loop
+   rather than a closure, as every stability ack looks one up. *)
+let rec find_stamping ~origin ~oseq = function
+  | [] -> None
+  | s :: rest ->
+    if s.st_origin = origin && s.st_oseq = oseq then Some s
+    else find_stamping ~origin ~oseq rest
+
 type handle = {
   mode : mode;
   cursors : unit -> int array;
@@ -105,35 +113,34 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
   let xs = Array.init n (fun _ -> Array.make n_objects Value.initial) in
   let tss = Array.init n (fun _ -> Array.make n_objects 0) in
   let cursors = Array.make n 0 in
-  let pending : (int, int * payload option) Hashtbl.t array =
-    Array.init n (fun _ -> Hashtbl.create 16)
+  let pending : (int * payload option) Int_table.t array =
+    Array.init n (fun _ -> Int_table.create 16)
   in
   (* Stability bookkeeping (volatile): per position, each exact
      stamping seen for it with its acknowledgers; [forced] positions
      are stable by provenance (peer WAL or own replay — applied
      somewhere already). *)
-  let stampings : (int, stamping list) Hashtbl.t array =
-    Array.init n (fun _ -> Hashtbl.create 16)
+  let stampings : stamping list Int_table.t array =
+    Array.init n (fun _ -> Int_table.create 16)
   in
   let stampings_of node pos =
-    Option.value (Hashtbl.find_opt stampings.(node) pos) ~default:[]
+    Option.value (Int_table.find_opt stampings.(node) pos) ~default:[]
   in
-  let is ~origin ~oseq s = s.st_origin = origin && s.st_oseq = oseq in
   (* [pos]'s stamping (origin, oseq) at [node], added unacked if new. *)
   let stamping node ~pos ~origin ~oseq =
     let l = stampings_of node pos in
-    match List.find_opt (is ~origin ~oseq) l with
+    match find_stamping ~origin ~oseq l with
     | Some s -> s
     | None ->
       let s =
         { st_origin = origin; st_oseq = oseq;
           st_acks = Array.make (((n - 1) / ack_bits) + 1) 0 }
       in
-      Hashtbl.replace stampings.(node) pos (s :: l);
+      Int_table.replace stampings.(node) pos (s :: l);
       s
   in
-  let forced : (int, unit) Hashtbl.t array =
-    Array.init n (fun _ -> Hashtbl.create 16)
+  let forced : unit Int_table.t array =
+    Array.init n (fun _ -> Int_table.create 16)
   in
   let ready = Array.make n true in
   (* Durable replica state. *)
@@ -141,8 +148,11 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
     Array.init n (fun _ -> Rlog.create policy)
   in
   let responded = Array.init n (fun _ -> Watermark.create ()) in
-  (* Client-library state (outside the replica, survives wipes). *)
-  let ks : (int * int, Value.t -> unit) Hashtbl.t = Hashtbl.create 16 in
+  (* Client-library state (outside the replica, survives wipes): per
+     process, the continuations of its pending updates by oseq. *)
+  let ks : (Value.t -> unit) Int_table.t array =
+    Array.init n (fun _ -> Int_table.create 16)
+  in
   let oseqs = Array.make n 0 in
   let recoveries = ref 0 in
   (* Stable mode tells the broadcast about every position it applies
@@ -153,26 +163,33 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
     { sxs = Array.copy xs.(node); stss = Array.copy tss.(node) }
   in
   let purge_stability node pos =
-    Hashtbl.remove forced.(node) pos;
-    Hashtbl.remove stampings.(node) pos
+    Int_table.remove forced.(node) pos;
+    Int_table.remove stampings.(node) pos
   in
   let apply_one node ~replay ~pos ~origin (p : payload option) =
     (match p with
     | None -> () (* epoch-fence hole: advance past it *)
-    | Some lp ->
-      let start_ts = Array.copy tss.(node) in
+    | Some lp -> (
+      (* Only the origin answering [lp] for the first time records it,
+         so only it copies its version vector. *)
+      let start_ts =
+        if origin = node && not (Watermark.mem responded.(node) lp.oseq) then
+          Some (Array.copy tss.(node))
+        else None
+      in
       let applied = Apply.update xs.(node) tss.(node) ~ns:0 lp.mprog.Prog.prog in
-      if origin = node && not (Watermark.mem responded.(node) lp.oseq) then begin
+      match start_ts with
+      | None -> ()
+      | Some start_ts -> (
         Watermark.add responded.(node) lp.oseq;
         Recorder.add recorder
           (Recorder.make ~proc:node ~inv:lp.inv ~resp:(Engine.now engine)
              ~start_ts ~finish_ts:(Array.copy tss.(node)) ~sync:pos applied);
-        match Hashtbl.find_opt ks (node, lp.oseq) with
+        match Int_table.find_opt ks.(node) lp.oseq with
         | Some k ->
-          Hashtbl.remove ks (node, lp.oseq);
+          Int_table.remove ks.(node) lp.oseq;
           k applied.Apply.result
-        | None -> ()
-      end);
+        | None -> ())));
     cursors.(node) <- pos + 1;
     !release ~node ~pos ~origin
       ~oseq:(match p with Some lp -> lp.oseq | None -> -1);
@@ -192,18 +209,21 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
     match p with
     | None -> true
     | Some lp ->
-      Hashtbl.mem forced.(node) pos
-      || List.exists
-           (fun s -> is ~origin:lp.origin ~oseq:lp.oseq s && n_acks s >= quorum)
-           (stampings_of node pos)
+      Int_table.mem forced.(node) pos
+      ||
+      match
+        find_stamping ~origin:lp.origin ~oseq:lp.oseq (stampings_of node pos)
+      with
+      | Some s -> n_acks s >= quorum
+      | None -> false
   in
   let rec drain node =
-    match Hashtbl.find_opt pending.(node) cursors.(node) with
+    match Int_table.find_opt pending.(node) cursors.(node) with
     | None -> ()
     | Some (origin, p) ->
       let pos = cursors.(node) in
       if stable_head node pos p then begin
-        Hashtbl.remove pending.(node) pos;
+        Int_table.remove pending.(node) pos;
         apply_one node ~replay:false ~pos ~origin p;
         drain node
       end
@@ -236,8 +256,8 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
   let catchup = ref None in
   let ingest ?(proven = false) node ~pos ~origin p =
     if pos >= cursors.(node) then begin
-      if proven then Hashtbl.replace forced.(node) pos ();
-      Hashtbl.replace pending.(node) pos (origin, p);
+      if proven then Int_table.replace forced.(node) pos ();
+      Int_table.replace pending.(node) pos (origin, p);
       (match (p, mode) with
       | Some lp, Stable when not proven -> announce node ~pos lp
       | _ -> ());
@@ -246,8 +266,8 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
   in
   let retract node ~pos =
     if pos >= cursors.(node) then begin
-      Hashtbl.remove pending.(node) pos;
-      Hashtbl.remove forced.(node) pos
+      Int_table.remove pending.(node) pos;
+      Int_table.remove forced.(node) pos
     end
   in
   let serve ~node ~from =
@@ -259,7 +279,7 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
       (cursors.(node), snap, Rlog.serve rl ~from:from')
   in
   let learn ~node ~from ~peer_cursor ~snap entries =
-    targets.(node) <- max targets.(node) peer_cursor;
+    targets.(node) <- Int.max targets.(node) peer_cursor;
     (match snap with
     | Some (cpos, s) when cpos > cursors.(node) && cursors.(node) <= from ->
       (* Full state transfer: our retained log no longer reaches back
@@ -277,9 +297,9 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
         match Checkpoint.load ck with Some (p, _) -> p | None -> -1
       in
       if cpos > covered then Checkpoint.save ck ~pos:cpos (snapshot_of node);
-      Hashtbl.iter
-        (fun pos _ -> if pos < cpos then Hashtbl.remove pending.(node) pos)
-        (Hashtbl.copy pending.(node))
+      Int_table.filter_map_inplace
+        (fun pos e -> if pos < cpos then None else Some e)
+        pending.(node)
     | _ -> ());
     List.iter
       (fun (e : payload Wal.entry) ->
@@ -289,10 +309,12 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
       entries;
     drain node
   in
-  (* Gap polling: while a replica has buffered positions above a hole
-     in its sequence (or is catching up to a peer's cursor), pull from
-     peers every [policy.gap_poll] ticks.  Bounded so the simulation
-     quiesces even if a gap is unservable. *)
+  (* Gap polling: while a replica has any buffered position (or is
+     catching up to a peer's cursor), pull from peers every
+     [policy.gap_poll] ticks.  That includes a buffered head position
+     that only awaits its stability acks, with no hole below it and no
+     peer ahead: then the pull finds nothing to fetch.  Bounded so the
+     simulation quiesces even if a gap is unservable. *)
   let poll_armed = Array.make n false in
   let poll_attempts = Array.make n 0 in
   let poll_cursor = Array.make n (-1) in
@@ -305,7 +327,7 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
           else poll_attempts.(node) <- poll_attempts.(node) + 1;
           poll_cursor.(node) <- cursors.(node);
           let behind =
-            Hashtbl.length pending.(node) > 0
+            Int_table.length pending.(node) > 0
             || cursors.(node) < targets.(node)
           in
           if behind && poll_attempts.(node) < poll_budget then begin
@@ -319,7 +341,7 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
   in
   let ingest ?proven node ~pos ~origin p =
     ingest ?proven node ~pos ~origin p;
-    if Hashtbl.length pending.(node) > 0 then arm_poll node
+    if Int_table.length pending.(node) > 0 then arm_poll node
   in
   for node = 0 to n - 1 do
     Transport.set_handler stab_net node (fun src (pos, origin, oseq) ->
@@ -332,9 +354,9 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
              ack as proof the position exists and fall back to
              anti-entropy.  The poll is a no-op if the delivery makes
              it here first. *)
-          if pos >= cursors.(node) && not (Hashtbl.mem pending.(node) pos)
+          if pos >= cursors.(node) && not (Int_table.mem pending.(node) pos)
           then begin
-            targets.(node) <- max targets.(node) (pos + 1);
+            targets.(node) <- Int.max targets.(node) (pos + 1);
             arm_poll node
           end
         end)
@@ -366,7 +388,9 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
              entries)
          ~learn:(fun ~node ~from ~peer_cursor ~snap es ->
            learn ~node ~from ~peer_cursor ~snap es;
-           if Hashtbl.length pending.(node) > 0 || cursors.(node) < targets.(node)
+           if
+             Int_table.length pending.(node) > 0
+             || cursors.(node) < targets.(node)
            then arm_poll node));
   (* Storage faults, straight from the plan.  The rng split is taken
      after every other split so pre-storage seeds keep their streams.
@@ -416,9 +440,9 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
           xs.(c.node) <- Array.make n_objects Value.initial;
           tss.(c.node) <- Array.make n_objects 0;
           cursors.(c.node) <- 0;
-          Hashtbl.reset pending.(c.node);
-          Hashtbl.reset stampings.(c.node);
-          Hashtbl.reset forced.(c.node);
+          Int_table.reset pending.(c.node);
+          Int_table.reset stampings.(c.node);
+          Int_table.reset forced.(c.node);
           (* The durable indexes are volatile too; the devices
              survive. *)
           Rlog.crash rlogs.(c.node));
@@ -470,17 +494,18 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
          retries until it can reach it. *)
       Engine.schedule engine ~delay:retry_every (fun () -> invoke ~proc m ~k)
     else if Prog.is_query m then begin
-      let ts = tss.(proc) in
-      let applied = Apply.query xs.(proc) ts ~ns:0 m.Prog.prog in
+      let applied = Apply.query xs.(proc) tss.(proc) ~ns:0 m.Prog.prog in
+      (* A query moves no version: one copy is both stamps. *)
+      let ts = Array.copy tss.(proc) in
       Recorder.add recorder
-        (Recorder.make ~proc ~inv:now ~resp:now ~start_ts:(Array.copy ts)
-           ~finish_ts:(Array.copy ts) applied);
+        (Recorder.make ~proc ~inv:now ~resp:now ~start_ts:ts ~finish_ts:ts
+           applied);
       k applied.Apply.result
     end
     else begin
       let oseq = oseqs.(proc) in
       oseqs.(proc) <- oseq + 1;
-      Hashtbl.replace ks (proc, oseq) k;
+      Int_table.replace ks.(proc) oseq k;
       Rbcast.broadcast rbcast ~src:proc
         { origin = proc; oseq; mprog = m; inv = now }
     end

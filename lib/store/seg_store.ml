@@ -279,7 +279,11 @@ let create ?fault ?reliable ?batch ?(mode = Classify.Sound) ?(tail = Dense)
   let rec deliver ~node ~origin:_ (b : barrier) =
     List.iter (apply_entry node) b.b_carried;
     let op = b.b_op in
-    let start_ts = Array.copy prefix_ts.(node) in
+    (* Only the origin records the op, so only it copies its version
+       vector. *)
+    let start_ts =
+      if node = op.p_origin then Some (Array.copy prefix_ts.(node)) else None
+    in
     let applied, op_pos =
       if op.p_query then
         ( Apply.query_ns prefix_x.(node) prefix_ts.(node) prefix_ns.(node)
@@ -305,16 +309,19 @@ let create ?fault ?reliable ?batch ?(mode = Classify.Sound) ?(tail = Dense)
         (applied, Some pos)
       end
     in
-    if node = op.p_origin then begin
+    (match start_ts with
+    | None -> ()
+    | Some start_ts ->
       (match op_pos with
       | Some p -> seq_positions := p :: !seq_positions
       | None -> ());
+      let finish_ts =
+        if op.p_query then start_ts else Array.copy prefix_ts.(node)
+      in
       Recorder.add recorder
         (Recorder.make ~proc:op.p_origin ~inv:op.p_inv
-           ~resp:(Engine.now engine) ~start_ts
-           ~finish_ts:(Array.copy prefix_ts.(node)) ?sync:op_pos applied);
-      op.p_k applied.Apply.result
-    end;
+           ~resp:(Engine.now engine) ~start_ts ~finish_ts ?sync:op_pos applied);
+      op.p_k applied.Apply.result);
     let key = (b.b_origin, b.b_id) in
     if List.mem key !(seals.(node)) then begin
       seals.(node) := List.filter (fun k -> k <> key) !(seals.(node));
@@ -373,14 +380,15 @@ let create ?fault ?reliable ?batch ?(mode = Classify.Sound) ?(tail = Dense)
         (* Owned snapshot, or the live copy is exactly the prefix: an
            msc-style local query either way. *)
         stats.fast_queries <- stats.fast_queries + 1;
-        let start_ts = Array.copy live_ts.(proc) in
         let applied =
           Apply.query_ns live_x.(proc) live_ts.(proc) live_ns.(proc)
             m.Prog.prog
         in
+        (* A query moves no version: one copy is both stamps. *)
+        let ts = Array.copy live_ts.(proc) in
         Recorder.add recorder
-          (Recorder.make ~proc ~inv ~resp:(Engine.now engine) ~start_ts
-             ~finish_ts:(Array.copy live_ts.(proc)) applied);
+          (Recorder.make ~proc ~inv ~resp:(Engine.now engine) ~start_ts:ts
+             ~finish_ts:ts applied);
         k applied.Apply.result
       end
       else escalate ~proc ~inv ~query:true m ~k

@@ -69,6 +69,8 @@ type result = {
   samples : int;
   full_verdict : string option;
   agreement : bool option;
+  fault : Fault.t option;
+  recovery : Rstore.handle option;
 }
 
 (* Rewrite one read-modify-write record to have observed a version two
@@ -140,9 +142,10 @@ let run ?(on_sample = fun (_ : sample) -> ()) ~seed ~workload cfg =
     if Fault.is_none rcfg.Runner.fault then None
     else Some (Fault.create rcfg.Runner.fault ~rng:(Rng.split rng))
   in
-  let fhandle = ref None in
+  let rhandle = ref None and fhandle = ref None in
   let store =
     Runner.make_store ?fault
+      ~sink:(fun h -> rhandle := Some h)
       ~fsink:(fun h -> fhandle := Some h)
       rcfg engine ~rng:store_rng ~recorder
   in
@@ -348,6 +351,8 @@ let run ?(on_sample = fun (_ : sample) -> ()) ~seed ~workload cfg =
     samples = !n_samples;
     full_verdict;
     agreement;
+    fault;
+    recovery = !rhandle;
   }
 
 let verify_sharded ?arena ~window ~settle ~flavour

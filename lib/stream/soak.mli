@@ -81,6 +81,11 @@ type result = {
       (** with [verify_full]: whether the windowed verdict matches the
           full-trace one ([None] when windowed is [Inconclusive] or
           the full check could not run) *)
+  fault : Fault.t option;
+      (** the run's fault injector, as in {!Mmc_store.Runner.result} *)
+  recovery : Rstore.handle option;
+      (** the [Rmsc] store's recovery introspection, as in
+          {!Mmc_store.Runner.result} *)
 }
 
 (** [run ~seed ~workload cfg] — [workload rng ~proc ~step] produces the

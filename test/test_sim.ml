@@ -563,6 +563,92 @@ let prop_watermark_model =
         ops;
       true)
 
+(* --- Int_table against Hashtbl --- *)
+
+type it_op =
+  | It_replace of int * int
+  | It_remove of int
+  | It_filter of int  (** drop keys divisible by it, bump the rest *)
+  | It_copy_reset
+
+let pp_it_op ppf = function
+  | It_replace (k, v) -> Fmt.pf ppf "replace %d %d" k v
+  | It_remove k -> Fmt.pf ppf "remove %d" k
+  | It_filter d -> Fmt.pf ppf "filter %d" d
+  | It_copy_reset -> Fmt.string ppf "copy+reset"
+
+(* Keys spread enough to force resizes and collisions, bunched enough
+   to hit existing bindings. *)
+let it_op_gen =
+  QCheck.Gen.(
+    let key = frequency [ (3, int_bound 40); (1, int_bound 600) ] in
+    frequency
+      [
+        (8, map2 (fun k v -> It_replace (k, v)) key small_nat);
+        (4, map (fun k -> It_remove k) key);
+        (1, map (fun d -> It_filter (d + 2)) (int_bound 3));
+        (1, return It_copy_reset);
+      ])
+
+let prop_int_table_model =
+  QCheck.Test.make ~name:"int table = Hashtbl model" ~count:500
+    (QCheck.make
+       ~print:(Fmt.str "%a" Fmt.(Dump.list pp_it_op))
+       QCheck.Gen.(list_size (int_bound 300) it_op_gen))
+    (fun ops ->
+      let t = Int_table.create 8 and model = Hashtbl.create 8 in
+      let bindings t =
+        List.sort compare (Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
+      in
+      let agree what t =
+        let want =
+          List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [])
+        in
+        if bindings t <> want then QCheck.Test.fail_reportf "%s: bindings" what;
+        if Int_table.length t <> Hashtbl.length model then
+          QCheck.Test.fail_reportf "%s: length %d, model %d" what
+            (Int_table.length t) (Hashtbl.length model);
+        let probe k =
+          if Int_table.find_opt t k <> Hashtbl.find_opt model k then
+            QCheck.Test.fail_reportf "%s: find_opt %d" what k;
+          if Int_table.mem t k <> Hashtbl.mem model k then
+            QCheck.Test.fail_reportf "%s: mem %d" what k
+        in
+        for k = -1 to 41 do
+          probe k
+        done;
+        probe 601;
+        Hashtbl.iter (fun k _ -> probe k) model
+      in
+      List.iteri
+        (fun step op ->
+          let what = Fmt.str "op %d (%a)" step pp_it_op op in
+          (match op with
+          | It_replace (k, v) ->
+            Int_table.replace t k v;
+            Hashtbl.replace model k v
+          | It_remove k ->
+            Int_table.remove t k;
+            Hashtbl.remove model k
+          | It_filter d ->
+            let f k v = if k mod d = 0 then None else Some (v + 1) in
+            Int_table.filter_map_inplace f t;
+            Hashtbl.filter_map_inplace f model
+          | It_copy_reset ->
+            let c = Int_table.copy t in
+            Int_table.reset t;
+            if Int_table.length t <> 0 || Int_table.mem t 0 then
+              QCheck.Test.fail_reportf "%s: reset left bindings" what;
+            agree (what ^ ", copy") c;
+            Int_table.replace c 1000 0;
+            if Int_table.mem t 1000 then
+              QCheck.Test.fail_reportf "%s: copy shares state" what;
+            Int_table.remove c 1000;
+            Hashtbl.iter (Int_table.replace t) model);
+          agree what t)
+        ops;
+      true)
+
 (* Long runs of sequence numbers retired out of order within a bounded
    window (a reordering channel's deliveries): the set holds at most
    the window explicitly, and once the stragglers are in, its memory is
@@ -637,6 +723,7 @@ let () =
         ] );
       ( "watermark",
         [
+          QCheck_alcotest.to_alcotest prop_int_table_model;
           QCheck_alcotest.to_alcotest prop_watermark_model;
           QCheck_alcotest.to_alcotest prop_watermark_long_runs;
         ] );

@@ -373,6 +373,54 @@ let prop_blockdev_model =
       agree "final read";
       true)
 
+(* --- Crc32 --- *)
+
+(* The IEEE CRC-32 check value: frames are written and read with the
+   same function, so only a known answer pins it to the standard. *)
+let test_crc32_known_answer () =
+  let b = Bytes.of_string "123456789" in
+  Alcotest.(check int) "digest \"123456789\"" 0xCBF43926
+    (Crc32.digest b ~off:0 ~len:9);
+  Alcotest.(check int) "empty" 0 (Crc32.digest Bytes.empty ~off:0 ~len:0)
+
+(* The definition, one table lookup per byte. *)
+let crc32_bytewise =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  fun state b ~off ~len ->
+    let c = ref state in
+    for i = off to off + len - 1 do
+      c := table.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
+    done;
+    !c
+
+(* [Crc32.update] against the definition over random buffers, every
+   offset alignment and lengths around each word boundary, whole and
+   fed in two chained pieces. *)
+let test_crc32_bytewise () =
+  let rng = Random.State.make [| 32 |] in
+  for trial = 0 to 299 do
+    let n = Random.State.int rng 200 in
+    let b = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+    let off = if n = 0 then 0 else Random.State.int rng (min n 16) in
+    let len = Random.State.int rng (n - off + 1) in
+    let cut = Random.State.int rng (len + 1) in
+    let state = if trial mod 2 = 0 then Crc32.init else Random.State.bits rng in
+    let want = crc32_bytewise state b ~off ~len in
+    let ctx = Fmt.str "trial %d: %d bytes at %d of %d" trial len off n in
+    Alcotest.(check int) (ctx ^ ", whole") want (Crc32.update state b ~off ~len);
+    Alcotest.(check int) (ctx ^ Fmt.str ", cut at %d" cut) want
+      (Crc32.update
+         (Crc32.update state b ~off ~len:cut)
+         b ~off:(off + cut) ~len:(len - cut))
+  done
+
 (* --- Frame --- *)
 
 let test_frame_codec () =
@@ -812,6 +860,12 @@ let () =
           Alcotest.test_case "resident after prefix discard" `Quick
             test_blockdev_resident_prefix;
           QCheck_alcotest.to_alcotest prop_blockdev_model;
+        ] );
+      ( "crc32",
+        [
+          Alcotest.test_case "known answer" `Quick test_crc32_known_answer;
+          Alcotest.test_case "update = bytewise table" `Quick
+            test_crc32_bytewise;
         ] );
       ( "frame",
         [ Alcotest.test_case "codec + damage" `Quick test_frame_codec ] );

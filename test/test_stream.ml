@@ -447,6 +447,95 @@ let test_outcomes_pinned () =
     "digest of every outcome" pinned_outcomes
     (Digest.to_hex (Digest.string text))
 
+(* The soak benchmark's lossy open-loop rmsc workload (5 replicas, 24
+   objects, mean inter-arrival 6, half queries, 5% loss on every link,
+   a detector suspecting after 400 ticks without a beat), cut to 3,000
+   arrivals: the one test that drives [Soak.run] through [Reliable],
+   stable delivery, the WAL and its scrubber.  The digest covers what
+   the run's counters say — verdict, arrivals, completions, latency
+   quantiles, epoch checks, messages, engine events, the fault
+   injector's counters, the WAL counters summed over replicas and the
+   stability acks — so a change meant to leave these runs alone must
+   leave it unchanged. *)
+let pinned_lossy_soak = "0b3ae2448383603ad3848adaebd996f2"
+
+let test_lossy_rmsc_soak_pinned () =
+  let buf = Buffer.create 4096 in
+  let spec =
+    { Mmc_workload.Spec.default with n_objects = 24; read_ratio = 0.5 }
+  in
+  let cfg =
+    {
+      Mmc_stream.Soak.default_config with
+      runner =
+        {
+          Runner.default_config with
+          n_procs = 5;
+          n_objects = 24;
+          kind = Store.Rmsc;
+          fault = { Mmc_sim.Fault.none with drop = 0.05 };
+          detector =
+            Some
+              { Mmc_sim.Detector.heartbeat_every = 25; suspect_after = 400 };
+        };
+      rate = 6;
+      max_ops = 3000;
+    }
+  in
+  let q ppf (x : Mmc_sim.Stats.quantiles) =
+    Fmt.pf ppf "n=%d p50=%g p99=%g p999=%g" x.Mmc_sim.Stats.q_count
+      x.Mmc_sim.Stats.q50 x.Mmc_sim.Stats.q99 x.Mmc_sim.Stats.q999
+  in
+  List.iter
+    (fun seed ->
+      let r =
+        Mmc_stream.Soak.run ~seed
+          ~workload:(Mmc_workload.Generator.mixed spec)
+          cfg
+      in
+      let open Mmc_stream.Soak in
+      let c = Mmc_sim.Fault.counts (Option.get r.fault) in
+      let h = Option.get r.recovery in
+      let logs = h.Rstore.log_stats () in
+      let sum f = Array.fold_left (fun a s -> a + f s) 0 logs in
+      let open Mmc_recovery.Rlog in
+      Buffer.add_string buf
+        (Fmt.str
+           "seed=%d %a arrived=%d completed=%d duration=%d messages=%d \
+            events=%d epochs=%d@.  latency %a@.  query %a@.  update %a@.  \
+            fault loss=%d partitioned=%d crashed=%d spikes=%d \
+            retransmissions=%d acks=%d abandoned=%d duplicates=%d \
+            restarts=%d@.  wal appends=%d checkpoints=%d truncated=%d \
+            replayed=%d torn=%d corrupt=%d silent=%d repaired=%d \
+            scrubbed=%d fallbacks=%d reclaimed=%d resident=%d@.  \
+            broadcast %a stability_acks=%d pulls=%d@."
+           seed pp_verdict r.verdict r.arrived r.completed r.duration
+           r.messages r.events r.wc.Mmc_stream.Window_check.checks q r.latency
+           q r.query_latency q r.update_latency c.Mmc_sim.Fault.loss
+           c.Mmc_sim.Fault.partitioned c.Mmc_sim.Fault.crashed
+           c.Mmc_sim.Fault.spikes c.Mmc_sim.Fault.retransmissions
+           c.Mmc_sim.Fault.acks c.Mmc_sim.Fault.abandoned
+           c.Mmc_sim.Fault.duplicates c.Mmc_sim.Fault.restarts
+           (sum (fun s -> s.appends))
+           (sum (fun s -> s.checkpoints))
+           (sum (fun s -> s.truncated))
+           (sum (fun s -> s.replayed))
+           (sum (fun s -> s.torn))
+           (sum (fun s -> s.corrupt))
+           (sum (fun s -> s.silent))
+           (sum (fun s -> s.repaired))
+           (sum (fun s -> s.scrubbed))
+           (sum (fun s -> s.ckpt_fallbacks))
+           (sum (fun s -> s.reclaimed_sectors))
+           (sum (fun s -> s.resident_bytes))
+           Mmc_broadcast.Rbcast.pp_stats (h.Rstore.broadcast_stats ())
+           (h.Rstore.stability_acks ()) (h.Rstore.pulls ())))
+    [ 1; 2 ];
+  let text = Buffer.contents buf in
+  Alcotest.(check string)
+    "digest of both runs" pinned_lossy_soak
+    (Digest.to_hex (Digest.string text))
+
 (* Ill-formed feeds: each defect answers INCONCLUSIVE at every window
    and settle, whether the entries involved are still live or have
    retired, and names m-operations by feed index. *)
@@ -743,6 +832,8 @@ let () =
           Alcotest.test_case "sharded per-shard windows" `Quick
             test_sharded_per_shard;
           Alcotest.test_case "outcomes pinned" `Quick test_outcomes_pinned;
+          Alcotest.test_case "lossy rmsc soak pinned" `Quick
+            test_lossy_rmsc_soak_pinned;
           Alcotest.test_case "record path = feed_history" `Quick
             test_record_path;
           Alcotest.test_case "record path, hand-built recorders" `Quick
