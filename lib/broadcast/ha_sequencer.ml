@@ -106,6 +106,10 @@ type 'p msg =
     [prev] being the last epoch the candidate knew had formed. *)
 type close = { base : int; holes : int list; prev : int }
 
+(* The int-keyed tables are [Int_table]s except [seen], [pending] and
+   [awaiting]: those are iterated onto the wire (a [Sync_ack]'s [held]
+   list, resubmitted requests, the [Sync_req] fan-out) in the bucket
+   order of [Hashtbl], so moving them would reorder messages. *)
 type 'p node_state = {
   (* --- durable ordering metadata --- *)
   seen : (int, int * int * int) Hashtbl.t;
@@ -114,27 +118,27 @@ type 'p node_state = {
           awaiting withdrawal; every other position below the horizon
           counts as seen with its decided stamp, unless [unseen] *)
   mutable horizon : int;  (** every position below was released here *)
-  unseen : (int, unit) Hashtbl.t;
+  unseen : unit Int_table.t;
       (** released positions no stamp was seen for here (catch-up
           applied them first) *)
   decided : Watermark.t array;  (** per origin: oseqs released here *)
   mutable released_epoch : int;
       (** highest stamp epoch among the [seen] entries releases dropped *)
-  closes : (int, close) Hashtbl.t;
+  closes : close Int_table.t;
   mutable epoch : int;
   mutable limbo : (int * int * int * int * 'p) list;
       (** stale [(epoch, pos, origin, oseq, payload)] awaiting a close *)
   (* --- client side (volatile) --- *)
   mutable next_oseq : int;
   pending : (int, 'p) Hashtbl.t;  (** oseq -> payload, not yet ordered *)
-  restamp : (int, 'p) Hashtbl.t;
+  restamp : 'p Int_table.t;
       (** own oseqs stamped and not yet released, kept so a later
           retraction of that stamp can put the payload back into
           [pending] *)
   mutable resubmit_scheduled : bool;
   mutable resubmit_attempts : int;
   (* --- sequencer side (volatile) --- *)
-  requests : (int, 'p) Hashtbl.t array;  (** per-origin oseq -> payload *)
+  requests : 'p Int_table.t array;  (** per-origin oseq -> payload *)
   mutable stamped : Watermark.t array;
       (** per-origin stamped oseqs; the low watermark is the origin's
           stamping cursor *)
@@ -149,8 +153,8 @@ type 'p node_state = {
   mutable syncing : bool;
   mutable sync_prev : int;  (** epoch held when this election started *)
   awaiting : (int, unit) Hashtbl.t;  (** peers polled, yet to Sync_ack *)
-  acked : (int, unit) Hashtbl.t;  (** peers whose ack was merged *)
-  merged : (int, int * int * int) Hashtbl.t;
+  acked : unit Int_table.t;  (** peers whose ack was merged *)
+  merged : (int * int * int) Int_table.t;
   mutable sync_high : int;
   mutable sync_horizon : int;  (** highest horizon among the merged *)
   mutable sync_decided : Watermark.t array;
@@ -198,18 +202,18 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
         {
           seen = Hashtbl.create 64;
           horizon = 0;
-          unseen = Hashtbl.create 8;
+          unseen = Int_table.create 8;
           decided = Array.init n (fun _ -> Watermark.create ());
           released_epoch = 0;
-          closes = Hashtbl.create 4;
+          closes = Int_table.create 4;
           epoch = 0;
           limbo = [];
           next_oseq = 0;
           pending = Hashtbl.create 8;
-          restamp = Hashtbl.create 8;
+          restamp = Int_table.create 8;
           resubmit_scheduled = false;
           resubmit_attempts = 0;
-          requests = Array.init n (fun _ -> Hashtbl.create 8);
+          requests = Array.init n (fun _ -> Int_table.create 8);
           stamped = Array.init n (fun _ -> Watermark.create ());
           serving = node = 0;
           next_pos = 0;
@@ -220,8 +224,8 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
           syncing = false;
           sync_prev = 0;
           awaiting = Hashtbl.create 8;
-          acked = Hashtbl.create 8;
-          merged = Hashtbl.create 64;
+          acked = Int_table.create 8;
+          merged = Int_table.create 64;
           sync_high = 0;
           sync_horizon = 0;
           sync_decided = [||];
@@ -259,7 +263,7 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
      seen, with its decided stamp, unless it is listed [unseen]. *)
   let has_seen st pos =
     Hashtbl.mem st.seen pos
-    || (pos < st.horizon && not (Hashtbl.mem st.unseen pos))
+    || (pos < st.horizon && not (Int_table.mem st.unseen pos))
   in
   (* Withdraw [pos]'s stamp at [node].  When the stamp carried one of
      this node's own invocations and no other position still does, the
@@ -270,7 +274,7 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
     let st = states.(node) in
     dbg "node %d withdraws pos %d (%d,%d)" node pos origin oseq;
     Hashtbl.remove st.seen pos;
-    if pos < st.horizon then Hashtbl.replace st.unseen pos ();
+    if pos < st.horizon then Int_table.replace st.unseen pos ();
     (* A withdrawal landing while this node's own takeover sync is
        open must also fence the [merged] snapshot (taken from [seen]
        at election start): otherwise [finish_sync] rebuilds [stamped]
@@ -278,9 +282,9 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
        resubmissions bounce off "already stamped" forever while no
        position carries the payload. *)
     (if st.syncing then
-       match Hashtbl.find_opt st.merged pos with
+       match Int_table.find_opt st.merged pos with
        | Some (_, o0, q0) when o0 = origin && q0 = oseq ->
-         Hashtbl.remove st.merged pos
+         Int_table.remove st.merged pos
        | _ -> ());
     incr retracted_total;
     deliver ~node ~origin:(-1) ~pos Rbcast.Retract;
@@ -292,7 +296,7 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
              st.seen false
       in
       if not live then
-        match Hashtbl.find_opt st.restamp oseq with
+        match Int_table.find_opt st.restamp oseq with
         | Some payload ->
           Hashtbl.replace st.pending oseq payload;
           st.resubmit_attempts <- 0;
@@ -316,12 +320,12 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
     if not (has_seen st pos) then begin
       let settled = pos < st.horizon && Watermark.mem st.decided.(origin) oseq in
       if settled then begin
-        Hashtbl.remove st.unseen pos;
+        Int_table.remove st.unseen pos;
         st.released_epoch <- max st.released_epoch epoch
       end
       else Hashtbl.replace st.seen pos (epoch, origin, oseq);
       if origin = node then begin
-        if not settled then Hashtbl.replace st.restamp oseq payload;
+        if not settled then Int_table.replace st.restamp oseq payload;
         Hashtbl.remove st.pending oseq;
         st.resubmit_attempts <- 0
       end;
@@ -340,18 +344,18 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
         Hashtbl.remove st.seen pos;
         st.released_epoch <- max st.released_epoch e
       | Some _ -> ()
-      | None -> Hashtbl.replace st.unseen pos ());
+      | None -> Int_table.replace st.unseen pos ());
       st.horizon <- pos + 1;
       if origin >= 0 then begin
         Watermark.add st.decided.(origin) oseq;
-        if origin = node then Hashtbl.remove st.restamp oseq
+        if origin = node then Int_table.remove st.restamp oseq
       end
     end
   in
   (* The close governing stale epoch [e]: the earliest learned close
      whose covered range [(prev, epoch)] contains [e]. *)
   let covering_close st e =
-    Hashtbl.fold
+    Int_table.fold
       (fun ce (c : close) best ->
         if c.prev <= e && e < ce then
           match best with Some (be, _) when be <= ce -> best | _ -> Some (ce, c)
@@ -372,12 +376,12 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
   in
   let learn_close node ~epoch ~prev ~base ~holes =
     let st = states.(node) in
-    if not (Hashtbl.mem st.closes epoch) then begin
-      Hashtbl.replace st.closes epoch { base; holes; prev };
+    if not (Int_table.mem st.closes epoch) then begin
+      Int_table.replace st.closes epoch { base; holes; prev };
       (* Below the horizon a fenced hole needs no entry: it counts as
          seen once it is no longer [unseen]. *)
       let fence h =
-        if h < st.horizon then Hashtbl.remove st.unseen h
+        if h < st.horizon then Int_table.remove st.unseen h
         else Hashtbl.replace st.seen h (epoch, -1, -1);
         deliver ~node ~origin:(-1) ~pos:h Rbcast.Hole
       in
@@ -484,13 +488,13 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
     if st.serving then
       let stamped = st.stamped.(origin) in
       let c = Watermark.low stamped in
-      match Hashtbl.find_opt st.requests.(origin) c with
+      match Int_table.find_opt st.requests.(origin) c with
       | None -> ()
       | Some payload ->
-        Hashtbl.remove st.requests.(origin) c;
+        Int_table.remove st.requests.(origin) c;
         Watermark.add stamped c;
         for q = c + 1 to Watermark.low stamped - 1 do
-          Hashtbl.remove st.requests.(origin) q
+          Int_table.remove st.requests.(origin) q
         done;
         let pos = st.next_pos in
         st.next_pos <- pos + 1;
@@ -508,18 +512,18 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
     let base = max st.sync_high h in
     let holes = ref [] in
     for pos = base - 1 downto h do
-      if not (Hashtbl.mem st.merged pos) then holes := pos :: !holes
+      if not (Int_table.mem st.merged pos) then holes := pos :: !holes
     done;
     let holes = !holes in
     holes_total := !holes_total + List.length holes;
     let stamped = st.sync_decided in
-    Hashtbl.iter
-      (fun pos (_e, origin, oseq) ->
+    Int_table.fold
+      (fun pos (_e, origin, oseq) () ->
         if pos >= h && origin >= 0 then Watermark.add stamped.(origin) oseq)
-      st.merged;
+      st.merged ();
     st.stamped <- stamped;
     st.sync_decided <- [||];
-    Hashtbl.reset st.merged;
+    Int_table.reset st.merged;
     st.next_pos <- base;
     dbg "node %d forms epoch %d base %d holes %d" node st.epoch base
       (List.length holes);
@@ -539,7 +543,7 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
   let rec maybe_finish node =
     let st = states.(node) in
     if st.syncing && Hashtbl.length st.awaiting = 0 then
-      if 1 + Hashtbl.length st.acked >= quorum then finish_sync node
+      if 1 + Int_table.length st.acked >= quorum then finish_sync node
       else schedule_sync_retry node
   and schedule_sync_retry node =
     let st = states.(node) in
@@ -555,7 +559,7 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
             for peer = 0 to n - 1 do
               if
                 peer <> node
-                && (not (Hashtbl.mem st.acked peer))
+                && (not (Int_table.mem st.acked peer))
                 && not (Detector.suspects det ~observer:node ~subject:peer)
               then begin
                 Hashtbl.replace st.awaiting peer ();
@@ -575,11 +579,11 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
     flush_batch node;
     st.serving <- false;
     Hashtbl.reset st.awaiting;
-    Hashtbl.reset st.acked;
-    Hashtbl.reset st.merged;
+    Int_table.reset st.acked;
+    Int_table.reset st.merged;
     Hashtbl.iter
       (fun pos stamp ->
-        if pos >= st.horizon then Hashtbl.replace st.merged pos stamp)
+        if pos >= st.horizon then Int_table.replace st.merged pos stamp)
       st.seen;
     st.sync_high <-
       Hashtbl.fold (fun pos _ hi -> max hi (pos + 1)) st.seen st.horizon;
@@ -601,7 +605,9 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
      anchor its coverage at a formed epoch or stale messages from the
      last formed one are left uncovered forever. *)
   let last_formed st =
-    let f = Hashtbl.fold (fun e _ acc -> max acc e) st.closes st.released_epoch in
+    let f =
+      Int_table.fold (fun e _ acc -> Int.max acc e) st.closes st.released_epoch
+    in
     Hashtbl.fold (fun _ (e, _, _) acc -> max acc e) st.seen f
   in
   (* A candidate vetoed by [fit] (the store holds off replicas with
@@ -697,7 +703,7 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
       else begin
         if
           st.syncing
-          && (not (Hashtbl.mem st.acked subject))
+          && (not (Int_table.mem st.acked subject))
           && not (Hashtbl.mem st.awaiting subject)
         then begin
           Hashtbl.replace st.awaiting subject ();
@@ -752,7 +758,7 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
              syncing candidate buffers and stamps after takeover. *)
           if sigma st.epoch = node then
             if not (Watermark.mem st.stamped.(origin) oseq) then begin
-              Hashtbl.replace st.requests.(origin) oseq payload;
+              Int_table.replace st.requests.(origin) oseq payload;
               if st.serving then stamp_loop node origin
             end
             else dbg "node %d skips stamped request (%d,%d)" node origin oseq
@@ -788,12 +794,12 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) ?detector
           if epoch = st.epoch && st.syncing && Hashtbl.mem st.awaiting peer
           then begin
             Hashtbl.remove st.awaiting peer;
-            Hashtbl.replace st.acked peer ();
+            Int_table.replace st.acked peer ();
             List.iter
               (fun (pos, e, origin, oseq) ->
-                match Hashtbl.find_opt st.merged pos with
+                match Int_table.find_opt st.merged pos with
                 | Some (e0, _, _) when e0 >= e -> ()
-                | _ -> Hashtbl.replace st.merged pos (e, origin, oseq))
+                | _ -> Int_table.replace st.merged pos (e, origin, oseq))
               held;
             st.sync_high <- max st.sync_high high;
             st.sync_horizon <- max st.sync_horizon horizon;

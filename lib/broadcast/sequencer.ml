@@ -50,15 +50,15 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) engine ~n
      stamped in origin_seq order, duplicates (below the cursor) are
      dropped.  This also makes the sequencer FIFO per sender. *)
   let stamped = Array.make n 0 in
-  let requests : (int, 'p) Hashtbl.t array =
-    Array.init n (fun _ -> Hashtbl.create 8)
+  let requests : 'p Int_table.t array =
+    Array.init n (fun _ -> Int_table.create 8)
   in
   (* Sender-side request numbering. *)
   let origin_seqs = Array.make n 0 in
   (* Per-node delivery cursor and out-of-order buffer. *)
   let expected = Array.make n 0 in
-  let buffered : (int, int * 'p) Hashtbl.t array =
-    Array.init n (fun _ -> Hashtbl.create 16)
+  let buffered : (int * 'p) Int_table.t array =
+    Array.init n (fun _ -> Int_table.create 16)
   in
   (* Outgoing batch (sequencer side): stamped items awaiting the next
      flush, newest first, with the global sequence of the oldest. *)
@@ -76,13 +76,13 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) engine ~n
       (fun i (origin, payload) ->
         let seq = base + i in
         if seq >= expected.(node) then
-          Hashtbl.replace buffered.(node) seq (origin, payload))
+          Int_table.replace buffered.(node) seq (origin, payload))
       items;
     let rec drain () =
-      match Hashtbl.find_opt buffered.(node) expected.(node) with
+      match Int_table.find_opt buffered.(node) expected.(node) with
       | None -> ()
       | Some (origin, payload) ->
-        Hashtbl.remove buffered.(node) expected.(node);
+        Int_table.remove buffered.(node) expected.(node);
         expected.(node) <- expected.(node) + 1;
         deliver ~node ~origin payload;
         drain ()
@@ -127,12 +127,12 @@ let create ?duplicate ?fault ?reliable ?(batch = Batch.unbatched) engine ~n
         | To_sequencer { origin; origin_seq; payload } ->
           assert (node = sequencer_node);
           if origin_seq >= stamped.(origin) then
-            Hashtbl.replace requests.(origin) origin_seq payload;
+            Int_table.replace requests.(origin) origin_seq payload;
           let rec stamp () =
-            match Hashtbl.find_opt requests.(origin) stamped.(origin) with
+            match Int_table.find_opt requests.(origin) stamped.(origin) with
             | None -> ()
             | Some payload ->
-              Hashtbl.remove requests.(origin) stamped.(origin);
+              Int_table.remove requests.(origin) stamped.(origin);
               stamped.(origin) <- stamped.(origin) + 1;
               enqueue origin payload;
               stamp ()

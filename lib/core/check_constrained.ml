@@ -144,7 +144,14 @@ type chains = {
   extra_dst : int array;
 }
 
-let check_chains ?arena (c : chains) ~flavour kind =
+(* Theorem 7's first stage on [c]: the constraint, the Kahn order of
+   the sparse edges, the frontier vectors and the next-writer legality
+   scan, which passes each [~rw] edge it finds to [rw].  Answers
+   [refuted r] for a refuting [r] ([Cyclic], [Constraint_violated] or
+   [Not_legal]), or [legal g order] with the sparse graph [g] and its
+   Kahn order; [g] and the arena's tables are still held while either
+   runs, and go back after. *)
+let decide ?arena (c : chains) ~flavour kind ~rw ~refuted ~legal =
   let n = c.n and nx = c.n_objects in
   let chain = c.chain and idx = c.idx and inv = c.inv and resp = c.resp in
   let row = c.row and wend = c.wend and tend = c.tend and objs = c.objs in
@@ -259,7 +266,7 @@ let check_chains ?arena (c : chains) ~flavour kind =
   let g = Digraph.of_iter ?arena n base_edges in
   let verdict =
     match Digraph.topo_sort ?arena g with
-    | None -> Cyclic
+    | None -> refuted Cyclic
     | Some order ->
       (* Frontier vectors in reverse topological order, O((n + e) . C). *)
       let reach = scratch (n * nc) in
@@ -328,7 +335,7 @@ let check_chains ?arena (c : chains) ~flavour kind =
           done;
           !ok
       in
-      if not constrained then Constraint_violated
+      if not constrained then refuted Constraint_violated
       else begin
         (* Writers of each object in topological (= chain) order:
            [xw.(xstart.(x)) ..]. *)
@@ -363,7 +370,6 @@ let check_chains ?arena (c : chains) ~flavour kind =
         (* Next-writer lemma: for [b --x--> a] every writer of [x] after
            [b] is [c = succ_x b] or follows it, so [c] alone decides
            legality ([c ~H a]) and the one [~rw] edge [a -> c]. *)
-        let rw = ref [] in
         match
           for i = 0 to c.n_rf - 1 do
             let a = c.rf_reader.(i) and b = c.rf_writer.(i) in
@@ -373,31 +379,55 @@ let check_chains ?arena (c : chains) ~flavour kind =
               if prec w a then
                 raise
                   (Violation { Legality.alpha = a; beta = b; gamma = w; obj = x })
-              else if not (prec a w) then rw := (a, w) :: !rw
+              else if not (prec a w) then rw a w
           done
         with
-        | exception Violation t -> Not_legal t
-        | () -> (
-          match !rw with
-          | [] -> Admissible order
-          | rw -> (
-            let g' =
-              Digraph.of_iter ?arena n (fun f ->
-                  base_edges f;
-                  List.iter (fun (a, c) -> f a c) rw)
-            in
-            let witness = Digraph.topo_sort ?arena g' in
-            Digraph.release ?arena g';
-            match witness with
-            | None -> Extended_cyclic
-            | Some w -> Admissible w))
+        | exception Violation t -> refuted (Not_legal t)
+        | () -> legal g order
       end
   in
   Digraph.release ?arena g;
   Option.iter (fun a -> List.iter (Relation.Arena.release a) !taken) arena;
   verdict
 
-(* A chain while [check_chain] numbers it: its members so far, the
+type decision = Legal | Refuted of result
+
+let decide_chains ?arena c ~flavour kind =
+  decide ?arena c ~flavour kind
+    ~rw:(fun _ _ -> ())
+    ~refuted:(fun r -> Refuted r)
+    ~legal:(fun _ _ -> Legal)
+
+(* The second stage: a legal history's witness is the Kahn order of
+   its sparse edges plus [~rw] — the first stage's order when [~rw] is
+   empty.  The Kahn sort takes the smallest ready node first, so the
+   order depends only on the edges, not on the order [g] lists them
+   in. *)
+let check_chains ?arena c ~flavour kind =
+  let rw = ref [] in
+  decide ?arena c ~flavour kind
+    ~rw:(fun a w -> rw := (a, w) :: !rw)
+    ~refuted:Fun.id
+    ~legal:(fun g order ->
+      match !rw with
+      | [] -> Admissible order
+      | rw -> (
+        let g' =
+          Digraph.of_iter ?arena c.n (fun f ->
+              for a = 0 to c.n - 1 do
+                for r = g.Digraph.off.(a) to g.Digraph.off.(a + 1) - 1 do
+                  f a g.Digraph.dst.(r)
+                done
+              done;
+              List.iter (fun (a, b) -> f a b) rw)
+        in
+        let witness = Digraph.topo_sort ?arena g' in
+        Digraph.release ?arena g';
+        match witness with
+        | None -> Extended_cyclic
+        | Some w -> Admissible w))
+
+(* A chain while [chains_of] numbers it: its members so far, the
    last one's invocation, and whether they came in invocation order. *)
 type chain_fill = {
   c_proc : Types.proc_id;
@@ -413,7 +443,7 @@ type chain_fill = {
    reads-from in [History.rf] order; the consecutive pairs of each
    [sync] order as the extra edges.  One walk over the m-operations
    and their ops builds all but the edges. *)
-let check_chain ?arena h ~flavour ~sync kind =
+let chains_of h ~sync =
   let n = History.n_mops h and nx = History.n_objects h in
   let mops = History.mops h in
   let chain = Array.make n 0 and idx = Array.make n 0 in
@@ -507,10 +537,11 @@ let check_chain ?arena h ~flavour ~sync kind =
       extra_src.(i) <- a;
       extra_dst.(i) <- b)
     extra;
-  check_chains ?arena
-    { n; n_objects = nx; chain; idx; inv; resp; row; wend; tend; objs; n_rf;
-      rf_reader; rf_obj; rf_writer; n_extra; extra_src; extra_dst }
-    ~flavour kind
+  { n; n_objects = nx; chain; idx; inv; resp; row; wend; tend; objs; n_rf;
+    rf_reader; rf_obj; rf_writer; n_extra; extra_src; extra_dst }
+
+let check_chain ?arena h ~flavour ~sync kind =
+  check_chains ?arena (chains_of h ~sync) ~flavour kind
 
 (** Incrementally closed relation for checking a growing trace: edges
     stream in (process order, reads-from, synchronization order...) as

@@ -2,8 +2,9 @@
     (paper, Theorem 7): under OO or WW, admissibility is equivalent to
     legality, and a witness is any total extension of
     [(~H ∪ ~rw)+].  {!check_chains} decides it without a dense
-    closure, on an input {!check_chain} builds from a history or a
-    caller keeps itself (the windowed checker); the dense
+    closure, on an input {!chains_of} builds from a history or a
+    caller keeps itself, and {!decide_chains} is its verdict without
+    the witness (the windowed checker's); the dense
     {!check_relation} / {!check_closed} / {!Incremental} stay as the
     reference oracle. *)
 
@@ -90,6 +91,27 @@ type chains = {
   extra_dst : int array;
 }
 
+(** Theorem 7's verdict without a witness: [Refuted r] carries the
+    refuting result — [Cyclic], [Constraint_violated] or [Not_legal] —
+    and never an [Admissible] or [Extended_cyclic]. *)
+type decision = Legal | Refuted of result
+
+(** [decide_chains c ~flavour kind] — the first stage of
+    {!check_chains}: the constraint, the Kahn order of the sparse
+    edges, the frontier vectors and the next-writer legality scan.  It
+    refutes exactly where {!check_chains} does, with the same result
+    (the same [Not_legal] triple), and answers [Legal] otherwise,
+    building no witness.  Under WW or OO, [Legal] is admissibility
+    (Theorem 7: a legal history's extended relation is acyclic,
+    Lemmas 3–4); under WO, {!check_chains} may still find it cyclic.
+    [~arena] as for {!check_chains}. *)
+val decide_chains :
+  ?arena:Relation.Arena.arena ->
+  chains ->
+  flavour:History.flavour ->
+  Constraints.kind ->
+  decision
+
 (** [check_chains c ~flavour kind] — the same verdict as
     {!check_relation} over [flavour]'s base relation of the history
     [c] describes, without a dense closure.  The check builds a sparse
@@ -99,7 +121,10 @@ type chains = {
     vector over the C chains, and decides constraint, legality
     (nearest interposing writer) and the [~rw] witness in
     O((n + e) . C).  [Not_legal] names the writer that follows the
-    reads-from source in the object's writer chain.  With [~arena] the
+    reads-from source in the object's writer chain.  It is
+    {!decide_chains} followed, for a legal history, by a second Kahn
+    sort over the sparse edges plus [~rw], whose order is the witness
+    (the first sort's order when [~rw] is empty).  With [~arena] the
     frontier and sort tables come from the arena's scratch lists and
     go back before returning.  No state outlives the call. *)
 val check_chains :
@@ -109,11 +134,15 @@ val check_chains :
   Constraints.kind ->
   result
 
-(** [check_chain h ~flavour ~sync kind] — {!check_chains} on the
-    input of [h] plus the {!sync_edges} of [sync] as its extra edges:
-    chains in order of first appearance (the initializer's first),
-    members by invocation, each m-operation's written objects before
-    the others it touches, and reads-from in {!History.rf} order. *)
+(** [chains_of h ~sync] — the input of [h] plus the {!sync_edges} of
+    [sync] as its extra edges: chains in order of first appearance (the
+    initializer's first), members by invocation, each m-operation's
+    written objects before the others it touches, and reads-from in
+    {!History.rf} order. *)
+val chains_of : History.t -> sync:Types.mop_id list list -> chains
+
+(** [check_chain h ~flavour ~sync kind] — {!check_chains} on
+    [chains_of h ~sync]. *)
 val check_chain :
   ?arena:Relation.Arena.arena ->
   History.t ->

@@ -51,8 +51,10 @@ let release ?arena g =
   free arena g.off;
   free arena g.dst
 
-(* Binary min-heap over the first [!size] slots of [h]. *)
-let heap_push h size v =
+(* Binary min-heap over the first [!size] slots of [h].  The element
+   type is pinned to [int] so the comparisons compile inline instead of
+   calling the polymorphic compare. *)
+let heap_push (h : int array) size (v : int) =
   let i = ref !size in
   incr size;
   while !i > 0 && h.((!i - 1) / 2) > v do
@@ -61,7 +63,7 @@ let heap_push h size v =
   done;
   h.(!i) <- v
 
-let heap_pop h size =
+let heap_pop (h : int array) size =
   let top = h.(0) in
   decr size;
   let v = h.(!size) in

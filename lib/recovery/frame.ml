@@ -28,24 +28,15 @@ let put_i64 b off v =
     Bytes.set b (off + i) (Char.chr ((v lsr (8 * i)) land 0xff))
   done
 
-let get_i64 b off =
-  let v = ref 0 in
-  for i = 7 downto 0 do
-    v := (!v lsl 8) lor Char.code (Bytes.get b (off + i))
-  done;
-  !v
+(* The low 63 bits of the little-endian word: what [put_i64] wrote. *)
+let get_i64 b off = Int64.to_int (Bytes.get_int64_le b off)
 
 let put_i32 b off v =
   for i = 0 to 3 do
     Bytes.set b (off + i) (Char.chr ((v lsr (8 * i)) land 0xff))
   done
 
-let get_i32 b off =
-  let v = ref 0 in
-  for i = 3 downto 0 do
-    v := (!v lsl 8) lor Char.code (Bytes.get b (off + i))
-  done;
-  !v
+let get_i32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffff_ffff
 
 let encode f =
   let len = Bytes.length f.payload in
@@ -75,32 +66,64 @@ let sectors_spanned dev len =
   let ss = Blockdev.sector_size dev in
   if len = 0 then 1 else (len + ss - 1) / ss
 
-let read dev ~sector =
-  if sector >= Blockdev.high dev then Broken
+type raw = {
+  r_kind : kind;
+  r_a : int;
+  r_b : int;
+  r_len : int;
+  r_buf : Bytes.t;
+  r_sectors : int;
+  r_intact : bool;
+}
+
+(* The magic compared in place, as one 32-bit word. *)
+let magic_word = Bytes.get_int32_le magic 0
+let magic_at buf = Int32.equal (Bytes.get_int32_le buf 0) magic_word
+
+(* One device read of [sectors] sectors (no further than the written
+   extent) holds the header, and the whole frame unless it is longer;
+   only then does a second read fetch it. *)
+let read_raw dev ~sector ~sectors =
+  let high = Blockdev.high dev in
+  if sector >= high then None
   else begin
-    let hdr = Blockdev.read dev ~sector ~len:header_bytes in
-    if Bytes.sub hdr 0 4 <> magic then Broken
+    let ahead = Int.max 1 (Int.min sectors (high - sector)) in
+    let ss = Blockdev.sector_size dev in
+    let buf = Blockdev.read dev ~sector ~len:(ahead * ss) in
+    if not (magic_at buf) then None
     else
-      match kind_of_code (Char.code (Bytes.get hdr 4)) with
-      | None -> Broken
+      match kind_of_code (Char.code (Bytes.get buf 4)) with
+      | None -> None
       | Some kind ->
-        let len = get_i32 hdr 21 in
+        let len = get_i32 buf 21 in
         let total = header_bytes + len in
-        let sectors = sectors_spanned dev total in
-        if len > max_payload || sector + sectors > Blockdev.high dev then
-          Broken
+        let span = sectors_spanned dev total in
+        if len > max_payload || sector + span > high then None
         else begin
-          let raw = Blockdev.read dev ~sector ~len:total in
-          let payload = Bytes.sub raw header_bytes len in
-          let f = { kind; a = get_i64 raw 5; b = get_i64 raw 13; payload } in
-          let crc = Crc32.update Crc32.init raw ~off:4 ~len:21 in
-          let crc =
-            Crc32.finalize (Crc32.update crc raw ~off:header_bytes ~len)
+          let buf =
+            if total <= Bytes.length buf then buf
+            else Blockdev.read dev ~sector ~len:total
           in
-          if crc = get_i32 raw 25 then Ok (f, sectors)
-          else Damaged (f, sectors)
+          let crc = Crc32.update Crc32.init buf ~off:4 ~len:21 in
+          let crc =
+            Crc32.finalize (Crc32.update crc buf ~off:header_bytes ~len)
+          in
+          Some
+            { r_kind = kind; r_a = get_i64 buf 5; r_b = get_i64 buf 13;
+              r_len = len; r_buf = buf; r_sectors = span;
+              r_intact = crc = get_i32 buf 25 }
         end
   end
+
+let read dev ~sector =
+  match read_raw dev ~sector ~sectors:1 with
+  | None -> Broken
+  | Some r ->
+    let f =
+      { kind = r.r_kind; a = r.r_a; b = r.r_b;
+        payload = Bytes.sub r.r_buf header_bytes r.r_len }
+    in
+    if r.r_intact then Ok (f, r.r_sectors) else Damaged (f, r.r_sectors)
 
 let append dev f =
   let bytes = encode f in

@@ -40,6 +40,28 @@ type read_result =
     written extent. *)
 val read : Blockdev.t -> sector:int -> read_result
 
+(** A frame as read, still in the device buffer: its payload is
+    [r_buf] from {!header_bytes} on, [r_len] bytes long, and
+    [r_intact] says whether its checksum holds (if not, the fields are
+    best-effort and the payload must never be unmarshalled). *)
+type raw = {
+  r_kind : kind;
+  r_a : int;
+  r_b : int;
+  r_len : int;
+  r_buf : Bytes.t;
+  r_sectors : int;  (** sectors the frame spans *)
+  r_intact : bool;
+}
+
+(** [read_raw dev ~sector ~sectors] — {!read} without the payload
+    copy: [None] where {!read} answers [Broken], and otherwise its
+    frame, [r_intact] where it answers [Ok].  The first device read
+    covers [sectors] sectors (a caller that knows the frame's span
+    passes it, so one read suffices); a longer frame takes a second
+    read. *)
+val read_raw : Blockdev.t -> sector:int -> sectors:int -> raw option
+
 (** Append at the device watermark; returns [(sector, sectors)]. *)
 val append : Blockdev.t -> t -> int * int
 

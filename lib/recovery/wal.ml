@@ -217,10 +217,12 @@ let truncate_below t ~pos =
    on any mismatch (damaged frame, foreign frame, undecodable
    payload). *)
 let decode_record t (loc : loc) : 'p entry option =
-  match Frame.read t.dev ~sector:loc.lsector with
-  | Frame.Ok (f, _) when f.kind = Frame.Record && f.a = loc.lpos -> (
+  match Frame.read_raw t.dev ~sector:loc.lsector ~sectors:loc.lspan with
+  | Some r when r.r_intact && r.r_kind = Frame.Record && r.r_a = loc.lpos -> (
     try
-      Some { pos = f.a; origin = f.b; payload = Marshal.from_bytes f.payload 0 }
+      Some
+        { pos = r.r_a; origin = r.r_b;
+          payload = Marshal.from_bytes r.r_buf Frame.header_bytes }
     with _ -> None)
   | _ -> None
 
@@ -279,8 +281,11 @@ let scrub t =
           || Blockdev.changed_since t.dev ~stamp:loc.lclean
                ~sector:loc.lsector ~sectors:loc.lspan
         then
-          match Frame.read t.dev ~sector:loc.lsector with
-          | Frame.Ok (f, _) when f.kind = Frame.Record && f.a = loc.lpos ->
+          match
+            Frame.read_raw t.dev ~sector:loc.lsector ~sectors:loc.lspan
+          with
+          | Some r
+            when r.r_intact && r.r_kind = Frame.Record && r.r_a = loc.lpos ->
             loc.lclean <- Blockdev.stamp t.dev
           | _ -> bad := loc.lpos :: !bad)
       t.index;

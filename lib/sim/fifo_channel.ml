@@ -13,7 +13,7 @@ type 'msg t = {
   net : 'msg tagged Transport.t;
   send_seq : int array array;  (** next seq to use, [src].(dst) *)
   recv_seq : int array array;  (** next seq expected, [dst].(src) *)
-  pending : (int, 'msg) Hashtbl.t array array;
+  pending : 'msg Int_table.t array array;
       (** buffered out-of-order messages, [dst].(src) : seq -> msg *)
   handlers : (int -> 'msg -> unit) array;
 }
@@ -25,7 +25,8 @@ let create ?duplicate ?fault ?config engine ~n ~latency ~rng =
       net;
       send_seq = Array.init n (fun _ -> Array.make n 0);
       recv_seq = Array.init n (fun _ -> Array.make n 0);
-      pending = Array.init n (fun _ -> Array.init n (fun _ -> Hashtbl.create 8));
+      pending =
+        Array.init n (fun _ -> Array.init n (fun _ -> Int_table.create 8));
       handlers = Array.make n (fun _ _ -> failwith "Fifo_channel: no handler");
     }
   in
@@ -35,13 +36,13 @@ let create ?duplicate ?fault ?config engine ~n ~latency ~rng =
         (* Duplicate suppression: sequence numbers already released are
            dropped; re-buffering a pending duplicate is idempotent. *)
         if tagged.fifo_seq >= t.recv_seq.(dst).(src) then
-          Hashtbl.replace buf tagged.fifo_seq tagged.payload;
+          Int_table.replace buf tagged.fifo_seq tagged.payload;
         let rec drain () =
           let next = t.recv_seq.(dst).(src) in
-          match Hashtbl.find_opt buf next with
+          match Int_table.find_opt buf next with
           | None -> ()
           | Some msg ->
-            Hashtbl.remove buf next;
+            Int_table.remove buf next;
             t.recv_seq.(dst).(src) <- next + 1;
             t.handlers.(dst) src msg;
             drain ()

@@ -23,6 +23,11 @@ type trace = {
   mutable written : Types.obj_id list;  (** first writes *)
 }
 
+(* [List.mem] at type int: the stdlib's compares polymorphically. *)
+let rec mem (o : Types.obj_id) = function
+  | [] -> false
+  | o' :: rest -> o' = o || mem o rest
+
 let rec read_before (o : Types.obj_id) = function
   | [] -> false
   | (o', _, _) :: rest -> o' = o || read_before o rest
@@ -43,7 +48,7 @@ let run ?ns_of ?version ~query x ts ~ns prog =
   let read o =
     let v = x.(o) in
     t.ops <- Op.read o v :: t.ops;
-    if not (List.mem o t.written || read_before o t.reads) then
+    if not (mem o t.written || read_before o t.reads) then
       t.reads <-
         (o, ts.(o), match ns_of with Some a -> a.(o) | None -> ns) :: t.reads;
     v
@@ -52,7 +57,7 @@ let run ?ns_of ?version ~query x ts ~ns prog =
     if query then raise (Query_wrote o);
     t.ops <- Op.write o v :: t.ops;
     x.(o) <- v;
-    if not (List.mem o t.written) then t.written <- o :: t.written
+    if not (mem o t.written) then t.written <- o :: t.written
   in
   let result = Prog.run prog ~read ~write in
   {
@@ -63,6 +68,18 @@ let run ?ns_of ?version ~query x ts ~ns prog =
   }
 
 let update x ts ~ns prog = run ~query:false x ts ~ns prog
+
+(* [update]'s untraced instance: the same writes to the copy and the
+   same once-per-object version bumps [establish] makes, with no ops,
+   reads or writes lists. *)
+let update_untraced x ts prog =
+  let written = ref [] in
+  let write o v =
+    x.(o) <- v;
+    if not (mem o !written) then written := o :: !written
+  in
+  ignore (Prog.run prog ~read:(Array.get x) ~write);
+  List.iter (fun o -> ts.(o) <- ts.(o) + 1) !written
 
 let update_ns x ts ns_of ~writer_ns prog =
   run ~ns_of ~query:false x ts ~ns:writer_ns prog

@@ -41,6 +41,11 @@ val run :
     version vector. *)
 val update : Value.t array -> int array -> ns:int -> Prog.t -> applied
 
+(** [update] for a replica that does not record the update: the copy
+    and the version vector end as {!update} leaves them (one bump per
+    written object), but nothing is traced and the result is dropped. *)
+val update_untraced : Value.t array -> int array -> Prog.t -> unit
+
 (** Namespace-tracking update for stores whose replica state mixes
     version namespaces (the [seg] store): [ns_of.(o)] holds the
     namespace of object [o]'s current version — reads report it,

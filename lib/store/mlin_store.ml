@@ -38,7 +38,7 @@ let create ?fault ?reliable ?batch engine ~n ~n_objects ~latency ~rng
       ~rng ~abcast_impl ~recorder
   in
   let qnet = Transport.create ?fault engine ~n ~latency ~rng:(Rng.split rng) in
-  let pending : (int, pending_query) Hashtbl.t = Hashtbl.create 16 in
+  let pending : pending_query Int_table.t = Int_table.create 16 in
   let next_qid = ref 0 in
   for node = 0 to n - 1 do
     Transport.set_handler qnet node (fun _src msg ->
@@ -53,7 +53,7 @@ let create ?fault ?reliable ?batch engine ~n ~n_objects ~latency ~rng
                  ts = Array.copy r.Msc_store.tss.(node);
                })
         | Reply { qid; x; ts } ->
-          let st = Hashtbl.find pending qid in
+          let st = Option.get (Int_table.find_opt pending qid) in
           (* (A5): keep the freshest reply. *)
           if Version_vector.lt st.othts ts then begin
             st.othx <- x;
@@ -62,7 +62,7 @@ let create ?fault ?reliable ?batch engine ~n ~n_objects ~latency ~rng
           st.replies <- st.replies + 1;
           if st.replies = n then begin
             (* (A6): all replies received — execute and respond. *)
-            Hashtbl.remove pending qid;
+            Int_table.remove pending qid;
             let applied =
               Apply.query st.othx st.othts ~ns:0 st.q_mprog.Prog.prog
             in
@@ -78,7 +78,7 @@ let create ?fault ?reliable ?batch engine ~n ~n_objects ~latency ~rng
       (* (A3): ask every process for its copy. *)
       let qid = !next_qid in
       incr next_qid;
-      Hashtbl.replace pending qid
+      Int_table.replace pending qid
         {
           othx = Array.make n_objects Value.initial;
           othts = Array.make n_objects 0;

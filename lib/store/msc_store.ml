@@ -39,7 +39,7 @@ let replicas ?fault ?reliable ?batch engine ~n ~n_objects ~latency ~rng
     delivered.(node) <- position + 1;
     let ts = tss.(node) in
     if node <> p.origin then
-      ignore (Apply.update xs.(node) ts ~ns:0 p.mprog.Prog.prog)
+      Apply.update_untraced xs.(node) ts p.mprog.Prog.prog
     else begin
       let start_ts = Array.copy ts in
       let applied = Apply.update xs.(node) ts ~ns:0 p.mprog.Prog.prog in

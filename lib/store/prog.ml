@@ -38,7 +38,7 @@ let mprog ?(label = "") ?may_touch ~may_write prog =
   { prog; may_write; may_touch; label }
 
 (** A query in the protocol sense: cannot write at all. *)
-let is_query m = m.may_write = []
+let is_query m = match m.may_write with [] -> true | _ :: _ -> false
 
 (** {1 Combinators} *)
 

@@ -169,18 +169,16 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
   let apply_one node ~replay ~pos ~origin (p : payload option) =
     (match p with
     | None -> () (* epoch-fence hole: advance past it *)
-    | Some lp -> (
+    | Some lp ->
       (* Only the origin answering [lp] for the first time records it,
-         so only it copies its version vector. *)
-      let start_ts =
-        if origin = node && not (Watermark.mem responded.(node) lp.oseq) then
-          Some (Array.copy tss.(node))
-        else None
-      in
-      let applied = Apply.update xs.(node) tss.(node) ~ns:0 lp.mprog.Prog.prog in
-      match start_ts with
-      | None -> ()
-      | Some start_ts -> (
+         so only it traces the run and copies its version vector. *)
+      if origin <> node || Watermark.mem responded.(node) lp.oseq then
+        Apply.update_untraced xs.(node) tss.(node) lp.mprog.Prog.prog
+      else begin
+        let start_ts = Array.copy tss.(node) in
+        let applied =
+          Apply.update xs.(node) tss.(node) ~ns:0 lp.mprog.Prog.prog
+        in
         Watermark.add responded.(node) lp.oseq;
         Recorder.add recorder
           (Recorder.make ~proc:node ~inv:lp.inv ~resp:(Engine.now engine)
@@ -189,7 +187,8 @@ let create ?fault ?reliable ?batch ?detector ?(mode = Stable)
         | Some k ->
           Int_table.remove ks.(node) lp.oseq;
           k applied.Apply.result
-        | None -> ())));
+        | None -> ()
+      end);
     cursors.(node) <- pos + 1;
     !release ~node ~pos ~origin
       ~oseq:(match p with Some lp -> lp.oseq | None -> -1);

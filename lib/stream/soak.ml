@@ -194,13 +194,17 @@ let run ?(on_sample = fun (_ : sample) -> ()) ~seed ~workload cfg =
      carries it into the global order, so the reorder watermark must
      also wait for its oldest still-buffered record. *)
   let watermark () =
-    let wm = Array.fold_left min (Engine.now engine) in_flight in
+    let wm = ref (Engine.now engine) in
+    for p = 0 to n_procs - 1 do
+      wm := Int.min !wm in_flight.(p)
+    done;
+    let wm = !wm in
     match !fhandle with
     | None -> wm
     | Some h -> (
       match h.Seg_store.oldest_pending () with
       | None -> wm
-      | Some t -> min wm t)
+      | Some t -> Int.min wm t)
   in
   let feed_one (r : Recorder.record) =
     let r =
@@ -214,7 +218,7 @@ let run ?(on_sample = fun (_ : sample) -> ()) ~seed ~workload cfg =
       | _ -> r
     in
     (* Only [corrupt] reads the (object, version) -> value table. *)
-    if cfg.corrupt <> None then begin
+    if Option.is_some cfg.corrupt then begin
       let last = Hashtbl.create 4 in
       List.iter
         (fun op ->

@@ -2,7 +2,7 @@
 
     The live m-operations of a window, plus one synthetic {e summary}
     m-operation for everything retired, are checked with
-    {!Check_constrained.check_chains} on an input kept in the window's
+    {!Check_constrained.decide_chains} on an input kept in the window's
     own arrays across epochs; each entry is validated against its ops
     once, when fed.  After a passing check the longest prefix provably
     closed off from the future retires into per-object frontiers
@@ -112,13 +112,15 @@ type t = {
   u_objs : int array;
   mutable u_n : int;
   (* [admit]'s per-object scratch, stamped with the entry's gid: x
-     written (negated once listed), x's first op a read (negated once
-     a read names its writer); the objects touched, in order. *)
+     written (negated once listed) and the value written last, x's
+     first op a read (negated once a read names its writer) and the
+     value read; the objects touched, in order. *)
   wrote : int array;
+  wval : Value.t array;
   ext : int array;
   ext_val : Value.t array;
   touched : int array;
-  procs : (Types.proc_id, pstate) Hashtbl.t;
+  procs : pstate Mmc_sim.Int_table.t;
   (* Unretired entries in feed order: rows.(0 .. n_live-1) are live,
      the next n_pending pending; gid g is rows.(g - base - 1). *)
   mutable rows : row array;
@@ -164,7 +166,7 @@ let no_writer =
 let grow a len fill =
   if Array.length a >= len then a
   else
-    let b = Array.make (max len (2 * Array.length a)) fill in
+    let b = Array.make (Int.max len (2 * Array.length a)) fill in
     Array.blit a 0 b 0 (Array.length a);
     b
 
@@ -201,8 +203,10 @@ let create ?arena ?(window = default_window) ?(settle = default_settle)
             { frontier = { no_writer with w_obj = x }; touched_retired = false;
               vers = [||]; n_vers = 0 });
       u_w = Array.make nx no_writer; u_objs = ints (); u_n = 0;
-      wrote = ints (); ext = ints (); ext_val = Array.make nx Value.initial;
-      touched = ints (); procs = Hashtbl.create 8; rows = e; n_live = 0;
+      wrote = ints (); wval = Array.make nx Value.initial; ext = ints ();
+      ext_val = Array.make nx Value.initial;
+      touched = ints (); procs = Mmc_sim.Int_table.create 8; rows = e;
+      n_live = 0;
       n_pending = 0;
       (* Node 0, the initializer, writes every object; the summary's
          row follows its row in the pool. *)
@@ -248,7 +252,7 @@ let admit t (e : entry) =
   if e.inv < t.inv_floor then
     bad t "entries fed out of invocation order (inv %d after floor %d)" e.inv
       t.inv_floor;
-  if e.sync = None && e.writes != [] then
+  if Option.is_none e.sync && e.writes != [] then
     bad t "update without a synchronization position";
   t.inv_floor <- e.inv;
   t.fed <- t.fed + 1;
@@ -258,10 +262,11 @@ let admit t (e : entry) =
     bad t "synchronization position %d already retired" p
   | _ -> ());
   let p =
-    try Hashtbl.find t.procs e.proc
-    with Not_found ->
+    match Mmc_sim.Int_table.find_opt t.procs e.proc with
+    | Some p -> p
+    | None ->
       let p = { last = None; epoch = 0; chain = 0; len = 0 } in
-      Hashtbl.add t.procs e.proc p;
+      Mmc_sim.Int_table.replace t.procs e.proc p;
       p
   in
   (match p.last with
@@ -270,8 +275,8 @@ let admit t (e : entry) =
       (q.r_feed + 1) q.r_inv q.r_resp g e.inv e.resp
   | _ -> ());
   (* One walk of the ops: the objects touched, in order; the written
-     ones; the external reads (an object's first op, when it is a
-     read) and their values. *)
+     ones and the values written last; the external reads (an object's
+     first op, when it is a read) and their values. *)
   let nt = ref 0 and nw = ref 0 in
   List.iter
     (fun op ->
@@ -286,22 +291,26 @@ let admit t (e : entry) =
           t.ext_val.(x) <- v
         | Op.Write _ -> ()
       end;
-      if Op.is_write op && t.wrote.(x) <> g then begin
-        t.wrote.(x) <- g;
-        incr nw
-      end)
+      match op with
+      | Op.Write (_, v) ->
+        t.wval.(x) <- v;
+        if t.wrote.(x) <> g then begin
+          t.wrote.(x) <- g;
+          incr nw
+        end
+      | Op.Read _ -> ())
     e.ops;
   (* The listed writes are the ops' final writes, each once, at a
      version not yet fed or retired; each is registered. *)
   let register (x, v, value) =
     if x < 0 || x >= nx then bad t "write to object x%d out of range" x;
     if t.wrote.(x) = -g then bad t "#%d lists x%d twice" g x;
-    (match Op.last_write e.ops x with
-    | None -> bad t "#%d lists a write of x%d its ops do not make" g x
-    | Some w when not (Value.equal w value) ->
+    if t.wrote.(x) <> g then
+      bad t "#%d lists a write of x%d its ops do not make" g x;
+    if not (Value.equal t.wval.(x) value) then
       bad t "#%d lists x%d = %a but writes %a last" g x Value.pp_compact value
-        Value.pp_compact w
-    | Some _ -> t.wrote.(x) <- -g);
+        Value.pp_compact t.wval.(x);
+    t.wrote.(x) <- -g;
     let o = t.objs.(x) and w =
       { w_feed = f; w_obj = x; w_ver = v; w_value = value; w_resp = e.resp;
         last_reader = -1 }
@@ -413,7 +422,7 @@ let promote t =
            (fun j read ->
              let w = resolve t r j read in
              r.r_src.(j) <- w;
-             reach := max !reach w.w_feed)
+             reach := Int.max !reach w.w_feed)
            r.r_reads;
          if !reach <= r.r_feed then best := i
        done
@@ -423,8 +432,8 @@ let promote t =
         let r = t.rows.(i) in
         for j = 0 to Array.length r.r_src - 1 do
           let w = r.r_src.(j) in
-          w.last_reader <- max w.last_reader r.r_feed;
-          r.r_bound <- max r.r_bound w.w_feed
+          w.last_reader <- Int.max w.last_reader r.r_feed;
+          r.r_bound <- Int.max r.r_bound w.w_feed
         done;
         let v = (if t.base > 0 then 2 else 1) + i in
         let len = Array.length r.r_objs in
@@ -451,7 +460,7 @@ let promote t =
         end;
         t.n_live <- i + 1;
         t.n_pending <- t.n_pending - 1;
-        t.max_live <- max t.max_live t.n_live
+        t.max_live <- Int.max t.max_live t.n_live
       done
   end
 
@@ -464,10 +473,10 @@ let retire t =
   t.smax <- grow t.smax k 0;
   let pmax_rf = t.pmax_rf and scnt = t.scnt and smax = t.smax in
   for i = 0 to k - 1 do
-    let r = t.rows.(i) and j = max 0 (i - 1) and first = i = 0 in
-    pmax_rf.(i) <- max (if first then -1 else pmax_rf.(j)) r.r_bound;
+    let r = t.rows.(i) and j = Int.max 0 (i - 1) and first = i = 0 in
+    pmax_rf.(i) <- Int.max (if first then -1 else pmax_rf.(j)) r.r_bound;
     scnt.(i) <- (if first then 0 else scnt.(j)) + Bool.to_int (r.r_sync >= 0);
-    smax.(i) <- max (if first then -1 else smax.(j)) r.r_sync
+    smax.(i) <- Int.max (if first then -1 else smax.(j)) r.r_sync
   done;
   (* No real-time condition is needed, for any flavour: the summary's
      rt/object edges into the window over-assert "some retired
@@ -480,7 +489,7 @@ let retire t =
     && (scnt.(e) = 0 || smax.(e) = t.next_pos + scnt.(e) - 1)
   in
   let best_under cap =
-    let e = ref (min cap (k - 1)) in
+    let e = ref (Int.min cap (k - 1)) in
     while !e >= 0 && not (feasible !e) do
       decr e
     done;
@@ -527,11 +536,11 @@ let retire t =
         for j = o.n_vers - 1 downto 0 do
           let w = o.vers.(j) in
           if w.w_ver < uw.w_ver then
-            ok := !ok && closed !succ && max w.last_reader w.w_feed <= lim;
-          succ := min !succ w.w_resp
+            ok := !ok && closed !succ && Int.max w.last_reader w.w_feed <= lim;
+          succ := Int.min !succ w.w_resp
         done;
         if not (!ok && closed !succ) then
-          cap := min !cap (uw.w_feed - t.base - 1)
+          cap := Int.min !cap (uw.w_feed - t.base - 1)
       done;
       if !cap >= e then e else fix (best_under !cap)
     end
@@ -677,7 +686,7 @@ let run_check t ~final =
     let taken0 = Relation.Arena.scratch_words t.arena in
     let res, words =
       Relation.Arena.peak_during t.arena (fun () ->
-          Check_constrained.check_chains ~arena:t.arena input
+          Check_constrained.decide_chains ~arena:t.arena input
             ~flavour:t.flavour Constraints.WW)
     in
     t.checks <- t.checks + 1;
@@ -686,14 +695,14 @@ let run_check t ~final =
     t.recycled_words <-
       t.recycled_words + Relation.Arena.scratch_words t.arena - taken0;
     match res with
-    | Check_constrained.Admissible _ -> if not final then retire t
-    | res ->
+    | Check_constrained.Legal -> if not final then retire t
+    | Check_constrained.Refuted res ->
       let reason = Fmt.str "%a" Check_constrained.pp_result res in
       t.verdict <- Fail { prefix = t.base + k; reason }
   end
 
 let rec maybe_check t =
-  if is_pass t && t.n_live >= max t.window t.check_floor then begin
+  if is_pass t && t.n_live >= Int.max t.window t.check_floor then begin
     let b0 = t.base in
     run_check t ~final:false;
     if is_pass t then
@@ -750,18 +759,28 @@ let metrics t =
 
 (* --- adapters ---------------------------------------------------------- *)
 
+let rec in_namespace n = function
+  | [] -> true
+  | (_, _, m) :: rest -> m = n && in_namespace n rest
+
+(* The value [ops] write to [x] last, [v] when they write none. *)
+let rec last_value x v = function
+  | [] -> v
+  | Op.Write (y, w) :: rest when y = x -> last_value x w rest
+  | _ :: rest -> last_value x v rest
+
 let entry_of_record (r : Mmc_store.Recorder.record) =
-  (match List.map (fun (_, _, n) -> n) (r.reads @ r.writes) with
-  | n :: rest when List.exists (( <> ) n) rest ->
-    invalid_arg "Window_check.entry_of_record: record spans version namespaces"
-  | _ -> ());
+  (match (r.reads, r.writes) with
+  | (_, _, n) :: _, _ | [], (_, _, n) :: _ ->
+    if not (in_namespace n r.reads && in_namespace n r.writes) then
+      invalid_arg
+        "Window_check.entry_of_record: record spans version namespaces"
+  | [], [] -> ());
   (* A recorded write without a write op keeps the initial value:
      [feed] rejects it. *)
   let writes =
     List.map
-      (fun (x, v, _) ->
-        let value = Op.last_write r.Mmc_store.Recorder.ops x in
-        (x, v, Option.value value ~default:Value.initial))
+      (fun (x, v, _) -> (x, v, last_value x Value.initial r.ops))
       r.Mmc_store.Recorder.writes
   in
   let reads = List.map (fun (x, v, _) -> (x, Version v)) r.reads in

@@ -30,7 +30,7 @@ let mixed (spec : Spec.t) =
     let pick_obj () = Rng.zipf_draw rng keys in
     if query then begin
       let xs =
-        List.init len (fun _ -> pick_obj ()) |> List.sort_uniq compare
+        List.init len (fun _ -> pick_obj ()) |> List.sort_uniq Int.compare
       in
       let prog = Prog.read_all xs (fun vs -> Prog.return (Value.List vs)) in
       (* Under conservative classification a read-only procedure whose
@@ -57,11 +57,11 @@ let mixed (spec : Spec.t) =
       in
       let touched =
         List.map (function `R x -> x | `W (x, _) -> x) plan
-        |> List.sort_uniq compare
+        |> List.sort_uniq Int.compare
       in
       let written =
         List.filter_map (function `W (x, _) -> Some x | `R _ -> None) plan
-        |> List.sort_uniq compare
+        |> List.sort_uniq Int.compare
       in
       let may_write =
         if spec.Spec.inflate_write_set then touched else written
@@ -130,10 +130,11 @@ let sharded ?(cross_shard_ratio = 0.) placement (spec : Spec.t) =
       let xs =
         List.concat_map
           (fun (s, k) ->
-            List.init k (fun _ -> pick_in_shard s) |> List.sort_uniq compare)
+            List.init k (fun _ -> pick_in_shard s)
+            |> List.sort_uniq Int.compare)
           shards
       in
-      let touched = List.sort_uniq compare xs in
+      let touched = List.sort_uniq Int.compare xs in
       let prog = Prog.read_all xs (fun vs -> Prog.return (Value.List vs)) in
       let may_write = if spec.Spec.inflate_write_set then touched else [] in
       Prog.mprog ~label:"q" ~may_touch:touched ~may_write prog
@@ -163,11 +164,11 @@ let sharded ?(cross_shard_ratio = 0.) placement (spec : Spec.t) =
       in
       let touched =
         List.map (function `R x -> x | `W (x, _) -> x) plan
-        |> List.sort_uniq compare
+        |> List.sort_uniq Int.compare
       in
       let written =
         List.filter_map (function `W (x, _) -> Some x | `R _ -> None) plan
-        |> List.sort_uniq compare
+        |> List.sort_uniq Int.compare
       in
       let may_write =
         if spec.Spec.inflate_write_set then touched else written
@@ -287,7 +288,8 @@ let dcas_contention (spec : Spec.t) rng ~proc ~step =
   let n = spec.Spec.n_objects in
   if Rng.bernoulli rng ~p:spec.Spec.read_ratio then
     Mmc_objects.Massign.snapshot
-      (List.sort_uniq compare [ Rng.int rng ~bound:n; Rng.int rng ~bound:n ])
+      (List.sort_uniq Int.compare
+         [ Rng.int rng ~bound:n; Rng.int rng ~bound:n ])
   else begin
     let x1 = Rng.int rng ~bound:n in
     let x2 = (x1 + 1 + Rng.int rng ~bound:(n - 1)) mod n in

@@ -155,6 +155,51 @@ let prop_random =
         all_cases ~seed h;
         true)
 
+(* The verdict-only first stage against [check_chains] on the same
+   input, under WW and OO (where Theorem 7 makes legality
+   admissibility): the same refutation with the same [Not_legal]
+   triple, and [Legal] exactly where [check_chains] answers
+   [Admissible].  The first stage runs over the shared arena, as the
+   windowed checker runs it. *)
+let decided : (string, int) Hashtbl.t = Hashtbl.create 8
+
+let decide_case h ~flavour ~sync kind =
+  let c = Check_constrained.chains_of h ~sync in
+  let full = Check_constrained.check_chains c ~flavour kind in
+  let d = Check_constrained.decide_chains ~arena c ~flavour kind in
+  let agree =
+    match (d, full) with
+    | Check_constrained.Legal, Check_constrained.Admissible _ -> true
+    | Check_constrained.Refuted (Check_constrained.Not_legal t),
+      Check_constrained.Not_legal t' ->
+      t = t'
+    | Check_constrained.Refuted Check_constrained.Cyclic, Check_constrained.Cyclic
+    | ( Check_constrained.Refuted Check_constrained.Constraint_violated,
+        Check_constrained.Constraint_violated ) ->
+      true
+    | _ -> false
+  in
+  let k = match d with Check_constrained.Legal -> "legal" | _ -> kind_name full in
+  Hashtbl.replace decided k
+    (1 + Option.value ~default:0 (Hashtbl.find_opt decided k));
+  if not agree then
+    Alcotest.failf "verdict-only %s, check_chains %a@.%s"
+      (match d with
+      | Check_constrained.Legal -> "legal"
+      | Check_constrained.Refuted r -> Fmt.str "%a" Check_constrained.pp_result r)
+      Check_constrained.pp_result full (ctx h ~flavour ~sync kind)
+
+let decide_all ~seed h =
+  List.iter
+    (fun sync ->
+      List.iter
+        (fun flavour ->
+          List.iter
+            (fun kind -> decide_case h ~flavour ~sync kind)
+            [ Constraints.WW; Constraints.OO ])
+        flavours)
+    (sync_chains ~seed h)
+
 let load name =
   let candidates =
     [ Filename.concat "data" name; Filename.concat "test/data" name ]
@@ -173,6 +218,32 @@ let test_golden () =
       "mlin_good.trace";
       "stale_read.trace";
     ]
+
+let test_decide () =
+  for fam = 0 to 4 do
+    for n = 2 to 40 do
+      for seed = 1 to 5 do
+        let seed = (fam * 1000) + (n * 10) + seed in
+        Option.iter (decide_all ~seed) (family ~seed ~n fam)
+      done
+    done
+  done;
+  List.iteri
+    (fun i name -> decide_all ~seed:(i + 1) (load name))
+    [
+      "aw_broken.trace";
+      "dekker.trace";
+      "local_bad.trace";
+      "mlin_good.trace";
+      "stale_read.trace";
+    ];
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Fmt.str "verdict %s occurred" k)
+        true
+        (Hashtbl.mem decided k))
+    [ "legal"; "not-legal"; "constraint-violated"; "cyclic" ]
 
 (* Protocol traces: the recorded broadcast order is the sync order. *)
 let test_protocol_runs () =
@@ -240,6 +311,7 @@ let () =
           Alcotest.test_case "protocol runs under faults" `Quick
             test_protocol_runs;
           Alcotest.test_case "all five verdicts occur" `Quick test_coverage;
+          Alcotest.test_case "verdict-only = check_chains" `Quick test_decide;
           QCheck_alcotest.to_alcotest prop_random;
         ] );
     ]

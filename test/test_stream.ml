@@ -536,6 +536,60 @@ let test_lossy_rmsc_soak_pinned () =
     "digest of both runs" pinned_lossy_soak
     (Digest.to_hex (Digest.string text))
 
+(* The soak benchmark's two fault-free open-loop shapes, cut to 3,000
+   arrivals: msc-mixed (4 clients, 16 objects, mean inter-arrival 8,
+   half queries, uniform keys) and mlin-hot (the same topology, Zipf
+   0.99 keys, 20% queries).  The digest covers the verdict, arrivals,
+   completions, latency quantiles, epoch checks, retired entries,
+   messages and engine events — not the checker's arena words — so a
+   change meant to leave these runs alone must leave it unchanged. *)
+let pinned_open_soaks = "63e429c03176aa64c4d9b0b4025fbfb9"
+
+let test_open_soaks_pinned () =
+  let buf = Buffer.create 4096 in
+  let shape ~kind ~skew ~read_ratio =
+    let spec =
+      { Mmc_workload.Spec.default with n_objects = 16; read_ratio; skew }
+    in
+    ( {
+        Mmc_stream.Soak.default_config with
+        runner =
+          { Runner.default_config with n_procs = 4; n_objects = 16; kind };
+        rate = 8;
+        max_ops = 3000;
+      },
+      Mmc_workload.Generator.mixed spec )
+  in
+  let q ppf (x : Mmc_sim.Stats.quantiles) =
+    Fmt.pf ppf "n=%d p50=%g p99=%g p999=%g" x.Mmc_sim.Stats.q_count
+      x.Mmc_sim.Stats.q50 x.Mmc_sim.Stats.q99 x.Mmc_sim.Stats.q999
+  in
+  List.iter
+    (fun (name, (cfg, workload)) ->
+      List.iter
+        (fun seed ->
+          let r = Mmc_stream.Soak.run ~seed ~workload cfg in
+          let open Mmc_stream.Soak in
+          let m = r.wc in
+          let open Mmc_stream.Window_check in
+          Buffer.add_string buf
+            (Fmt.str
+               "%s seed=%d %a arrived=%d completed=%d duration=%d \
+                messages=%d events=%d epochs=%d retired=%d fed=%d \
+                max_live=%d@.  latency %a@.  query %a@.  update %a@."
+               name seed pp_verdict r.verdict r.arrived r.completed
+               r.duration r.messages r.events m.checks m.retired m.fed
+               m.max_live q r.latency q r.query_latency q r.update_latency))
+        [ 1; 2 ])
+    [
+      ("msc-mixed", shape ~kind:Store.Msc ~skew:0.0 ~read_ratio:0.5);
+      ("mlin-hot", shape ~kind:Store.Mlin ~skew:0.99 ~read_ratio:0.2);
+    ];
+  let text = Buffer.contents buf in
+  Alcotest.(check string)
+    "digest of all four runs" pinned_open_soaks
+    (Digest.to_hex (Digest.string text))
+
 (* Ill-formed feeds: each defect answers INCONCLUSIVE at every window
    and settle, whether the entries involved are still live or have
    retired, and names m-operations by feed index. *)
@@ -834,6 +888,8 @@ let () =
           Alcotest.test_case "outcomes pinned" `Quick test_outcomes_pinned;
           Alcotest.test_case "lossy rmsc soak pinned" `Quick
             test_lossy_rmsc_soak_pinned;
+          Alcotest.test_case "msc and mlin soaks pinned" `Quick
+            test_open_soaks_pinned;
           Alcotest.test_case "record path = feed_history" `Quick
             test_record_path;
           Alcotest.test_case "record path, hand-built recorders" `Quick
